@@ -4,10 +4,12 @@
 //! a cell and immediately sees which violations appeared or disappeared.
 //! This module offers two engines with identical observable semantics:
 //!
-//! - [`IncrementalChecker`] — the naive reference: every edit re-runs
-//!   [`Pfd::violations`] for each PFD mentioning the touched attribute and
-//!   diffs against a cached violation vector. O(relation) per edit, but
-//!   trivially correct; the property suite pins the delta engine to it.
+//! - [`IncrementalChecker`] — the naive reference: every edit re-runs the
+//!   string-keyed `reference::violations` for each PFD mentioning the
+//!   touched attribute and diffs against a cached violation vector.
+//!   O(relation) per edit, but trivially correct, and independent of the
+//!   interned grouping kernel the delta engine runs on; the property suite
+//!   pins the delta engine to it.
 //! - [`DeltaEngine`] — the production engine: per-PFD *group indexes* keyed
 //!   by LHS tableau-match signature (one [`PostingList`] row set per group),
 //!   so an edit re-evaluates only the rows in the touched group(s) and
@@ -33,7 +35,9 @@
 //! canonically (PFD index, tableau row, kind, attribute, rows), so deltas
 //! compare with `==`.
 
+use crate::grouping::TableauScan;
 use crate::pfd::{Pfd, Violation, ViolationKind};
+use crate::reference;
 use pfd_relation::{AttrId, PostingList, Relation, RelationError, RowId, SchemaError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -195,10 +199,10 @@ fn shift_after_delete(id: RowId, removed: RowId) -> RowId {
 
 /// A relation paired with a PFD set and cached per-PFD violation vectors.
 ///
-/// Every edit re-runs [`Pfd::violations`] for the affected PFDs — a full
-/// relation scan. This is the *reference* engine: simple enough to trust,
-/// and the semantics [`DeltaEngine`] is property-tested against. Use the
-/// delta engine for anything interactive.
+/// Every edit re-runs the string-keyed `reference::violations` for the
+/// affected PFDs — a full relation scan. This is the *reference* engine:
+/// simple enough to trust, and the semantics [`DeltaEngine`] is
+/// property-tested against. Use the delta engine for anything interactive.
 #[derive(Debug, Clone)]
 pub struct IncrementalChecker {
     rel: Relation,
@@ -210,7 +214,10 @@ pub struct IncrementalChecker {
 impl IncrementalChecker {
     /// Build the checker and compute the initial violation sets.
     pub fn new(rel: Relation, pfds: Vec<Pfd>) -> IncrementalChecker {
-        let cache = pfds.iter().map(|p| p.violations(&rel)).collect();
+        let cache = pfds
+            .iter()
+            .map(|p| reference::violations(p, &rel))
+            .collect();
         IncrementalChecker { rel, pfds, cache }
     }
 
@@ -336,7 +343,7 @@ impl IncrementalChecker {
             if !touched[pi] {
                 continue;
             }
-            let fresh = pfd.violations(&self.rel);
+            let fresh = reference::violations(pfd, &self.rel);
             for v in &fresh {
                 if !self.cache[pi].contains(v) {
                     introduced.push(DeltaEntry {
@@ -450,35 +457,29 @@ impl DeltaEngine {
     }
 
     fn build_index(rel: &Relation, pfd: &Pfd) -> PfdIndex {
-        let tableaux = pfd
-            .tableau()
-            .iter()
-            .enumerate()
-            .map(|(ti, trow)| {
-                let mut row_key: Vec<Option<Arc<Vec<String>>>> = Vec::with_capacity(rel.num_rows());
-                let mut members: HashMap<Arc<Vec<String>>, Vec<u32>> = HashMap::new();
-                for (rid, _) in rel.iter_rows() {
-                    let key = pfd.lhs_key(rel, rid, trow).map(Arc::new);
-                    if let Some(k) = &key {
-                        members.entry(Arc::clone(k)).or_default().push(rid as u32);
+        let num_rows = rel.num_rows();
+        let tableaux = (0..pfd.tableau().len())
+            .map(|ti| {
+                let mut scan = TableauScan::dense(rel, pfd, ti);
+                let key_groups = scan.group_rows();
+                let mut row_key: Vec<Option<Arc<Vec<String>>>> = vec![None; num_rows];
+                let mut groups = HashMap::with_capacity(key_groups.len());
+                for group in key_groups {
+                    let key = Arc::new(scan.key_text(&group.key));
+                    let mut violations = Vec::new();
+                    scan.violations(&group.rows, &mut violations, None);
+                    for &rid in &group.rows {
+                        row_key[rid] = Some(Arc::clone(&key));
                     }
-                    row_key.push(key);
+                    let ids = group.rows.iter().map(|&rid| rid as u32).collect();
+                    groups.insert(
+                        key,
+                        Group {
+                            rows: PostingList::from_sorted(ids, num_rows),
+                            violations,
+                        },
+                    );
                 }
-                let groups = members
-                    .into_iter()
-                    .map(|(key, ids)| {
-                        let rows: Vec<RowId> = ids.iter().map(|&i| i as RowId).collect();
-                        let mut violations = Vec::new();
-                        pfd.violations_of_group(rel, ti, trow, &rows, &mut violations);
-                        (
-                            key,
-                            Group {
-                                rows: PostingList::from_sorted(ids, rel.num_rows()),
-                                violations,
-                            },
-                        )
-                    })
-                    .collect();
                 TableauIndex { groups, row_key }
             })
             .collect();
@@ -817,16 +818,19 @@ impl DeltaEngine {
         let mut resolved = Vec::new();
         let mut scratch = std::mem::take(&mut self.scratch);
         for (pi, ti, key) in &dirty {
-            let pfd = &self.pfds[*pi];
-            let trow = &pfd.tableau()[*ti];
             let tindex = &mut self.index[*pi].tableaux[*ti];
             let Some(group) = tindex.groups.get_mut(key) else {
                 continue;
             };
             scratch.clear();
             if !group.rows.is_empty() {
+                // Sparse memos: the reconcile stays O(group).
                 let ids: Vec<RowId> = group.rows.iter().map(|i| i as RowId).collect();
-                pfd.violations_of_group(&self.rel, *ti, trow, &ids, &mut scratch);
+                TableauScan::sparse(&self.rel, &self.pfds[*pi], *ti).violations(
+                    &ids,
+                    &mut scratch,
+                    None,
+                );
             }
             for v in &scratch {
                 if !group.violations.contains(v) {

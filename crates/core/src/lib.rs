@@ -37,8 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod detect;
+mod grouping;
 pub mod incremental;
 pub mod pfd;
+#[doc(hidden)]
+pub mod reference;
 pub mod repair;
 pub mod rules;
 pub mod server;

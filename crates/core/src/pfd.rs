@@ -1,9 +1,10 @@
 //! Pattern functional dependencies: the `Pfd` type and its satisfaction
 //! semantics (§2.1–2.2).
 
+use crate::grouping::TableauScan;
 use crate::tableau::{TableauCell, TableauRow};
 use pfd_relation::{AttrId, Relation, RowId, Schema, SchemaError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Result of a one-pass [`Pfd::audit`] over a relation.
@@ -144,6 +145,58 @@ impl Violation {
             kind,
             attr,
             rows,
+            cells,
+            group_size,
+            majority_size,
+        }
+    }
+
+    /// A single-tuple violation of tableau row `ti`: row `rid` of an
+    /// LHS-key group of `group_size` rows fails the RHS pattern of `attr`,
+    /// while `majority_size` rows of the group conform.
+    pub(crate) fn single_tuple(
+        pfd: &Pfd,
+        ti: usize,
+        rid: RowId,
+        attr: AttrId,
+        group_size: u32,
+        majority_size: u32,
+    ) -> Violation {
+        let mut cells: Vec<(RowId, AttrId)> = pfd.lhs.iter().map(|a| (rid, *a)).collect();
+        cells.push((rid, attr));
+        Violation {
+            tableau_row: ti,
+            kind: ViolationKind::SingleTuple,
+            attr,
+            rows: vec![rid],
+            cells,
+            group_size,
+            majority_size,
+        }
+    }
+
+    /// A tuple-pair violation of tableau row `ti`: row `rid` disagrees on
+    /// `attr` with `rep`, the first row of its group's majority RHS
+    /// partition of `majority_size` rows.
+    pub(crate) fn tuple_pair(
+        pfd: &Pfd,
+        ti: usize,
+        rep: RowId,
+        rid: RowId,
+        attr: AttrId,
+        group_size: u32,
+        majority_size: u32,
+    ) -> Violation {
+        let mut cells: Vec<(RowId, AttrId)> = Vec::with_capacity(2 * (pfd.lhs.len() + 1));
+        for r in [rep, rid] {
+            cells.extend(pfd.lhs.iter().map(|a| (r, *a)));
+            cells.push((r, attr));
+        }
+        Violation {
+            tableau_row: ti,
+            kind: ViolationKind::TuplePair,
+            attr,
+            rows: vec![rep, rid],
             cells,
             group_size,
             majority_size,
@@ -420,7 +473,8 @@ impl Pfd {
 
     /// The LHS equivalence key of a relation row under a tableau row, or
     /// `None` if some LHS cell does not match. Crate-visible so the
-    /// incremental group indexes can maintain key → row-set maps.
+    /// incremental group indexes can re-key a single edited row, and for the
+    /// string-keyed [`reference`](crate::reference).
     pub(crate) fn lhs_key(
         &self,
         rel: &Relation,
@@ -454,68 +508,19 @@ impl Pfd {
         let mut covered = vec![false; rel.num_rows()];
         let mut paired = vec![false; rel.num_rows()];
         let mut suspects: BTreeSet<RowId> = BTreeSet::new();
-        for row in &self.tableau {
-            let mut groups: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-            for (rid, _) in rel.iter_rows() {
-                if let Some(key) = self.lhs_key(rel, rid, row) {
-                    groups.entry(key).or_default().push(rid);
-                }
-            }
-            for rows in groups.values() {
-                for &rid in rows {
+        let mut found: Vec<Violation> = Vec::new();
+        for ti in 0..self.tableau.len() {
+            let mut scan = TableauScan::dense(rel, self, ti);
+            for group in scan.group_rows() {
+                let pairs = group.rows.len() >= 2;
+                for &rid in &group.rows {
                     covered[rid] = true;
+                    paired[rid] |= pairs;
                 }
-                if rows.len() >= 2 {
-                    for &rid in rows {
-                        paired[rid] = true;
-                    }
-                }
-                // Single-tuple RHS pattern checks.
-                let mut rhs_ok: Vec<RowId> = Vec::with_capacity(rows.len());
-                for &rid in rows {
-                    let fails = self
-                        .rhs
-                        .iter()
-                        .zip(&row.rhs)
-                        .any(|(b, cell)| !cell.matches(rel.cell(rid, *b)));
-                    if fails {
-                        suspects.insert(rid);
-                    } else {
-                        rhs_ok.push(rid);
-                    }
-                }
-                // Pair semantics: partition by RHS key; every row outside
-                // the majority partition is a suspect.
-                if rhs_ok.len() < 2 {
-                    continue;
-                }
-                let mut partitions: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-                for &rid in &rhs_ok {
-                    let key: Vec<String> = self
-                        .rhs
-                        .iter()
-                        .zip(&row.rhs)
-                        .map(|(b, cell)| {
-                            cell.key(rel.cell(rid, *b))
-                                .expect("matched above")
-                                .to_string()
-                        })
-                        .collect();
-                    partitions.entry(key).or_default().push(rid);
-                }
-                if partitions.len() <= 1 {
-                    continue;
-                }
-                let (majority_key, _) = partitions
-                    .iter()
-                    .max_by_key(|(key, rows)| (rows.len(), std::cmp::Reverse((*key).clone())))
-                    .expect("non-empty");
-                let majority_key = majority_key.clone();
-                for (key, rows) in &partitions {
-                    if *key != majority_key {
-                        suspects.extend(rows.iter().copied());
-                    }
-                }
+                // Every violation's last row is its offending one.
+                found.clear();
+                scan.violations(&group.rows, &mut found, None);
+                suspects.extend(found.iter().filter_map(|v| v.rows.last().copied()));
             }
         }
         TableauAudit {
@@ -539,8 +544,11 @@ impl Pfd {
     ///   quadratic pair count.
     pub fn violations(&self, rel: &Relation) -> Vec<Violation> {
         let mut out = Vec::new();
-        for (ti, row) in self.tableau.iter().enumerate() {
-            self.violations_of_row(rel, ti, row, &mut out, None);
+        for ti in 0..self.tableau.len() {
+            let mut scan = TableauScan::dense(rel, self, ti);
+            for group in scan.group_rows() {
+                scan.violations(&group.rows, &mut out, None);
+            }
         }
         out
     }
@@ -548,179 +556,16 @@ impl Pfd {
     /// Early-exit satisfaction check: `T ⊨ ψ`.
     pub fn satisfies(&self, rel: &Relation) -> bool {
         let mut out = Vec::new();
-        for (ti, row) in self.tableau.iter().enumerate() {
-            self.violations_of_row(rel, ti, row, &mut out, Some(1));
-            if !out.is_empty() {
-                return false;
+        for ti in 0..self.tableau.len() {
+            let mut scan = TableauScan::dense(rel, self, ti);
+            for group in scan.group_rows() {
+                scan.violations(&group.rows, &mut out, Some(1));
+                if !out.is_empty() {
+                    return false;
+                }
             }
         }
         true
-    }
-
-    fn violations_of_row(
-        &self,
-        rel: &Relation,
-        ti: usize,
-        row: &TableauRow,
-        out: &mut Vec<Violation>,
-        limit: Option<usize>,
-    ) {
-        // Group matching rows by LHS key.
-        let mut groups: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-        for (rid, _) in rel.iter_rows() {
-            if let Some(key) = self.lhs_key(rel, rid, row) {
-                groups.entry(key).or_default().push(rid);
-            }
-        }
-
-        for rows in groups.values() {
-            self.violations_of_group_limited(rel, ti, row, rows, out, limit);
-            if limit.is_some_and(|l| out.len() >= l) {
-                return;
-            }
-        }
-    }
-
-    /// Violations contributed by one LHS-key group of tableau row `ti`.
-    ///
-    /// `rows` must be the complete group in ascending row-id order (the
-    /// order [`Pfd::violations`] materializes groups in); the produced
-    /// violations depend only on the group's membership and cell values, so
-    /// an incremental checker re-running just the touched groups emits
-    /// byte-identical violations to a full recompute.
-    pub(crate) fn violations_of_group(
-        &self,
-        rel: &Relation,
-        ti: usize,
-        row: &TableauRow,
-        rows: &[RowId],
-        out: &mut Vec<Violation>,
-    ) {
-        self.violations_of_group_limited(rel, ti, row, rows, out, None);
-    }
-
-    /// [`Pfd::violations_of_group`] with [`Pfd::satisfies`]'s early exit:
-    /// stop materializing violations once `out` reaches `limit`.
-    fn violations_of_group_limited(
-        &self,
-        rel: &Relation,
-        ti: usize,
-        row: &TableauRow,
-        rows: &[RowId],
-        out: &mut Vec<Violation>,
-        limit: Option<usize>,
-    ) {
-        let at_limit = |out: &Vec<Violation>| limit.is_some_and(|l| out.len() >= l);
-        let group_size = rows.len() as u32;
-        let single_tuple = |rid: RowId, b: AttrId, majority_size: u32| {
-            let mut cells: Vec<(RowId, AttrId)> = self.lhs.iter().map(|a| (rid, *a)).collect();
-            cells.push((rid, b));
-            Violation {
-                tableau_row: ti,
-                kind: ViolationKind::SingleTuple,
-                attr: b,
-                rows: vec![rid],
-                cells,
-                group_size,
-                majority_size,
-            }
-        };
-
-        // Single-tuple RHS pattern checks: classify the whole group first so
-        // every emitted violation can carry the group statistics (group size
-        // and the count of RHS-conforming rows) that repair scoring needs.
-        // Under a `limit`, emit during the scan instead — limited callers
-        // ([`Pfd::satisfies`]) only test emptiness and must keep their early
-        // exit, so those violations carry a zeroed majority count.
-        let mut rhs_ok: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut failures: Vec<(RowId, AttrId)> = Vec::new();
-        for &rid in rows {
-            let mut failed = None;
-            for (j, b) in self.rhs.iter().enumerate() {
-                if !row.rhs[j].matches(rel.cell(rid, *b)) {
-                    failed = Some(*b);
-                    break;
-                }
-            }
-            match failed {
-                Some(b) if limit.is_some() => {
-                    out.push(single_tuple(rid, b, 0));
-                    if at_limit(out) {
-                        return;
-                    }
-                }
-                Some(b) => failures.push((rid, b)),
-                None => rhs_ok.push(rid),
-            }
-        }
-        let ok_count = rhs_ok.len() as u32;
-        for (rid, b) in failures {
-            out.push(single_tuple(rid, b, ok_count));
-        }
-
-        // Pair semantics: partition by RHS key.
-        if rhs_ok.len() < 2 {
-            return;
-        }
-        let mut partitions: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-        for &rid in &rhs_ok {
-            let key: Vec<String> = self
-                .rhs
-                .iter()
-                .zip(&row.rhs)
-                .map(|(b, cell)| {
-                    cell.key(rel.cell(rid, *b))
-                        .expect("matched above")
-                        .to_string()
-                })
-                .collect();
-            partitions.entry(key).or_default().push(rid);
-        }
-        if partitions.len() <= 1 {
-            return;
-        }
-        // Majority partition is the reference; every other row pairs
-        // with its representative.
-        let (_, majority) = partitions
-            .iter()
-            .max_by_key(|(key, rows)| (rows.len(), std::cmp::Reverse((*key).clone())))
-            .expect("non-empty");
-        let rep = majority[0];
-        let majority_rows: Vec<RowId> = majority.clone();
-        let majority_size = majority_rows.len() as u32;
-        for (key, rows) in &partitions {
-            if rows == &majority_rows {
-                continue;
-            }
-            for &rid in rows {
-                // First differing RHS attribute against the majority key.
-                let attr = self
-                    .rhs
-                    .iter()
-                    .zip(&row.rhs)
-                    .find(|(b, cell)| cell.key(rel.cell(rep, **b)) != cell.key(rel.cell(rid, **b)))
-                    .map(|(b, _)| *b)
-                    .unwrap_or(self.rhs[0]);
-                let mut cells: Vec<(RowId, AttrId)> = Vec::new();
-                for r in [rep, rid] {
-                    cells.extend(self.lhs.iter().map(|a| (r, *a)));
-                    cells.push((r, attr));
-                }
-                out.push(Violation {
-                    tableau_row: ti,
-                    kind: ViolationKind::TuplePair,
-                    attr,
-                    rows: vec![rep, rid],
-                    cells,
-                    group_size,
-                    majority_size,
-                });
-                if at_limit(out) {
-                    return;
-                }
-            }
-            let _ = key;
-        }
     }
 }
 
@@ -772,6 +617,7 @@ pub fn display_with_schema(pfd: &Pfd, schema: &Schema) -> String {
 mod tests {
     use super::*;
     use pfd_relation::Relation;
+    use std::collections::BTreeMap;
 
     /// Table 1 of the paper (with the erroneous r4).
     fn name_table() -> Relation {

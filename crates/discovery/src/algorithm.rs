@@ -15,12 +15,11 @@
 
 use crate::cells::{cell_for_entry, generalized_cell, ResolvedEntry};
 use crate::config::DiscoveryConfig;
-use crate::fxhash::FxHashMap;
 use crate::index::{build_index, AttrIndex, FrequentScratch, IndexEntry, IndexOptions};
 use crate::pool;
 use crate::postings::{PostingList, RowSetAccumulator};
 use pfd_core::{Pfd, TableauCell, TableauRow};
-use pfd_relation::{profile_relation, AttrId, Extraction, Relation};
+use pfd_relation::{profile_relation, AttrId, Extraction, FxHashMap, Relation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 

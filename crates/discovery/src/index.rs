@@ -20,9 +20,8 @@
 //! `Vec` per row.
 
 use crate::extract::{tokens_for_each, ExtractOptions, ExtractStats, FragmentExtractor};
-use crate::fxhash::{fx_hash_str, FxHashMap};
 use crate::postings::PostingList;
-use pfd_relation::{AttrId, Extraction, Relation, RowId};
+use pfd_relation::{fx_hash_str, AttrId, Extraction, FxHashMap, Relation, RowId};
 
 /// An interned fragment: index into the owning [`FragmentDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -49,7 +49,6 @@ pub mod algorithm;
 pub mod cells;
 pub mod config;
 pub mod extract;
-pub mod fxhash;
 pub mod index;
 pub mod review;
 pub mod serial;

@@ -162,6 +162,25 @@ proptest! {
     }
 
     #[test]
+    fn matches_iff_extraction_exists(
+        pre in pattern(),
+        q in pattern(),
+        post in pattern(),
+        s in prop_oneof![data_string(), sam_string()],
+        reps in 0u32..3,
+    ) {
+        // `pre·Q·post` matches exactly when some decomposition exists, i.e.
+        // when the value has an equivalence key; `pfd_core`'s grouping
+        // answers both questions from one memo and relies on it.
+        let cp = ConstrainedPattern::new(pre, q, post);
+        prop_assert_eq!(cp.matches(&s), cp.extract(&s).is_some(), "{} on {:?}", cp, s);
+        if let Some(member) = member_of(&cp.full_pattern(), reps) {
+            prop_assert!(cp.matches(&member), "member {:?} of {}", member, cp);
+            prop_assert!(cp.extract(&member).is_some(), "member {:?} of {}", member, cp);
+        }
+    }
+
+    #[test]
     fn restriction_implies_equivalence_transfer(
         prefix in data_string(),
         s1 in data_string(),

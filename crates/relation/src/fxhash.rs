@@ -1,12 +1,16 @@
-//! Minimal multiplicative hasher for the discovery hot path.
+//! Minimal multiplicative hasher for the workspace's hot paths.
 //!
-//! Index construction hashes every fragment occurrence and every row-set
-//! group; the default `RandomState` (SipHash-1-3) costs more than the rest
-//! of the probe for the short keys involved. This is the well-known
-//! rotate–xor–multiply construction (as used by rustc): not DoS-resistant,
-//! which is fine for interning a relation's own fragments, and 3–5× faster
-//! on sub-16-byte keys. Vendored locally because the workspace builds
-//! offline with no registry route.
+//! Discovery's index construction hashes every fragment occurrence and
+//! every row-set group, and `pfd_core`'s keyed grouping hashes tuples of
+//! interned key ids; the default `RandomState` (SipHash-1-3) costs more than
+//! the rest of the probe for the short keys involved. This is the
+//! well-known rotate–xor–multiply construction (as used by rustc): 3–5×
+//! faster on sub-16-byte keys, but not DoS-resistant: crafted keys can
+//! collide. New maps should use it only for keys the program assigns
+//! (symbols, key ids), as `pfd_core` does; its interner keyed by cell text
+//! keeps the default SipHash. Discovery's fragment interner predates that
+//! rule and buckets fragment text by [`fx_hash_str`]. Vendored locally
+//! because the workspace builds offline with no registry route.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

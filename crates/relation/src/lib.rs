@@ -23,6 +23,7 @@
 
 pub mod binary;
 pub mod csv;
+pub mod fxhash;
 pub mod io;
 pub mod kernels;
 pub mod postings;
@@ -34,6 +35,7 @@ pub mod wal;
 
 pub use binary::{BinaryError, Cursor, SectionReader, SectionWriter, SharedSectionReader};
 pub use csv::{read_csv, read_csv_str, write_csv, write_csv_string, CsvError};
+pub use fxhash::{fx_hash_str, FxBuildHasher, FxHashMap, FxHasher};
 pub use io::{FailpointIo, Io, MemIo, SharedBytes, StdIo};
 pub use postings::{PostingList, RowSetAccumulator};
 pub use profile::{profile_column, profile_relation, ColumnKind, ColumnProfile, Extraction};

@@ -410,9 +410,13 @@ fn load_rules(path: &str, rel: &Relation) -> Result<Vec<Pfd>, CliError> {
     Ok(parse_rules(&text, rel.schema())?)
 }
 
-/// Rebuild the engine from its original inputs — the last rung of the
-/// recovery ladder, and the whole ladder when no `--snapshot` is in play.
-fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEngine, CliError> {
+/// Load the CSV and the `--rules` file; without `--rules` this is a usage
+/// error naming the command.
+fn load_inputs(
+    data: &str,
+    rules: Option<&str>,
+    command: &str,
+) -> Result<(Relation, Vec<Pfd>), CliError> {
     let rules = rules.ok_or_else(|| {
         CliError::Usage(format!(
             "{command} needs --rules (or an existing --snapshot)"
@@ -420,6 +424,13 @@ fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEng
     })?;
     let rel = load_relation(data)?;
     let pfds = load_rules(rules, &rel)?;
+    Ok((rel, pfds))
+}
+
+/// Rebuild the engine from its original inputs — the last rung of the
+/// recovery ladder, and the whole ladder when no `--snapshot` is in play.
+fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEngine, CliError> {
+    let (rel, pfds) = load_inputs(data, rules, command)?;
     Ok(DeltaEngine::new(rel, pfds))
 }
 
@@ -431,13 +442,10 @@ fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEng
 fn obtain_engine(
     data: &str,
     rules: Option<&str>,
-    snapshot: Option<&str>,
+    path: &str,
     recover: RecoveryPolicy,
     command: &str,
 ) -> Result<DeltaEngine, CliError> {
-    let Some(path) = snapshot else {
-        return cold_build(data, rules, command);
-    };
     let io = StdIo;
     let store = SnapshotStore::new(&io, path);
     let recovered = store.recover(recover, || cold_build(data, rules, command))?;
@@ -640,14 +648,20 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             snapshot,
             recover,
         } => {
-            let engine = obtain_engine(
-                &data,
-                rules.as_deref(),
-                snapshot.as_deref(),
-                recover,
-                "check",
-            )?;
-            let (rel, pfds) = (engine.relation(), engine.pfds());
+            // Only `--snapshot` needs the serving engine (its recovery
+            // ladder checkpoints one); a plain check detects straight from
+            // the loaded CSV and rules.
+            let (engine, inputs);
+            let (rel, pfds): (&Relation, &[Pfd]) = match snapshot.as_deref() {
+                Some(path) => {
+                    engine = obtain_engine(&data, rules.as_deref(), path, recover, "check")?;
+                    (engine.relation(), engine.pfds())
+                }
+                None => {
+                    inputs = load_inputs(&data, rules.as_deref(), "check")?;
+                    (&inputs.0, &inputs.1)
+                }
+            };
             let report = detect_errors(rel, pfds);
             if json {
                 writeln!(out, "{}", check_report_json(&report, rel))?;
@@ -1225,6 +1239,27 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
+    /// A cold `check` detects straight from the CSV and rules, while `check
+    /// --snapshot` goes through the serving engine; both must print the same
+    /// report (text and JSON) and exit with the same code. Returns that code.
+    fn assert_snapshot_check_matches_cold(data: &str, rules: &str, snap: &str) -> i32 {
+        let (code_cold, out_cold) = run_capture(&["check", data, "--rules", rules]);
+        // First --snapshot run builds from CSV and writes the snapshot...
+        let (code_write, out_write) =
+            run_capture(&["check", data, "--rules", rules, "--snapshot", snap]);
+        assert!(std::path::Path::new(snap).exists());
+        // ...the second loads it, without needing --rules or the CSV.
+        let (code_load, out_load) = run_capture(&["check", "/nonexistent.csv", "--snapshot", snap]);
+        assert_eq!(code_cold, code_write);
+        assert_eq!(code_cold, code_load);
+        assert_eq!(out_cold, out_write, "snapshot write changes no output");
+        assert_eq!(out_cold, out_load, "snapshot load must diff clean vs cold");
+        let (_, json_cold) = run_capture(&["check", data, "--rules", rules, "--json"]);
+        let (_, json_load) = run_capture(&["check", data, "--snapshot", snap, "--json"]);
+        assert_eq!(json_cold, json_load, "JSON reports must diff clean");
+        code_cold
+    }
+
     #[test]
     fn check_from_snapshot_is_byte_identical_to_cold_build() {
         let data = tmp("snap-check.csv", ZIP_CSV);
@@ -1233,21 +1268,44 @@ mod tests {
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
         let snap = tmp_path("snap-check.pfds");
-        let (code_cold, out_cold) = run_capture(&["check", &data, "--rules", &rules_path]);
-        // First --snapshot run builds from CSV and writes the snapshot...
-        let (code_write, out_write) =
-            run_capture(&["check", &data, "--rules", &rules_path, "--snapshot", &snap]);
-        assert!(std::path::Path::new(&snap).exists());
-        // ...the second loads it, without needing --rules or the CSV.
-        let (code_load, out_load) =
-            run_capture(&["check", "/nonexistent.csv", "--snapshot", &snap]);
-        assert_eq!(code_cold, code_write);
-        assert_eq!(code_cold, code_load);
-        assert_eq!(out_cold, out_write, "snapshot write changes no output");
-        assert_eq!(out_cold, out_load, "snapshot load must diff clean vs cold");
-        let (_, json_cold) = run_capture(&["check", &data, "--rules", &rules_path, "--json"]);
-        let (_, json_load) = run_capture(&["check", &data, "--snapshot", &snap, "--json"]);
-        assert_eq!(json_cold, json_load, "JSON reports must diff clean");
+        assert_snapshot_check_matches_cold(&data, &rules_path, &snap);
+    }
+
+    #[test]
+    fn check_from_snapshot_matches_cold_on_discovered_tableaux() {
+        use pfd_datagen::{dirty_clean_pair, geo_cascade_table, ErrorProfile};
+        let clean = geo_cascade_table(600, 3);
+        let targets =
+            ["city", "county", "state", "region"].map(|a| clean.schema().attr(a).unwrap());
+        let profile = ErrorProfile::correlated(&targets, 0.02);
+        let (dirty, _) = dirty_clean_pair(&clean, &profile, 3);
+        let data = tmp("snap-geo.csv", &pfd_relation::write_csv_string(&dirty));
+        let rules = tmp_path("snap-geo-rules.pfd");
+        let (code, output) = run_capture(&["discover", &data, "--rules", &rules]);
+        assert_eq!(code, 0, "{output}");
+        let text = std::fs::read_to_string(&rules).unwrap();
+        assert!(
+            text.lines().any(|line| line.contains("; [")),
+            "discovery yields multi-row tableaux: {text}"
+        );
+        let snap = tmp_path("snap-geo.pfds");
+        let code = assert_snapshot_check_matches_cold(&data, &rules, &snap);
+        assert_eq!(code, 1, "the injected errors are flagged");
+    }
+
+    #[test]
+    fn check_without_rules_or_snapshot_is_a_usage_error() {
+        // The usage error comes before any input is read.
+        for data in [tmp("check-usage.csv", ZIP_CSV), "/nonexistent.csv".into()] {
+            let mut buf = Vec::new();
+            let err = run(&["check".into(), data], &mut buf).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == "check needs --rules (or an existing --snapshot)"),
+                "{err}"
+            );
+            assert_eq!(err.exit_code(), 2);
+            assert!(buf.is_empty());
+        }
     }
 
     #[test]
