@@ -14,6 +14,7 @@
 //! that Table 7 credits to the PFD miner.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cfd;
 pub mod fdep;

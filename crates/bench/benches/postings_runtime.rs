@@ -282,28 +282,6 @@ fn text_cases(reps: usize) -> Vec<TextCase> {
         swar_ns: swar,
         scalar_ns: scalar,
     });
-
-    // The SWAR variant measures *slower* than the autovectorized scalar
-    // loop on x86_64, which is why `ascii_lowercase_inplace` defaults to
-    // the scalar twin; this case keeps the receipt in the artifact.
-    let mut bufs: Vec<Vec<u8>> = corpus.iter().map(|s| s.as_bytes().to_vec()).collect();
-    let swar = time(&mut || {
-        for b in &mut bufs {
-            simd::ascii_lowercase_inplace_swar(b);
-        }
-        black_box(&bufs);
-    });
-    let scalar = time(&mut || {
-        for b in &mut bufs {
-            simd::ascii_lowercase_inplace_scalar(b);
-        }
-        black_box(&bufs);
-    });
-    out.push(TextCase {
-        kernel: "ascii_lowercase",
-        swar_ns: swar,
-        scalar_ns: scalar,
-    });
     out
 }
 

@@ -12,12 +12,12 @@
 //! Besides the criterion output, the run writes `BENCH_snapshot.json`
 //! (cold-build vs load wall-clock, speedup, snapshot size, bytes/row, and
 //! load+replay of an edit log at 1k/10k/50k rows), plus `discovery_cases`
-//! timing warm-start `pfd discover`: cold index build vs a `.pfdi` load
-//! through the heap-read path vs the mmap'd zero-copy path — with the
-//! discovered dependency sets asserted identical before any timing is
-//! reported. `PFD_BENCH_SMOKE=1` skips criterion sampling and emits the
-//! JSON from a tiny-scale pass — the CI smoke-bench mode. `PFD_BENCH_JSON`
-//! overrides the output path.
+//! timing warm-start `pfd discover`: a whole cold discover against a whole
+//! warm one, and the cold run's index build against the `.pfdi` load that
+//! replaces it — with the discovered dependency sets asserted identical
+//! before any timing is reported. `PFD_BENCH_SMOKE=1` skips criterion
+//! sampling and emits the JSON from a tiny-scale pass — the CI smoke-bench
+//! mode. `PFD_BENCH_JSON` overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_core::{
@@ -25,9 +25,9 @@ use pfd_core::{
 };
 use pfd_datagen::{dirty_clean_pair, geo_cascade_table, ErrorProfile};
 use pfd_discovery::{discover, discover_persistent, DiscoveryConfig};
-use pfd_relation::{read_csv_str, write_csv_string, Io, Relation, StdIo};
+use pfd_relation::{read_csv_str, write_csv_string, Relation, StdIo};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Rate of correlated errors injected into city/county/state/region.
@@ -95,42 +95,8 @@ fn cold_build(w: &Workload) -> DeltaEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-start discovery: cold index build vs `.pfdi` load (heap vs mmap)
+// Warm-start discovery: cold index build vs `.pfdi` load
 // ---------------------------------------------------------------------------
-
-/// [`StdIo`] without the mmap `read_shared` override — times the
-/// read-into-`Vec` index load against the zero-copy mapping.
-struct HeapIo;
-
-impl Io for HeapIo {
-    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-        StdIo.read(path)
-    }
-    fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
-        StdIo.write(path, data)
-    }
-    fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
-        StdIo.append(path, data)
-    }
-    fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
-        StdIo.truncate(path, len)
-    }
-    fn sync(&self, path: &Path) -> std::io::Result<()> {
-        StdIo.sync(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        StdIo.rename(from, to)
-    }
-    fn remove(&self, path: &Path) -> std::io::Result<()> {
-        StdIo.remove(path)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        StdIo.exists(path)
-    }
-    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
-        StdIo.create_dir_all(path)
-    }
-}
 
 /// The dirty cascade relation discovery runs over.
 fn discovery_relation(rows: usize) -> Relation {
@@ -150,17 +116,31 @@ fn bench_index_dir() -> PathBuf {
     dir
 }
 
+/// One scale of warm-start discovery. Each ratio divides two numbers of
+/// the same scope: whole discover by whole discover, index phase by the
+/// load that replaces it.
 struct DiscoveryCase {
     rows: usize,
+    /// Whole cold discover.
     cold_ms: f64,
-    warm_heap_ms: f64,
-    warm_mmap_ms: f64,
-    load_heap_ms: f64,
-    load_mmap_ms: f64,
-    load_speedup: f64,
+    /// Whole warm discover (`.pfdi` load included).
+    warm_ms: f64,
+    /// The cold run's index phase (`DiscoveryStats::index_time`).
+    index_build_ms: f64,
+    /// The warm run's `.pfdi` load (`DiscoveryStats::index_load_time`).
+    index_load_ms: f64,
     index_bytes: usize,
-    mapped: bool,
     dependencies: usize,
+}
+
+impl DiscoveryCase {
+    fn warm_speedup(&self) -> f64 {
+        self.cold_ms / self.warm_ms.max(1e-6)
+    }
+
+    fn index_speedup(&self) -> f64 {
+        self.index_build_ms / self.index_load_ms.max(1e-6)
+    }
 }
 
 fn measure_discovery(rows: usize) -> DiscoveryCase {
@@ -181,28 +161,13 @@ fn measure_discovery(rows: usize) -> DiscoveryCase {
         .unwrap_or(0);
 
     let t0 = Instant::now();
-    let warm_heap = discover_persistent(&HeapIo, &path, &rel, &config, 0, 0);
-    let warm_heap_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        warm_heap.result.stats.index_loaded,
-        "heap load must warm-start"
-    );
-
-    let t0 = Instant::now();
-    let warm_mmap = discover_persistent(&StdIo, &path, &rel, &config, 0, 0);
-    let warm_mmap_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        warm_mmap.result.stats.index_loaded,
-        "mmap load must warm-start"
-    );
+    let warm = discover_persistent(&StdIo, &path, &rel, &config, 0, 0);
+    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(warm.result.stats.index_loaded, "the load must warm-start");
 
     // The acceptance canary: every path discovers the identical set.
     let reference = format!("{:?}", cold.dependencies);
-    for (label, result) in [
-        ("save pass", &saved.result),
-        ("heap warm", &warm_heap.result),
-        ("mmap warm", &warm_mmap.result),
-    ] {
+    for (label, result) in [("save pass", &saved.result), ("warm", &warm.result)] {
         assert_eq!(
             format!("{:?}", result.dependencies),
             reference,
@@ -210,18 +175,13 @@ fn measure_discovery(rows: usize) -> DiscoveryCase {
         );
     }
 
-    let load_heap_ms = warm_heap.result.stats.index_load_time.as_secs_f64() * 1e3;
-    let load_mmap_ms = warm_mmap.result.stats.index_load_time.as_secs_f64() * 1e3;
     DiscoveryCase {
         rows,
         cold_ms,
-        warm_heap_ms,
-        warm_mmap_ms,
-        load_heap_ms,
-        load_mmap_ms,
-        load_speedup: cold_ms / load_mmap_ms.max(1e-6),
+        warm_ms,
+        index_build_ms: cold.stats.index_time.as_secs_f64() * 1e3,
+        index_load_ms: warm.result.stats.index_load_time.as_secs_f64() * 1e3,
         index_bytes,
-        mapped: warm_mmap.mapped,
         dependencies: cold.dependencies.len(),
     }
 }
@@ -260,7 +220,7 @@ fn bench_discover_warm(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("cold_build", rows), &rel, |b, rel| {
         b.iter(|| black_box(discover(rel, &config)))
     });
-    group.bench_with_input(BenchmarkId::new("warm_mmap", rows), &rel, |b, rel| {
+    group.bench_with_input(BenchmarkId::new("warm", rows), &rel, |b, rel| {
         b.iter(|| {
             let warm = discover_persistent(&StdIo, &path, rel, &config, 0, 0);
             assert!(warm.result.stats.index_loaded);
@@ -341,7 +301,7 @@ fn write_bench_json(smoke: bool) {
         ]
     };
 
-    let mut json = String::from("{\n  \"schema_version\": 2,\n");
+    let mut json = String::from("{\n  \"schema_version\": 3,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -379,7 +339,7 @@ fn write_bench_json(smoke: bool) {
     }
     json.push_str("  ],\n");
     // Warm-start discovery: the `.pfdi` index snapshot against the cold
-    // per-run index build, heap read vs zero-copy mmap.
+    // per-run index build.
     json.push_str(
         "  \"discovery_reference\": {\"label\": \"cold per-run index build (extract + \
          posting construction)\", \"metric\": \"ms_per_discover\"},\n",
@@ -388,19 +348,17 @@ fn write_bench_json(smoke: bool) {
     for (i, c) in discovery_cases.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"rows\": {}, \"cold_build_ms\": {:.2}, \"warm_heap_ms\": {:.2}, \
-             \"warm_mmap_ms\": {:.2}, \"index_load_heap_ms\": {:.2}, \
-             \"index_load_mmap_ms\": {:.2}, \"load_speedup\": {:.1}, \"index_bytes\": {}, \
-             \"mmap\": {}, \"dependencies\": {}}}",
+            "    {{\"rows\": {}, \"cold_ms\": {:.2}, \"warm_ms\": {:.2}, \
+             \"index_build_ms\": {:.2}, \"index_load_ms\": {:.2}, \"warm_speedup\": {:.2}, \
+             \"index_speedup\": {:.1}, \"index_bytes\": {}, \"dependencies\": {}}}",
             c.rows,
             c.cold_ms,
-            c.warm_heap_ms,
-            c.warm_mmap_ms,
-            c.load_heap_ms,
-            c.load_mmap_ms,
-            c.load_speedup,
+            c.warm_ms,
+            c.index_build_ms,
+            c.index_load_ms,
+            c.warm_speedup(),
+            c.index_speedup(),
             c.index_bytes,
-            c.mapped,
             c.dependencies
         );
         json.push_str(if i + 1 < discovery_cases.len() {
@@ -434,18 +392,16 @@ fn write_bench_json(smoke: bool) {
     }
     for c in &discovery_cases {
         println!(
-            "rows {:>6}: cold discover {:>8.2} ms, warm heap {:>8.2} ms, warm mmap {:>8.2} ms, \
-             index load heap {:>6.2} ms / mmap {:>6.2} ms ({:.1}× vs cold), {} index bytes, \
-             mmap={}, {} deps",
+            "rows {:>6}: discover cold {:>8.2} ms / warm {:>8.2} ms ({:.2}×), \
+             index build {:>7.2} ms / load {:>6.2} ms ({:.1}×), {} index bytes, {} deps",
             c.rows,
             c.cold_ms,
-            c.warm_heap_ms,
-            c.warm_mmap_ms,
-            c.load_heap_ms,
-            c.load_mmap_ms,
-            c.load_speedup,
+            c.warm_ms,
+            c.warm_speedup(),
+            c.index_build_ms,
+            c.index_load_ms,
+            c.index_speedup(),
             c.index_bytes,
-            c.mapped,
             c.dependencies
         );
     }

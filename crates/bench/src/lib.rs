@@ -5,6 +5,8 @@
 //! running the three discovery algorithms over a dataset, evaluating
 //! against ground truth, and formatting paper-style tables.
 
+#![forbid(unsafe_code)]
+
 use pfd_baselines::{cfd_discover, fdep_single_lhs, CfdConfig, FdepConfig};
 use pfd_core::{detect_errors, evaluate_detection, Pfd};
 use pfd_datagen::{evaluate_dependencies, Dataset, DependencyEval, GroundTruthDep};

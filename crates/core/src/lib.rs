@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod detect;
 mod grouping;

@@ -1429,9 +1429,18 @@ mod tests {
         server.submit(r#"{"op":"check","tenant":42}"#);
         server.submit(r#"{"op":"open","tenant":"../evil"}"#);
         server.submit("not json");
+        // Lines nested past the parser's depth cap: one error each, and the
+        // server keeps answering.
+        server.submit(&"[".repeat(200_000));
+        server.submit(&format!(
+            r#"{{"op":"check","x":{}{}}}"#,
+            "[".repeat(10_000),
+            "]".repeat(10_000)
+        ));
+        server.submit(r#"{"op":"list"}"#);
         server.drain();
         let lines = sink.take();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 7, "{lines:?}");
         assert!(
             lines[0].contains("unknown tenant \\\"ghost\\\""),
             "{}",
@@ -1440,6 +1449,13 @@ mod tests {
         assert!(lines[1].contains("must be a string"), "{}", lines[1]);
         assert!(lines[2].contains("invalid tenant name"), "{}", lines[2]);
         assert!(lines[3].contains("error"), "{}", lines[3]);
+        for line in &lines[4..6] {
+            assert!(
+                line.starts_with(r#"{"event":"error","message":"JSON nested deeper than 64"#),
+                "{line}"
+            );
+        }
+        assert_eq!(lines[6], r#"{"event":"tenants","open":[]}"#);
         assert!(server.tenant_names().is_empty());
     }
 

@@ -100,11 +100,18 @@ pub mod json {
         }
     }
 
+    /// The deepest nesting of arrays and objects [`parse`] accepts. The
+    /// deepest real command nests 4 levels (`batch` → `edits` → edit →
+    /// `cells`); the cap keeps the recursive parser, and the recursion over
+    /// its result, far inside any thread's stack whatever a line holds.
+    pub const MAX_DEPTH: usize = 64;
+
     /// Parse one JSON document (trailing non-whitespace is an error).
+    /// Nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
     pub fn parse(src: &str) -> Result<Value, String> {
         let bytes: Vec<char> = src.chars().collect();
         let mut pos = 0usize;
-        let value = parse_value(&bytes, &mut pos)?;
+        let value = parse_value(&bytes, &mut pos, 0)?;
         skip_ws(&bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at offset {pos}"));
@@ -127,8 +134,16 @@ pub mod json {
         }
     }
 
-    fn parse_value(s: &[char], pos: &mut usize) -> Result<Value, String> {
+    /// Parse the value at `pos`, which sits inside `depth` open arrays and
+    /// objects.
+    fn parse_value(s: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(s, pos);
+        if matches!(s.get(*pos), Some('{' | '[')) && depth == MAX_DEPTH {
+            return Err(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at offset {}",
+                *pos
+            ));
+        }
         match s.get(*pos) {
             None => Err("unexpected end of input".into()),
             Some('{') => {
@@ -141,13 +156,13 @@ pub mod json {
                 }
                 loop {
                     skip_ws(s, pos);
-                    let key = match parse_value(s, pos)? {
+                    let key = match parse_value(s, pos, depth + 1)? {
                         Value::Str(k) => k,
                         other => return Err(format!("object key must be a string, got {other:?}")),
                     };
                     skip_ws(s, pos);
                     expect(s, pos, ':')?;
-                    let value = parse_value(s, pos)?;
+                    let value = parse_value(s, pos, depth + 1)?;
                     members.push((key, value));
                     skip_ws(s, pos);
                     match s.get(*pos) {
@@ -169,7 +184,7 @@ pub mod json {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(s, pos)?);
+                    items.push(parse_value(s, pos, depth + 1)?);
                     skip_ws(s, pos);
                     match s.get(*pos) {
                         Some(',') => *pos += 1,
@@ -1025,6 +1040,43 @@ mod tests {
         assert!(json::parse("\"unterminated").is_err());
         assert!(json::parse("{} trailing").is_err());
         assert!(json::parse("12..5").is_err());
+
+        // Nesting is capped: the cap itself parses, one level more errors.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let too_deep = json::parse(&nested(json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(too_deep.contains("nested deeper than 64"), "{too_deep}");
+
+        // Lines deep enough to overflow a recursive parser get one error
+        // event each, and the session keeps answering the commands after.
+        let open_brackets = "[".repeat(200_000);
+        let deep_set = format!(r#"{{"op":"set","row":0,"attr":"gender","value":{open_brackets}"#);
+        let deep_check = format!(r#"{{"op":"check","x":{}}}"#, nested(10_000));
+        let script = [
+            open_brackets.as_str(),
+            &deep_set,
+            &deep_check,
+            r#"{"op":"check"}"#,
+        ];
+        let rel = name_relation();
+        let pfds = vec![gender_pfd(&rel)];
+        let mut out = Vec::new();
+        let (_, summary) =
+            run_session(rel, pfds, Cursor::new(script.join("\n")), &mut out).unwrap();
+        let events: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(events.len(), 1 + script.len(), "{events:?}");
+        for event in &events[1..4] {
+            assert!(
+                event.starts_with(r#"{"event":"error","message":"JSON nested deeper than 64"#),
+                "{event}"
+            );
+        }
+        assert!(
+            events[4].starts_with(r#"{"event":"state""#),
+            "{}",
+            events[4]
+        );
+        assert_eq!((summary.applied, summary.rejected), (1, 3));
     }
 
     #[test]

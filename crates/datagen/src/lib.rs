@@ -22,6 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod inject;

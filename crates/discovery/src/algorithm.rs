@@ -9,17 +9,18 @@
 //! lattice with pruning (§4.2 restriction iv).
 //!
 //! Candidate checks and index builds run on the work-stealing pool of
-//! [`crate::pool`] when [`DiscoveryConfig::parallel`] is set; row sets are
-//! the compact [`PostingList`]s of [`crate::postings`]. Per-phase timings
-//! land in [`DiscoveryStats`].
+//! [`pfd_runtime::pool`] when [`DiscoveryConfig::parallel`] is set; row
+//! sets are the compact [`PostingList`]s of [`pfd_relation::postings`].
+//! Per-phase timings land in [`DiscoveryStats`].
 
 use crate::cells::{cell_for_entry, generalized_cell, ResolvedEntry};
 use crate::config::DiscoveryConfig;
 use crate::index::{build_index, AttrIndex, FrequentScratch, IndexEntry, IndexOptions};
-use crate::pool;
-use crate::postings::{PostingList, RowSetAccumulator};
 use pfd_core::{Pfd, TableauCell, TableauRow};
-use pfd_relation::{profile_relation, AttrId, Extraction, FxHashMap, Relation};
+use pfd_relation::{
+    profile_relation, AttrId, Extraction, FxHashMap, PostingList, Relation, RowSetAccumulator,
+};
+use pfd_runtime::pool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 

@@ -12,10 +12,9 @@
 //! discovery pipeline needs fragment text back.
 
 use crate::extract::for_each_run;
-use crate::postings::PostingList;
 use pfd_core::TableauCell;
 use pfd_pattern::{infer_pattern, ConstrainedPattern, Pattern};
-use pfd_relation::{AttrId, Extraction, Relation, RowId};
+use pfd_relation::{AttrId, Extraction, PostingList, Relation, RowId};
 
 /// An index entry with its pattern resolved out of the fragment dictionary.
 #[derive(Debug, Clone, Copy)]

@@ -15,13 +15,12 @@
 //! else. Construction therefore performs zero heap allocations per fragment
 //! *occurrence* — the map key is a packed `(symbol, position)` `u64`, and
 //! strings are only resolved again at tableau-assembly time. Row sets are
-//! [`PostingList`]s (sorted runs or bitsets, see [`crate::postings`]), and
+//! [`PostingList`]s (sorted runs or bitsets, see [`pfd_relation::postings`]), and
 //! the row → entries reverse index is a flat CSR layout instead of one
 //! `Vec` per row.
 
 use crate::extract::{tokens_for_each, ExtractOptions, ExtractStats, FragmentExtractor};
-use crate::postings::PostingList;
-use pfd_relation::{fx_hash_str, AttrId, Extraction, FxHashMap, Relation, RowId};
+use pfd_relation::{fx_hash_str, AttrId, Extraction, FxHashMap, PostingList, Relation, RowId};
 
 /// An interned fragment: index into the owning [`FragmentDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -15,9 +15,10 @@
 //! - the attribute-set lattice for multi-attribute LHS candidates.
 //!
 //! Engineering-wise the hot path runs on interned fragments
-//! ([`FragmentDict`]), compact row sets ([`PostingList`]: sorted runs with
-//! galloping intersection, bitsets once dense), and a work-stealing thread
-//! pool ([`pool`]) for index construction and candidate checking. Long
+//! ([`FragmentDict`]), compact row sets
+//! ([`PostingList`](pfd_relation::PostingList): sorted runs with galloping
+//! intersection, bitsets once dense), and a work-stealing thread pool
+//! ([`pfd_runtime::pool`]) for index construction and candidate checking. Long
 //! separator-free values take a suffix-automaton extraction path
 //! ([`FragmentExtractor`]) instead of the quadratic all-substrings
 //! enumeration, and the lattice walk batches RHS decisions per anchor
@@ -44,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod algorithm;
 pub mod cells;
@@ -53,15 +55,6 @@ pub mod index;
 pub mod review;
 pub mod serial;
 pub mod warm;
-
-// Extracted to the shared `pfd_runtime` crate (PR 9) so discovery index
-// builds and the multi-tenant session server ride the same work-stealing
-// substrate; re-exported here to keep the original paths.
-pub use pfd_runtime::pool;
-
-// Promoted to `pfd_relation::postings` so the incremental cleaning engine in
-// `pfd_core` can share it; re-exported here to keep the original paths.
-pub use pfd_relation::postings;
 
 pub use algorithm::{
     discover, discover_cold, discover_warm, DependencyKind, DiscoveredDependency, DiscoveryResult,
@@ -73,10 +66,8 @@ pub use index::{
     build_index, frequent_within, AttrIndex, FragmentDict, FrequentScratch, IndexEntry,
     IndexOptions, Symbol,
 };
-pub use pool::parallel_map;
-pub use postings::{PostingList, RowSetAccumulator};
 pub use review::{review_queue, ReviewItem};
-pub use serial::{decode_dict, decode_entries, decode_entries_shared, encode_dict, encode_entries};
+pub use serial::{decode_dict, decode_entries, encode_dict, encode_entries};
 pub use warm::{
     discover_persistent, load_index, relation_fingerprint, save_index, IndexFallback, IndexKey,
     LoadedIndex, WarmDiscovery,

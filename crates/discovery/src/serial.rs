@@ -4,8 +4,8 @@
 //! module provides the matching codecs for the discovery side — fragment
 //! dictionaries and index-entry blocks — built on the same
 //! [`pfd_relation::binary`] primitives (varints, front coding, delta-gap
-//! postings), so a future snapshot section can persist a built
-//! [`AttrIndex`](crate::index::AttrIndex) instead of re-extracting
+//! postings), so the `.pfdi` index cache ([`crate::warm`]) can persist a
+//! built [`AttrIndex`](crate::index::AttrIndex) instead of re-extracting
 //! fragments on every start.
 //!
 //! Symbols are interning-order indexes, so a dictionary round-trips by
@@ -13,10 +13,8 @@
 //! yields a dictionary where every `Symbol` resolves identically.
 
 use pfd_relation::binary::{
-    decode_postings, decode_postings_shared, encode_postings, put_string, put_varint, BinaryError,
-    Cursor,
+    decode_postings, encode_postings, put_string, put_varint, BinaryError, Cursor,
 };
-use pfd_relation::{PostingList, SharedBytes};
 
 use crate::index::{FragmentDict, IndexEntry, Symbol};
 
@@ -65,27 +63,6 @@ pub fn decode_entries(
     cur: &mut Cursor<'_>,
     dict: &FragmentDict,
 ) -> Result<Vec<IndexEntry>, BinaryError> {
-    decode_entries_with(cur, dict, decode_postings)
-}
-
-/// Zero-copy variant of [`decode_entries`]: identical validation, but
-/// block-compressed row sets alias the shared buffer the cursor reads from
-/// (`base` is the cursor data's byte offset within `buf`, as in
-/// [`decode_postings_shared`]).
-pub fn decode_entries_shared(
-    cur: &mut Cursor<'_>,
-    dict: &FragmentDict,
-    buf: &SharedBytes,
-    base: usize,
-) -> Result<Vec<IndexEntry>, BinaryError> {
-    decode_entries_with(cur, dict, |cur| decode_postings_shared(cur, buf, base))
-}
-
-fn decode_entries_with(
-    cur: &mut Cursor<'_>,
-    dict: &FragmentDict,
-    mut postings: impl FnMut(&mut Cursor<'_>) -> Result<PostingList, BinaryError>,
-) -> Result<Vec<IndexEntry>, BinaryError> {
     let count = cur.get_len()?;
     let mut entries = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
@@ -99,7 +76,7 @@ fn decode_entries_with(
             .map_err(|_| BinaryError::Corrupt("entry chars overflows u32".into()))?;
         let pos = u32::try_from(cur.get_varint()?)
             .map_err(|_| BinaryError::Corrupt("entry pos overflows u32".into()))?;
-        let rows = postings(cur)?;
+        let rows = decode_postings(cur)?;
         entries.push(IndexEntry {
             pattern: Symbol::from_index(pattern),
             chars,

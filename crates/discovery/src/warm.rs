@@ -4,11 +4,10 @@
 //! indexes; over stable data the build is pure recomputation. This module
 //! persists the indexes of one run in a sibling `.pfdi` file (its own
 //! `PFDS` section container, reusing the [`crate::serial`] codecs) keyed to
-//! the relation snapshot it was built from, and loads them back through
-//! the zero-copy tier: the file is read as a
-//! [`SharedBytes`](pfd_relation::SharedBytes) (mmap'd under
-//! [`pfd_relation::StdIo`]) and block-compressed row sets alias the file
-//! image in place instead of copying their gap streams.
+//! the relation snapshot it was built from, and loads them back the way
+//! `PFDS` engine snapshots load: one [`Io::read`] of the file, a
+//! [`SectionReader`] over it, then the owned decoders, which copy each
+//! block-compressed row set's gap payload into the list's own buffer.
 //!
 //! ## Staleness and fallback
 //!
@@ -28,14 +27,14 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use pfd_relation::binary::{put_varint, Cursor, SectionWriter, SharedSectionReader};
+use pfd_relation::binary::{put_varint, Cursor, SectionReader, SectionWriter};
 use pfd_relation::{AttrId, Extraction, Io, Relation};
 
 use crate::algorithm::{discover_cold, discover_warm, DiscoveryResult, DiscoveryRun};
 use crate::config::DiscoveryConfig;
 use crate::extract::ExtractStats;
 use crate::index::AttrIndex;
-use crate::serial::{decode_dict, decode_entries_shared, encode_dict, encode_entries};
+use crate::serial::{decode_dict, decode_entries, encode_dict, encode_entries};
 
 /// `.pfdi` format version; bump on any incompatible layout change.
 pub const INDEX_FORMAT_VERSION: u64 = 1;
@@ -188,16 +187,10 @@ impl std::fmt::Display for IndexFallback {
 /// A successfully loaded and key-validated index.
 #[derive(Debug)]
 pub struct LoadedIndex {
-    /// The decoded per-attribute indexes, posting payloads aliasing the
-    /// file image where block-compressed.
+    /// The decoded per-attribute indexes.
     pub indexes: BTreeMap<AttrId, AttrIndex>,
     /// Wall-clock time of the read + decode.
     pub load_time: std::time::Duration,
-    /// Whether the backing buffer is an mmap (true under [`StdIo`] on
-    /// 64-bit unix) rather than a heap read.
-    ///
-    /// [`StdIo`]: pfd_relation::StdIo
-    pub mapped: bool,
 }
 
 fn extraction_tag(e: Extraction) -> u64 {
@@ -257,22 +250,18 @@ fn corrupt(e: impl std::fmt::Display) -> IndexFallback {
     IndexFallback::Corrupt(e.to_string())
 }
 
-/// Load and key-validate a `.pfdi`, decoding through the zero-copy tier.
-///
-/// Uses [`Io::read_shared`], so under [`StdIo`](pfd_relation::StdIo) the
-/// file is mmap'd and blocked posting payloads alias the mapping; under
-/// `MemIo`/`FailpointIo` the same code path runs over a heap buffer.
+/// Load and key-validate a `.pfdi`. Every [`Io`] backend takes the same
+/// path: read the whole file, then decode owned lists from it.
 pub fn load_index(io: &dyn Io, path: &Path, key: &IndexKey) -> Result<LoadedIndex, IndexFallback> {
     let start = Instant::now();
-    let buf = match io.read_shared(path) {
+    let buf = match io.read(path) {
         Ok(buf) => buf,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(IndexFallback::Missing),
         Err(e) => return Err(IndexFallback::Io(e.to_string())),
     };
-    let mapped = buf.is_mapped();
-    let reader = SharedSectionReader::open(buf).map_err(corrupt)?;
+    let reader = SectionReader::open(&buf).map_err(corrupt)?;
 
-    let (meta, _) = reader.require(SECTION_META).map_err(corrupt)?;
+    let meta = reader.require(SECTION_META).map_err(corrupt)?;
     let mut cur = Cursor::new(meta);
     let mut next = |what: &str| -> Result<u64, IndexFallback> {
         cur.get_varint()
@@ -297,7 +286,7 @@ pub fn load_index(io: &dyn Io, path: &Path, key: &IndexKey) -> Result<LoadedInde
         return Err(IndexFallback::ConfigMismatch);
     }
 
-    let (body, base) = reader.require(SECTION_INDEXES).map_err(corrupt)?;
+    let body = reader.require(SECTION_INDEXES).map_err(corrupt)?;
     let mut cur = Cursor::new(body);
     let count = cur.get_len().map_err(corrupt)?;
     let mut indexes = BTreeMap::new();
@@ -314,8 +303,7 @@ pub fn load_index(io: &dyn Io, path: &Path, key: &IndexKey) -> Result<LoadedInde
             repeat_fragments: cur.get_len().map_err(corrupt)?,
         };
         let dict = decode_dict(&mut cur).map_err(corrupt)?;
-        let entries =
-            decode_entries_shared(&mut cur, &dict, reader.buffer(), base).map_err(corrupt)?;
+        let entries = decode_entries(&mut cur, &dict).map_err(corrupt)?;
         for e in &entries {
             if e.rows.universe() as u64 != rows {
                 return Err(corrupt("entry universe disagrees with row count"));
@@ -332,7 +320,6 @@ pub fn load_index(io: &dyn Io, path: &Path, key: &IndexKey) -> Result<LoadedInde
     Ok(LoadedIndex {
         indexes,
         load_time: start.elapsed(),
-        mapped,
     })
 }
 
@@ -343,8 +330,6 @@ pub struct WarmDiscovery {
     pub result: DiscoveryResult,
     /// Why the warm load was not used (`None` on a warm hit).
     pub fallback: Option<IndexFallback>,
-    /// Whether the loaded index came from an mmap'd buffer.
-    pub mapped: bool,
     /// Whether this run persisted a fresh index.
     pub saved: bool,
     /// A save failure, if persisting was attempted and failed (discovery
@@ -367,17 +352,16 @@ pub fn discover_persistent(
     last_seq: u64,
 ) -> WarmDiscovery {
     let key = IndexKey::compute(rel, config, generation, last_seq);
-    let (run, fallback, mapped) = match load_index(io, path, &key) {
+    let (run, fallback) = match load_index(io, path, &key) {
         Ok(loaded) => {
-            let mapped = loaded.mapped;
             let run = discover_warm(rel, config, loaded.indexes, loaded.load_time);
             // `discover_warm` discards mismatched indexes; report that as
             // a fallback even though the file itself validated.
             let fallback = (!run.result.stats.index_loaded)
                 .then(|| IndexFallback::Corrupt("candidate set mismatch".to_string()));
-            (run, fallback, mapped)
+            (run, fallback)
         }
-        Err(fb) => (discover_cold(rel, config), Some(fb), false),
+        Err(fb) => (discover_cold(rel, config), Some(fb)),
     };
     let DiscoveryRun { result, indexes } = run;
     let (saved, save_error) = if result.stats.index_loaded {
@@ -391,7 +375,6 @@ pub fn discover_persistent(
     WarmDiscovery {
         result,
         fallback,
-        mapped,
         saved,
         save_error,
     }

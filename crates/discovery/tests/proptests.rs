@@ -5,9 +5,8 @@
 
 use pfd_discovery::{
     build_index, discover, frequent_within, ngrams, tokens, DiscoveryConfig, IndexOptions,
-    PostingList,
 };
-use pfd_relation::{AttrId, Extraction, Relation, RowId, Schema};
+use pfd_relation::{AttrId, Extraction, PostingList, Relation, RowId, Schema};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

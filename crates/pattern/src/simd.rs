@@ -1,6 +1,5 @@
-//! Word-at-a-time (SWAR) byte kernels for the text hot loops: ASCII
-//! lowercasing, equality, prefix tests, byte search, and substring
-//! containment.
+//! Word-at-a-time (SWAR) byte kernels for the text hot loops: equality,
+//! prefix tests, byte search, and substring containment.
 //!
 //! Fragment extraction and constrained-pattern matching spend their time in
 //! tight byte scans over cell values. These kernels process eight bytes per
@@ -88,51 +87,6 @@ pub fn find_byte_scalar(hay: &[u8], byte: u8) -> Option<usize> {
     hay.iter().position(|&b| b == byte)
 }
 
-/// Lowercase ASCII letters in `buf` in place, leaving every other byte
-/// (including UTF-8 continuation bytes, which have their high bit set)
-/// untouched.
-///
-/// Dispatches to the scalar loop: `BENCH_postings.json` shows LLVM already
-/// auto-vectorizes the byte-wise form wider than the 8-byte SWAR variant
-/// (the SWAR path measures ~0.6x on x86_64), so the honest default is the
-/// scalar twin. [`ascii_lowercase_inplace_swar`] stays property-pinned and
-/// benched in case a future target flips the verdict.
-#[inline]
-pub fn ascii_lowercase_inplace(buf: &mut [u8]) {
-    ascii_lowercase_inplace_scalar(buf);
-}
-
-/// SWAR variant of [`ascii_lowercase_inplace`]: eight bytes per step; a
-/// byte is `A..=Z` iff its low seven bits sit in `0x41..=0x5A` *and* its
-/// high bit is clear; such bytes gain `0x20`.
-#[inline]
-pub fn ascii_lowercase_inplace_swar(buf: &mut [u8]) {
-    let mut i = 0usize;
-    while i + 8 <= buf.len() {
-        let w = u64::from_le_bytes(buf[i..i + 8].try_into().expect("8-byte chunk"));
-        let heptets = w & !HI;
-        // High bit set where the heptet is ≥ 0x41 ('A').
-        let ge_a = heptets.wrapping_add((0x80 - 0x41) * LO) & HI;
-        // High bit set where the heptet is ≥ 0x5B ('Z' + 1).
-        let gt_z = heptets.wrapping_add((0x80 - 0x5B) * LO) & HI;
-        // Uppercase: ≥ 'A', not > 'Z', and originally an ASCII byte.
-        let upper = ge_a & !gt_z & !w & HI;
-        buf[i..i + 8].copy_from_slice(&(w | (upper >> 2)).to_le_bytes());
-        i += 8;
-    }
-    for b in &mut buf[i..] {
-        b.make_ascii_lowercase();
-    }
-}
-
-/// Scalar twin of [`ascii_lowercase_inplace`].
-#[inline]
-pub fn ascii_lowercase_inplace_scalar(buf: &mut [u8]) {
-    for b in buf {
-        b.make_ascii_lowercase();
-    }
-}
-
 /// Does `hay` contain `needle`? First-byte SWAR scan, then a word-chunked
 /// confirm at each candidate. Empty needles match (at position 0), as with
 /// `str::contains`.
@@ -215,28 +169,6 @@ mod tests {
         // High-bit bytes must not alias low ones.
         assert_eq!(find_byte(&[0x80, 0x00], 0x00), Some(1));
         assert_eq!(find_byte(&[0xff; 9], 0x7f), None);
-    }
-
-    #[test]
-    fn lowercase_matches_scalar_over_full_byte_range() {
-        // All 256 byte values at all 8 word alignments.
-        for shift in 0..8usize {
-            let mut buf: Vec<u8> = vec![b'-'; shift];
-            buf.extend(0u8..=255);
-            let mut twin = buf.clone();
-            ascii_lowercase_inplace_swar(&mut buf);
-            ascii_lowercase_inplace_scalar(&mut twin);
-            assert_eq!(buf, twin, "shift={shift}");
-        }
-        let mut s = "MiXeD Ünïcode ÀBC 123 [\\]^_`".to_string().into_bytes();
-        let expect = {
-            let mut t = s.clone();
-            t.make_ascii_lowercase();
-            t
-        };
-        ascii_lowercase_inplace(&mut s);
-        assert_eq!(s, expect);
-        assert!(std::str::from_utf8(&s).is_ok(), "UTF-8 preserved");
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use std::fmt;
 
-use crate::io::SharedBytes;
 use crate::postings::PostingList;
 
 /// Magic bytes opening every snapshot file.
@@ -315,41 +314,12 @@ pub fn encode_postings(out: &mut Vec<u8>, list: &PostingList) {
 /// varint by varint and then adopted as a block payload without
 /// re-encoding.
 pub fn decode_postings(cur: &mut Cursor<'_>) -> Result<PostingList, BinaryError> {
-    decode_postings_impl(cur, None)
-}
-
-/// Zero-copy variant of [`decode_postings`]: identical wire validation, but
-/// a list that lands in the block-compressed representation *aliases* its
-/// gap bytes inside `buf` instead of copying them, pinning the shared
-/// buffer (typically an mmap'd snapshot) until the list is dropped or
-/// mutated.
-///
-/// `base` is the byte offset of the cursor's underlying slice within
-/// `buf` — i.e. the cursor must be reading `buf[base..base + n]` for some
-/// `n`. Sparse and dense lists decode exactly as in [`decode_postings`];
-/// only blocked payloads borrow.
-pub fn decode_postings_shared(
-    cur: &mut Cursor<'_>,
-    buf: &SharedBytes,
-    base: usize,
-) -> Result<PostingList, BinaryError> {
-    debug_assert!(
-        base + cur.data.len() <= buf.len() && buf[base..].starts_with(cur.data),
-        "cursor does not read from buf[base..]"
-    );
-    decode_postings_impl(cur, Some((buf, base)))
-}
-
-fn decode_postings_impl(
-    cur: &mut Cursor<'_>,
-    shared: Option<(&SharedBytes, usize)>,
-) -> Result<PostingList, BinaryError> {
     // The universe is a bound, not an item count, so it must not go through
     // the `get_len` remaining-input guard.
     let universe = cur.get_index()?;
     let len = cur.get_len()?;
     if PostingList::wire_prefers_blocked(len as u64, universe as u64) {
-        return decode_postings_blocked(cur, universe, len, shared);
+        return decode_postings_blocked(cur, universe, len);
     }
     let mut ids = Vec::with_capacity(len.min(1 << 22));
     let mut prev: Option<u32> = None;
@@ -375,32 +345,19 @@ fn decode_postings_impl(
 }
 
 /// Blocked decode path: validates each 128-entry gap run with the same
-/// checks (and error messages) as the id-by-id loop, then either copies the
-/// run's bytes into an owned block buffer (`shared` is `None`) or records
-/// its extent so the finished list aliases the wire bytes in place.
-///
-/// In the shared form the aliased window spans from the first block's
-/// payload to the last's; the wire's inter-block gap varints sit *inside*
-/// the window, between block extents — which is why [`BlockMeta`] carries
-/// an explicit `bytes_len` instead of deriving payload ends from the next
-/// block's offset.
+/// checks (and error messages) as the id-by-id loop, then copies the run's
+/// bytes into the list's own block buffer. Payloads land back to back, so
+/// each block's payload ends where the next one's begins.
 fn decode_postings_blocked(
     cur: &mut Cursor<'_>,
     universe: usize,
     len: usize,
-    shared: Option<(&SharedBytes, usize)>,
 ) -> Result<PostingList, BinaryError> {
     use crate::postings::{BlockMeta, BLOCK_LEN};
-    let mut bytes: Vec<u8> = Vec::new();
-    if shared.is_none() {
-        bytes.reserve(len.min(1 << 22));
-    }
+    let mut bytes: Vec<u8> = Vec::with_capacity(len.min(1 << 22));
     let mut metas: Vec<BlockMeta> = Vec::with_capacity(len.div_ceil(BLOCK_LEN).min(1 << 16));
     let mut prev: Option<u32> = None;
     let mut remaining = len;
-    // Cursor position where the first block's payload begins — the origin
-    // both of the aliased window and of shared-form block offsets.
-    let mut region_start = 0usize;
     while remaining > 0 {
         let n = remaining.min(BLOCK_LEN);
         // Leading varint: absolute first id for the first block, the gap
@@ -419,9 +376,6 @@ fn decode_postings_blocked(
             return Err(corrupt("posting id outside its universe"));
         }
         let start = cur.position();
-        if prev.is_none() {
-            region_start = start;
-        }
         let mut last = first;
         for _ in 1..n {
             let gap = cur.get_varint()?;
@@ -434,40 +388,23 @@ fn decode_postings_blocked(
                 return Err(corrupt("posting id outside its universe"));
             }
         }
-        let payload_len = cur.position() - start;
-        let offset = if shared.is_some() {
-            (start - region_start) as u32
-        } else {
-            let o = bytes.len() as u32;
-            bytes.extend_from_slice(cur.bytes_between(start, cur.position()));
-            o
-        };
+        let offset = bytes.len() as u32;
+        bytes.extend_from_slice(cur.bytes_between(start, cur.position()));
         metas.push(BlockMeta {
             first,
             last,
             offset,
-            bytes_len: payload_len as u32,
             count: n as u32,
         });
         prev = Some(last);
         remaining -= n;
     }
-    match shared {
-        None => Ok(PostingList::from_blocked_raw(
-            universe as u32,
-            len as u32,
-            bytes,
-            metas,
-        )),
-        Some((buf, base)) => Ok(PostingList::from_blocked_shared(
-            universe as u32,
-            len as u32,
-            buf.clone(),
-            base + region_start,
-            cur.position() - region_start,
-            metas,
-        )),
-    }
+    Ok(PostingList::from_blocked_raw(
+        universe as u32,
+        len as u32,
+        bytes,
+        metas,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -644,68 +581,6 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-/// An owning [`SectionReader`] over a [`SharedBytes`] buffer — the entry
-/// point of the zero-copy snapshot tier.
-///
-/// Where `SectionReader` borrows a byte slice, this reader holds the
-/// (cheaply clonable, possibly mmap'd) buffer itself, and each section
-/// lookup also reports the payload's absolute offset within the buffer, so
-/// decoders like [`decode_postings_shared`] can alias posting payloads in
-/// place instead of copying them out of the file image.
-///
-/// Checksum validation in [`section`](SharedSectionReader::section) reads
-/// every payload byte, so an mmap'd file is paged in on first access — the
-/// win of the shared tier is skipping the copy and the per-list
-/// allocations, not skipping the read.
-pub struct SharedSectionReader {
-    data: SharedBytes,
-    entries: Vec<SectionEntry>,
-}
-
-impl SharedSectionReader {
-    /// Validates the magic, version, and section table of `data`; payload
-    /// checksums are validated lazily per section, as in
-    /// [`SectionReader::open`].
-    pub fn open(data: SharedBytes) -> Result<Self, BinaryError> {
-        let entries = SectionReader::open(&data)?.entries;
-        Ok(SharedSectionReader { data, entries })
-    }
-
-    /// The underlying shared buffer.
-    pub fn buffer(&self) -> &SharedBytes {
-        &self.data
-    }
-
-    /// Ids of every section present, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.entries.iter().map(|e| e.id).collect()
-    }
-
-    /// Returns the checksum-validated payload of section `id` together
-    /// with its absolute byte offset in [`buffer`](Self::buffer), or
-    /// `None` if the container has no such section. The offset is the
-    /// `base` to pass to [`decode_postings_shared`] when decoding from the
-    /// start of the payload.
-    pub fn section(&self, id: u32) -> Result<Option<(&[u8], usize)>, BinaryError> {
-        let Some(entry) = self.entries.iter().find(|e| e.id == id) else {
-            return Ok(None);
-        };
-        let offset = entry.offset as usize;
-        let payload = &self.data[offset..offset + entry.len as usize];
-        if fnv1a(payload) != entry.checksum {
-            return Err(BinaryError::Checksum { section: id });
-        }
-        Ok(Some((payload, offset)))
-    }
-
-    /// Like [`SharedSectionReader::section`] but treats a missing section
-    /// as corruption — for sections the format makes mandatory.
-    pub fn require(&self, id: u32) -> Result<(&[u8], usize), BinaryError> {
-        self.section(id)?
-            .ok_or_else(|| corrupt(format!("missing required section {id}")))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -844,90 +719,6 @@ mod tests {
         let mut buf2 = Vec::new();
         encode_postings(&mut buf2, &back);
         assert_eq!(buf, buf2, "save ∘ load ∘ save is byte-stable");
-    }
-
-    #[test]
-    fn shared_postings_decode_aliases_wire_bytes() {
-        let ids: Vec<u32> = (0..1000u32).map(|i| i * 37).collect();
-        let list = PostingList::from_sorted(ids.clone(), 1_000_000);
-        assert!(list.is_blocked_repr());
-        // Embed the wire bytes mid-buffer so `base` arithmetic is exercised.
-        let mut file = vec![0xEEu8; 13];
-        let base = file.len();
-        encode_postings(&mut file, &list);
-        encode_postings(&mut file, &list); // second copy: cursor advances past the first
-        let shared = SharedBytes::from_vec(file);
-
-        let wire = &shared[base..];
-        let mut cur = Cursor::new(wire);
-        let a = decode_postings_shared(&mut cur, &shared, base).unwrap();
-        let b = decode_postings_shared(&mut cur, &shared, base).unwrap();
-        assert!(cur.is_empty());
-        for back in [&a, &b] {
-            assert!(back.is_shared_payload(), "blocked payload must alias");
-            assert_eq!(*back, list);
-            assert_eq!(back.to_vec(), ids);
-            let mut re = Vec::new();
-            encode_postings(&mut re, back);
-            let mut owned = Vec::new();
-            encode_postings(&mut owned, &list);
-            assert_eq!(re, owned, "shared form re-encodes byte-identically");
-        }
-
-        // Sparse and dense tiers never alias — they decode to owned forms.
-        let small = PostingList::from_sorted(vec![3, 9, 12], 50);
-        let mut wire2 = Vec::new();
-        encode_postings(&mut wire2, &small);
-        let shared2 = SharedBytes::from_vec(wire2);
-        let mut cur2 = Cursor::new(&shared2);
-        let back2 = decode_postings_shared(&mut cur2, &shared2, 0).unwrap();
-        assert!(!back2.is_shared_payload());
-        assert_eq!(back2, small);
-    }
-
-    #[test]
-    fn shared_postings_decode_rejects_the_same_corruption() {
-        let ids: Vec<u32> = (0..300u32).map(|i| i * 5 + 1).collect();
-        let list = PostingList::from_sorted(ids, 100_000);
-        let mut wire = Vec::new();
-        encode_postings(&mut wire, &list);
-        // Truncate mid-stream: both decoders must agree on the error.
-        let cut = wire.len() - 10;
-        let shared = SharedBytes::from_vec(wire[..cut].to_vec());
-        let mut cur = Cursor::new(&shared);
-        let err = decode_postings_shared(&mut cur, &shared, 0);
-        let mut cur2 = Cursor::new(&shared[..]);
-        assert_eq!(err, decode_postings(&mut cur2));
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn shared_section_reader_serves_payloads_with_offsets() {
-        let mut w = SectionWriter::new();
-        w.add(7, b"alpha".to_vec());
-        w.add(2, b"beta-payload".to_vec());
-        let bytes = w.finish();
-        let shared = SharedBytes::from_vec(bytes.clone());
-        let r = SharedSectionReader::open(shared.clone()).unwrap();
-        assert_eq!(r.section_ids(), vec![7, 2]);
-        let (payload, offset) = r.require(2).unwrap();
-        assert_eq!(payload, b"beta-payload");
-        assert_eq!(&bytes[offset..offset + payload.len()], payload);
-        assert!(r.section(99).unwrap().is_none());
-        assert!(matches!(r.require(99), Err(BinaryError::Corrupt(_))));
-        assert_eq!(r.buffer().len(), bytes.len());
-
-        // A flipped payload byte fails that section's checksum lazily.
-        let mut bad = bytes.clone();
-        let n = bad.len();
-        bad[n - 1] ^= 0x40;
-        let r = SharedSectionReader::open(SharedBytes::from_vec(bad)).unwrap();
-        assert!(r.require(7).is_ok());
-        assert_eq!(r.require(2), Err(BinaryError::Checksum { section: 2 }));
-
-        // Header damage fails at open, exactly like the borrowing reader.
-        let r = SharedSectionReader::open(SharedBytes::from_vec(bytes[..8].to_vec()));
-        assert!(matches!(r, Err(BinaryError::Truncated)));
     }
 
     #[test]

@@ -21,196 +21,18 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-// ---------------------------------------------------------------------------
-// Shared (possibly memory-mapped) byte buffers
-// ---------------------------------------------------------------------------
-
-/// A cheaply-cloneable, immutable byte buffer that is either an owned
-/// `Vec<u8>` or a read-only memory mapping of a file.
+/// What [`Io::read_shared`] returns: an owned byte vector.
 ///
-/// This is the substrate of the zero-copy snapshot tier: a section reader
-/// over a `SharedBytes` can hand out posting-block payloads that *alias*
-/// the buffer (see `PostingList`'s borrowed payload mode) instead of
-/// copying gap streams at load. Clones bump an `Arc`, so a loaded index
-/// keeps the mapping alive exactly as long as any posting list still
-/// references it.
-///
-/// The mapping is private and read-only; the safety argument for exposing
-/// it as `&[u8]` is that nothing in this process can write through it.
-/// Truncating the underlying file from *outside* the process while a
-/// mapping is live is undefined behavior on every mmap platform — the
-/// snapshot layer's atomic-rename protocol (new file + `rename`) never
-/// shrinks a live file in place, which is what makes mapping snapshot
-/// sections sound.
-#[derive(Clone)]
-pub struct SharedBytes {
-    inner: Arc<SharedBuf>,
-}
-
-enum SharedBuf {
-    Owned(Vec<u8>),
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    Mapped(MmapRegion),
-}
-
-impl SharedBytes {
-    /// Wraps an owned buffer.
-    pub fn from_vec(data: Vec<u8>) -> Self {
-        SharedBytes {
-            inner: Arc::new(SharedBuf::Owned(data)),
-        }
-    }
-
-    /// Memory-maps the file at `path` read-only.
-    ///
-    /// Returns [`io::ErrorKind::Unsupported`] on platforms without the
-    /// mmap path; callers fall back to [`Io::read`]. An empty file maps
-    /// to an empty owned buffer (zero-length mappings are not portable).
-    pub fn map_file(path: &Path) -> io::Result<Self> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            let file = std::fs::File::open(path)?;
-            let len = file.metadata()?.len() as usize;
-            if len == 0 {
-                return Ok(Self::from_vec(Vec::new()));
-            }
-            let region = MmapRegion::map(&file, len)?;
-            Ok(SharedBytes {
-                inner: Arc::new(SharedBuf::Mapped(region)),
-            })
-        }
-        #[cfg(not(all(unix, target_pointer_width = "64")))]
-        {
-            let _ = path;
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "memory mapping is not supported on this platform",
-            ))
-        }
-    }
-
-    /// True when the buffer is backed by a file mapping rather than heap
-    /// memory — the bench artifacts record which path a load took.
-    pub fn is_mapped(&self) -> bool {
-        match &*self.inner {
-            SharedBuf::Owned(_) => false,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            SharedBuf::Mapped(_) => true,
-        }
-    }
-}
-
-impl Deref for SharedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &*self.inner {
-            SharedBuf::Owned(v) => v,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            SharedBuf::Mapped(m) => m.as_slice(),
-        }
-    }
-}
-
-impl AsRef<[u8]> for SharedBytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl std::fmt::Debug for SharedBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedBytes")
-            .field("len", &self.len())
-            .field("mapped", &self.is_mapped())
-            .finish()
-    }
-}
-
-/// Raw `mmap(2)` bindings. The workspace is offline (no `libc` crate),
-/// but `std` already links the platform libc on unix targets, so the two
-/// symbols the read-only mapping needs are declared directly. Gated to
-/// 64-bit unix where `off_t` is `i64`, sidestepping the 32-bit LFS ABI
-/// split; other targets take the read-to-`Vec` fallback.
-#[cfg(all(unix, target_pointer_width = "64"))]
-mod mmap_sys {
-    use std::os::raw::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-struct MmapRegion {
-    ptr: *const u8,
-    len: usize,
-}
-
-// SAFETY: the region is mapped PROT_READ/MAP_PRIVATE and never written
-// through; an immutable byte region is safe to read from any thread.
-#[cfg(all(unix, target_pointer_width = "64"))]
-unsafe impl Send for MmapRegion {}
-#[cfg(all(unix, target_pointer_width = "64"))]
-unsafe impl Sync for MmapRegion {}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-impl MmapRegion {
-    fn map(file: &std::fs::File, len: usize) -> io::Result<Self> {
-        use std::os::unix::io::AsRawFd as _;
-        // SAFETY: len is non-zero (checked by the caller) and the fd is
-        // open; a MAP_FAILED return is checked below.
-        let ptr = unsafe {
-            mmap_sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                mmap_sys::PROT_READ,
-                mmap_sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MmapRegion {
-            ptr: ptr as *const u8,
-            len,
-        })
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        // SAFETY: ptr..ptr+len is a live PROT_READ mapping owned by self.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-impl Drop for MmapRegion {
-    fn drop(&mut self) {
-        // SAFETY: ptr/len are exactly what mmap returned; double-unmap is
-        // impossible because MmapRegion is not Clone.
-        unsafe {
-            mmap_sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
-        }
-    }
-}
+/// Every load decodes from an owned buffer, so this is a plain alias. It
+/// remains only because the benchmark harness (`cleanbench/src/openloop.rs`)
+/// names it in its `Io::read_shared` override; the next change to the
+/// benchmark deletes that override, and then this alias and the trait
+/// method.
+pub type SharedBytes = Vec<u8>;
 
 /// The primitive file operations the durability layer is written against.
 ///
@@ -248,13 +70,13 @@ pub trait Io {
     fn create_dir_all(&self, _path: &Path) -> io::Result<()> {
         Ok(())
     }
-    /// Reads the whole file at `path` into a [`SharedBytes`] buffer that
-    /// zero-copy consumers can alias. The default reads into an owned
-    /// `Vec` — which is what keeps `MemIo`/`FailpointIo` fault tests on
-    /// the exact same code path as production loads — while [`StdIo`]
-    /// overrides it with a read-only memory mapping where available.
+    /// Reads the whole file at `path`, exactly as [`read`](Io::read) does;
+    /// no backend overrides it. It remains only because the benchmark
+    /// harness's `CountingIo` (`cleanbench/src/openloop.rs`) implements it;
+    /// the next change to the benchmark deletes that override, and then
+    /// this method and [`SharedBytes`].
     fn read_shared(&self, path: &Path) -> io::Result<SharedBytes> {
-        self.read(path).map(SharedBytes::from_vec)
+        self.read(path)
     }
 }
 
@@ -307,16 +129,6 @@ impl Io for StdIo {
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)
-    }
-
-    fn read_shared(&self, path: &Path) -> io::Result<SharedBytes> {
-        match SharedBytes::map_file(path) {
-            Ok(bytes) => Ok(bytes),
-            // NotFound is a real answer; anything else (exotic fs, no
-            // mmap on this target) degrades to the owned-buffer read.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Err(e),
-            Err(_) => self.read(path).map(SharedBytes::from_vec),
-        }
     }
 }
 
@@ -624,52 +436,6 @@ mod tests {
         io.sync(p).unwrap();
         io.append(p, b"67").unwrap();
         assert_eq!(io.consumed(), 5 + 1 + 2);
-    }
-
-    #[test]
-    fn shared_bytes_owned_and_mapped_agree() {
-        let dir = std::env::temp_dir().join("pfd-io-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-shared-bytes", std::process::id()));
-        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        StdIo.write(&path, &payload).unwrap();
-
-        let shared = StdIo.read_shared(&path).unwrap();
-        assert_eq!(&*shared, &payload[..]);
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        assert!(shared.is_mapped(), "StdIo should mmap on 64-bit unix");
-        // Clones alias the same buffer and outlive the original handle.
-        let clone = shared.clone();
-        drop(shared);
-        assert_eq!(&clone[..16], &payload[..16]);
-
-        // MemIo takes the default owned-read path.
-        let mem = MemIo::new();
-        mem.write(&path, &payload).unwrap();
-        let owned = mem.read_shared(&path).unwrap();
-        assert!(!owned.is_mapped());
-        assert_eq!(&*owned, &payload[..]);
-
-        StdIo.remove(&path).unwrap();
-        assert_eq!(
-            StdIo
-                .read_shared(&path)
-                .map(|b| b.len())
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::NotFound
-        );
-    }
-
-    #[test]
-    fn shared_bytes_maps_empty_files() {
-        let dir = std::env::temp_dir().join("pfd-io-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-shared-empty", std::process::id()));
-        StdIo.write(&path, b"").unwrap();
-        let shared = StdIo.read_shared(&path).unwrap();
-        assert!(shared.is_empty());
-        StdIo.remove(&path).unwrap();
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! per-block memcpy and decode builds blocks directly.
 
 use crate::binary::put_varint;
-use crate::io::SharedBytes;
 use crate::relation::RowId;
 use std::hash::{Hash, Hasher};
 
@@ -66,13 +65,11 @@ const BLOCK_THRESHOLD: usize = 256;
 
 /// Skip pointer + directory entry for one compressed block.
 ///
-/// The block's payload is `count - 1` LEB128 gap varints occupying
-/// `bytes_len` bytes starting at `offset` in the shared byte buffer; the
+/// The block's payload is `count - 1` LEB128 gap varints starting at
+/// `offset` in the list's byte buffer. Payloads are contiguous, so a block
+/// ends where the next one begins (the last at the end of the buffer). The
 /// first id lives here, not in the payload, so a block can be skipped or
-/// range-checked without decoding. Payload extents are explicit rather than
-/// derived from the next block's offset because a zero-copy list aliases
-/// the snapshot wire stream, where block payloads are separated by the
-/// inter-block gap varints of the wire format.
+/// range-checked without decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockMeta {
     /// First (smallest) id in the block.
@@ -81,77 +78,14 @@ pub(crate) struct BlockMeta {
     pub(crate) last: u32,
     /// Byte offset of the block's gap payload.
     pub(crate) offset: u32,
-    /// Byte length of the block's gap payload.
-    pub(crate) bytes_len: u32,
     /// Number of ids in the block (≥ 1; empty blocks are removed).
     pub(crate) count: u32,
 }
 
-impl BlockMeta {
-    /// End offset (exclusive) of this block's payload.
-    fn end(&self) -> usize {
-        self.offset as usize + self.bytes_len as usize
-    }
-}
-
-/// The gap payload of a blocked list: owned bytes, or a borrowed window of
-/// a [`SharedBytes`] buffer (typically an mmap'd snapshot section) that the
-/// zero-copy loader aliases instead of copying.
-///
-/// Ownership rule (`Cow` semantics): every *read* path sees a plain
-/// `&[u8]` through [`Deref`](std::ops::Deref) and cannot tell the variants
-/// apart; every *mutation* path goes through [`to_mut`](BlockBytes::to_mut),
-/// which copies a shared window into an owned `Vec` first — so a loaded
-/// index is immutable-for-free and pays the copy only if it is ever edited,
-/// at which point it stops pinning the backing buffer.
-#[derive(Debug, Clone)]
-pub(crate) enum BlockBytes {
-    /// Heap-owned payload (built lists, mutated lists).
-    Owned(Vec<u8>),
-    /// `buf[start..start + len]` of a shared (possibly mmap'd) buffer.
-    Shared {
-        buf: SharedBytes,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl BlockBytes {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            BlockBytes::Owned(v) => v,
-            BlockBytes::Shared { buf, start, len } => &buf[*start..*start + *len],
-        }
-    }
-
-    /// Converts to the owned variant (copying a shared window) and returns
-    /// the vector — the single gate every mutation passes through.
-    fn to_mut(&mut self) -> &mut Vec<u8> {
-        if let BlockBytes::Shared { .. } = self {
-            *self = BlockBytes::Owned(self.as_slice().to_vec());
-        }
-        match self {
-            BlockBytes::Owned(v) => v,
-            BlockBytes::Shared { .. } => unreachable!("converted above"),
-        }
-    }
-
-    /// Heap bytes owned by this payload: a shared window owns none (the
-    /// backing buffer is accounted by whoever holds it).
-    fn owned_capacity(&self) -> usize {
-        match self {
-            BlockBytes::Owned(v) => v.capacity(),
-            BlockBytes::Shared { .. } => 0,
-        }
-    }
-}
-
-impl std::ops::Deref for BlockBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
+/// End offset (exclusive) of block `k`'s payload: the next block's offset,
+/// or the end of the buffer for the last block.
+fn block_end(bytes: &[u8], metas: &[BlockMeta], k: usize) -> usize {
+    metas.get(k + 1).map_or(bytes.len(), |m| m.offset as usize)
 }
 
 #[derive(Debug, Clone)]
@@ -160,8 +94,8 @@ enum Repr {
     Sorted(Vec<u32>),
     /// Delta-gap varint blocks with per-block skip pointers.
     Blocked {
-        /// Concatenated gap payloads of all blocks (owned or borrowed).
-        bytes: BlockBytes,
+        /// Concatenated gap payloads of all blocks.
+        bytes: Vec<u8>,
         /// Block directory, ordered by `first` (blocks are disjoint).
         metas: Vec<BlockMeta>,
         /// Total id count across blocks.
@@ -260,19 +194,6 @@ impl PostingList {
         matches!(self.repr, Repr::Blocked { .. })
     }
 
-    /// Does the blocked payload alias a shared (possibly memory-mapped)
-    /// buffer rather than owned heap bytes? False for every other tier.
-    /// (Exposed for tests and the bench receipts.)
-    pub fn is_shared_payload(&self) -> bool {
-        matches!(
-            self.repr,
-            Repr::Blocked {
-                bytes: BlockBytes::Shared { .. },
-                ..
-            }
-        )
-    }
-
     /// Heap bytes currently allocated by the id storage (capacity-based, so
     /// over-allocation counts). The memory-budget guard test and the
     /// `postings_runtime` bench report this.
@@ -280,7 +201,7 @@ impl PostingList {
         match &self.repr {
             Repr::Sorted(v) => v.capacity() * std::mem::size_of::<u32>(),
             Repr::Blocked { bytes, metas, .. } => {
-                bytes.owned_capacity() + metas.capacity() * std::mem::size_of::<BlockMeta>()
+                bytes.capacity() + metas.capacity() * std::mem::size_of::<BlockMeta>()
             }
             Repr::Dense { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
         }
@@ -624,12 +545,12 @@ impl PostingList {
     pub(crate) fn write_wire_gaps(&self, out: &mut Vec<u8>) {
         if let Repr::Blocked { bytes, metas, .. } = &self.repr {
             let mut prev_last: Option<u32> = None;
-            for m in metas.iter() {
+            for (k, m) in metas.iter().enumerate() {
                 match prev_last {
                     None => put_varint(out, m.first as u64),
                     Some(p) => put_varint(out, (m.first - p) as u64),
                 }
-                out.extend_from_slice(&bytes[m.offset as usize..m.end()]);
+                out.extend_from_slice(&bytes[m.offset as usize..block_end(bytes, metas, k)]);
                 prev_last = Some(m.last);
             }
         } else {
@@ -668,36 +589,7 @@ impl PostingList {
         PostingList {
             universe,
             repr: Repr::Blocked {
-                bytes: BlockBytes::Owned(bytes),
-                metas,
-                count,
-            },
-        }
-    }
-
-    /// Assemble a blocked list whose gap payload *aliases*
-    /// `buf[start..start + len]` instead of owning a copy — the zero-copy
-    /// decode path for snapshot sections. The caller (the codec) has
-    /// validated the gap stream; block offsets in `metas` are relative to
-    /// `start`, exactly as in the owned form.
-    pub(crate) fn from_blocked_shared(
-        universe: u32,
-        count: u32,
-        buf: SharedBytes,
-        start: usize,
-        len: usize,
-        mut metas: Vec<BlockMeta>,
-    ) -> PostingList {
-        debug_assert!(start + len <= buf.len());
-        debug_assert_eq!(
-            count as usize,
-            metas.iter().map(|m| m.count as usize).sum::<usize>()
-        );
-        metas.shrink_to_fit();
-        PostingList {
-            universe,
-            repr: Repr::Blocked {
-                bytes: BlockBytes::Shared { buf, start, len },
+                bytes,
                 metas,
                 count,
             },
@@ -744,7 +636,6 @@ fn build_blocked(ids: &[u32], universe: u32) -> PostingList {
             first: chunk[0],
             last: *chunk.last().expect("chunks are non-empty"),
             offset: offset as u32,
-            bytes_len: (bytes.len() - offset) as u32,
             count: chunk.len() as u32,
         });
     }
@@ -753,7 +644,7 @@ fn build_blocked(ids: &[u32], universe: u32) -> PostingList {
     PostingList {
         universe,
         repr: Repr::Blocked {
-            bytes: BlockBytes::Owned(bytes),
+            bytes,
             metas,
             count: ids.len() as u32,
         },
@@ -813,7 +704,7 @@ fn decode_block_vec(bytes: &[u8], metas: &[BlockMeta], k: usize) -> Vec<u32> {
 /// shift by the payload size delta; their payload bytes are untouched.
 fn replace_block(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, k: usize, ids: &[u32]) {
     let start = metas[k].offset as usize;
-    let end = metas[k].end();
+    let end = block_end(bytes, metas, k);
     let chunks: [&[u32]; 2] = if ids.len() > BLOCK_MAX {
         ids.split_at(ids.len() / 2).into()
     } else {
@@ -833,7 +724,6 @@ fn replace_block(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, k: usize, ids:
             first: chunk[0],
             last: *chunk.last().expect("non-empty chunk"),
             offset: (start + chunk_offset) as u32,
-            bytes_len: (payload.len() - chunk_offset) as u32,
             count: chunk.len() as u32,
         });
     }
@@ -846,15 +736,17 @@ fn replace_block(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, k: usize, ids:
     }
 }
 
-/// Insert `id` into a blocked list; `false` when already present. A shared
-/// payload converts to owned only when a block is actually rewritten.
-fn insert_blocked(bytes: &mut BlockBytes, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
+/// Insert `id` into a blocked list; `false` when already present.
+fn insert_blocked(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
     if metas.is_empty() {
+        debug_assert!(
+            bytes.is_empty(),
+            "removing the last block drops its payload"
+        );
         metas.push(BlockMeta {
             first: id,
             last: id,
             offset: 0,
-            bytes_len: 0,
             count: 1,
         });
         return true;
@@ -867,15 +759,14 @@ fn insert_blocked(bytes: &mut BlockBytes, metas: &mut Vec<BlockMeta>, id: u32) -
         Ok(_) => false,
         Err(pos) => {
             ids.insert(pos, id);
-            replace_block(bytes.to_mut(), metas, k, &ids);
+            replace_block(bytes, metas, k, &ids);
             true
         }
     }
 }
 
-/// Remove `id` from a blocked list; `false` when absent. A shared payload
-/// converts to owned only when a block is actually rewritten.
-fn remove_blocked(bytes: &mut BlockBytes, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
+/// Remove `id` from a blocked list; `false` when absent.
+fn remove_blocked(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
     let p = metas.partition_point(|m| m.first <= id);
     if p == 0 || id > metas[p - 1].last {
         return false;
@@ -885,7 +776,7 @@ fn remove_blocked(bytes: &mut BlockBytes, metas: &mut Vec<BlockMeta>, id: u32) -
     match ids.binary_search(&id) {
         Ok(pos) => {
             ids.remove(pos);
-            replace_block(bytes.to_mut(), metas, k, &ids);
+            replace_block(bytes, metas, k, &ids);
             true
         }
         Err(_) => false,
@@ -1118,9 +1009,7 @@ impl PartialEq for PostingList {
                 // Identical block layout ⇒ identical sets, but mutation
                 // history can partition one set two ways — unequal bytes
                 // must still fall through to the element compare.
-                ca == cb
-                    && ((am == bm && ab.as_slice() == bb.as_slice())
-                        || self.iter().eq(other.iter()))
+                ca == cb && ((am == bm && ab == bb) || self.iter().eq(other.iter()))
             }
             _ => self.len() == other.len() && self.iter().eq(other.iter()),
         }
@@ -1546,81 +1435,6 @@ mod tests {
         assert_eq!(acc.len(), 500);
         acc.insert_all(&b);
         assert_eq!(acc.len(), 500, "idempotent");
-    }
-
-    /// A blocked list whose payload aliases a [`SharedBytes`] buffer,
-    /// byte-identical to `owned`'s payload (which must be blocked).
-    fn share(owned: &PostingList) -> PostingList {
-        let Repr::Blocked {
-            bytes,
-            metas,
-            count,
-        } = &owned.repr
-        else {
-            panic!("share() needs a blocked list");
-        };
-        // Embed the payload mid-buffer so non-zero `start` is exercised.
-        let mut raw = vec![0xAAu8; 7];
-        raw.extend_from_slice(bytes);
-        raw.extend_from_slice(&[0xBB; 3]);
-        let len = bytes.len();
-        PostingList::from_blocked_shared(
-            owned.universe,
-            *count,
-            SharedBytes::from_vec(raw),
-            7,
-            len,
-            metas.clone(),
-        )
-    }
-
-    #[test]
-    fn shared_payload_reads_like_owned() {
-        const U: usize = 1_000_000;
-        let owned = blocked(1200, 17, U);
-        let shared = share(&owned);
-        assert!(shared.is_shared_payload() && !owned.is_shared_payload());
-        assert_eq!(shared, owned);
-        assert_eq!(shared.to_vec(), owned.to_vec());
-        assert_eq!(shared.len(), owned.len());
-        assert_eq!(shared.heap_bytes(), {
-            let Repr::Blocked { metas, .. } = &owned.repr else {
-                unreachable!()
-            };
-            metas.capacity() * std::mem::size_of::<BlockMeta>()
-        });
-        for probe in [0usize, 17, 18, 599 * 17, 1199 * 17, 999_999] {
-            assert_eq!(shared.contains(probe), owned.contains(probe));
-        }
-        let probe = blocked(900, 23, U);
-        assert_eq!(
-            shared.intersect(&probe).to_vec(),
-            owned.intersect(&probe).to_vec()
-        );
-        assert!(blocked(600, 34, U).is_subset(&shared) == blocked(600, 34, U).is_subset(&owned));
-        let mut wire_shared = Vec::new();
-        let mut wire_owned = Vec::new();
-        shared.write_wire_gaps(&mut wire_shared);
-        owned.write_wire_gaps(&mut wire_owned);
-        assert_eq!(wire_shared, wire_owned, "wire encode is payload-identical");
-    }
-
-    #[test]
-    fn shared_payload_copies_on_first_write_only() {
-        const U: usize = 1_000_000;
-        let owned = blocked(1000, 13, U);
-        let mut shared = share(&owned);
-        // Reads and a no-op mutation keep the payload shared.
-        assert!(!shared.remove(14), "absent id");
-        assert!(shared.is_shared_payload(), "failed remove must not copy");
-        // A real mutation converts to owned and matches the owned twin.
-        let mut owned_twin = owned.clone();
-        assert!(shared.insert(14));
-        assert!(owned_twin.insert(14));
-        assert!(!shared.is_shared_payload(), "mutation copies out");
-        assert_eq!(shared, owned_twin);
-        assert!(shared.remove(14) && owned_twin.remove(14));
-        assert_eq!(shared.to_vec(), owned.to_vec());
     }
 
     #[test]

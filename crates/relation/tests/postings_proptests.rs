@@ -2,11 +2,11 @@
 //! scripts straddling the 128-entry block boundaries against a `BTreeSet`
 //! model, representation equivalence of `eq`/`hash` across the sorted,
 //! blocked and dense tiers, set-algebra agreement with the model, union
-//! accumulation through [`RowSetAccumulator`], and the zero-copy
-//! shared-payload decode path.
+//! accumulation through [`RowSetAccumulator`], and the wire decode that
+//! PFDS snapshots and `.pfdi` index files share, followed by edits.
 
-use pfd_relation::binary::{decode_postings_shared, encode_postings};
-use pfd_relation::{Cursor, PostingList, RowSetAccumulator, SharedBytes};
+use pfd_relation::binary::{decode_postings, encode_postings};
+use pfd_relation::{Cursor, PostingList, RowSetAccumulator};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -212,11 +212,12 @@ proptest! {
         prop_assert_eq!(hash_of(&got), hash_of(&rebuilt));
     }
 
-    /// A blocked list decoded through the zero-copy path (payload aliasing
-    /// the encoded buffer at a nonzero base offset) is indistinguishable
-    /// from its owned twin: equal, hash-equal, re-encodes byte-identically,
-    /// and — after edits force the copy-on-write detach — still agrees with
-    /// the `BTreeSet` model and a canonical rebuild.
+    /// A blocked list decoded from the wire payload that PFDS `GROUPS`
+    /// sections and `.pfdi` files share, read from a nonzero cursor
+    /// position, is indistinguishable from the list it was encoded from:
+    /// equal, hash-equal, re-encodes byte-identically, and after an edit
+    /// script (what the engine does to decoded group row sets) still agrees
+    /// with the `BTreeSet` model and a canonical rebuild.
     #[test]
     fn shared_payload_decode_is_equivalent_to_owned(
         seed in blocked_seed(),
@@ -227,39 +228,39 @@ proptest! {
         let mut reference = Vec::new();
         encode_postings(&mut reference, &owned);
 
-        // Nonzero leading padding: decode offsets must be relative to the
-        // wire position, not the buffer start.
+        // Nonzero leading padding: block payload offsets must be relative to
+        // the decoded list's own buffer, not the cursor position.
         const BASE: usize = 11;
         let mut bytes = vec![0xA5u8; BASE];
         bytes.extend_from_slice(&reference);
-        let buf = SharedBytes::from_vec(bytes);
-        let mut cur = Cursor::new(&buf[BASE..]);
-        let mut shared = decode_postings_shared(&mut cur, &buf, BASE).unwrap();
+        let mut cur = Cursor::new(&bytes);
+        cur.get_bytes(BASE).unwrap();
+        let mut decoded = decode_postings(&mut cur).unwrap();
         prop_assert!(cur.is_empty());
-        prop_assert!(shared.is_shared_payload());
-        prop_assert_eq!(&shared, &owned);
-        prop_assert_eq!(hash_of(&shared), hash_of(&owned));
+        prop_assert!(decoded.is_blocked_repr());
+        prop_assert_eq!(&decoded, &owned);
+        prop_assert_eq!(hash_of(&decoded), hash_of(&owned));
 
         let mut re = Vec::new();
-        encode_postings(&mut re, &shared);
+        encode_postings(&mut re, &decoded);
         prop_assert_eq!(re, reference);
 
-        // Edits detach the aliased payload; the explicit block extents must
-        // keep every splice exact.
+        // Each edit re-encodes one block; payloads stay contiguous, so
+        // every splice must land exactly where the next block begins.
         let mut model = seed.clone();
         for op in script {
             match op {
                 EditOp::Insert(id) => {
-                    prop_assert_eq!(shared.insert(id as usize), model.insert(id));
+                    prop_assert_eq!(decoded.insert(id as usize), model.insert(id));
                 }
                 EditOp::Remove(id) => {
-                    prop_assert_eq!(shared.remove(id as usize), model.remove(&id));
+                    prop_assert_eq!(decoded.remove(id as usize), model.remove(&id));
                 }
             }
         }
-        prop_assert_eq!(shared.to_vec(), model.iter().copied().collect::<Vec<u32>>());
+        prop_assert_eq!(decoded.to_vec(), model.iter().copied().collect::<Vec<u32>>());
         let rebuilt = PostingList::from_sorted(model.iter().copied().collect(), UNIVERSE);
-        prop_assert_eq!(&shared, &rebuilt);
-        prop_assert_eq!(hash_of(&shared), hash_of(&rebuilt));
+        prop_assert_eq!(&decoded, &rebuilt);
+        prop_assert_eq!(hash_of(&decoded), hash_of(&rebuilt));
     }
 }

@@ -20,6 +20,7 @@
 //! `discovery` in the workspace graph.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod executor;
 pub mod lru;

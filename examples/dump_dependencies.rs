@@ -8,8 +8,8 @@
 //!
 //! With `--snapshot DIR`, each dataset's index is persisted to
 //! `DIR/<id>.pfdi` and the run goes through the warm path (cold build +
-//! save on first run, zero-copy load on the next), so the oracle also
-//! covers warm-start discovery:
+//! save on first run, index load on the next), so the oracle also covers
+//! warm-start discovery:
 //!
 //! ```sh
 //! cargo run --release --example dump_dependencies > cold.txt

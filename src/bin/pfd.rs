@@ -1,5 +1,7 @@
 //! The `pfd` binary — see [`pfd::cli`] for the command surface.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

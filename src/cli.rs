@@ -6,8 +6,8 @@
 //! pfd discover data.csv [--min-support K] [--noise D] [--coverage G]
 //!                       [--max-lhs N] [--rules out.pfd] [--review]
 //! pfd check    data.csv --rules rules.pfd [--json]
-//! pfd repair   data.csv --rules rules.pfd [--engine naive|delta]
-//!                       [--max-passes N] [--explain] [--out cleaned.csv] [--json]
+//! pfd repair   data.csv --rules rules.pfd [--max-passes N] [--explain]
+//!                       [--out cleaned.csv] [--json]
 //! pfd session  data.csv --rules rules.pfd [--script edits.jsonl]
 //! pfd serve    [data.csv] [--rules rules.pfd] [--root state/] [--workers N]
 //!              [--max-resident N] [--coalesce] [--script cmds.jsonl]
@@ -15,11 +15,11 @@
 //!
 //! Rule files use the [`pfd_core::rules`] line format. All command logic is
 //! in library functions writing to a generic sink, so the whole surface is
-//! unit-testable without spawning processes. `repair` chases the fixpoint
-//! with the delta-driven [`RepairEngine`] by default; `--engine naive`
-//! selects the pinned full-rescan reference (identical fixes, for
-//! diffing), `--explain` prints each fix's score breakdown and the
-//! candidates it beat. `session` runs the JSONL steward loop of
+//! unit-testable without spawning processes. Each command accepts only its
+//! own flags; any other flag is a usage error naming it. `repair` chases
+//! the fixpoint with the delta-driven [`RepairEngine`]; `--explain` prints
+//! each fix's score breakdown and the candidates it beat. `session` runs
+//! the JSONL steward loop of
 //! [`pfd_core::session`] over stdin (or `--script`); `--json` switches
 //! `check`/`repair` to the same machine-readable serialization the session
 //! protocol streams.
@@ -27,10 +27,9 @@
 use pfd_core::session::json;
 use pfd_core::{
     check_report_json, detect_errors, display_with_schema, parse_rules, repair_outcome_json,
-    repair_to_fixpoint, run_durable_session, run_session_with, to_rules_string, ChannelSink,
-    DeltaEngine, DurableSessionError, Pfd, RecoverFailure, RecoveryPolicy, RepairEngine,
-    RepairOptions, Server, ServerOptions, SnapshotError, SnapshotStore, TenantLoader,
-    DEFAULT_TENANT,
+    run_durable_session, run_session_with, to_rules_string, ChannelSink, DeltaEngine,
+    DurableSessionError, Pfd, RecoverFailure, RecoveryPolicy, RepairEngine, RepairOptions, Server,
+    ServerOptions, SnapshotError, SnapshotStore, TenantLoader, DEFAULT_TENANT,
 };
 use pfd_discovery::{discover, discover_persistent, review_queue, DiscoveryConfig};
 use pfd_relation::io::StdIo;
@@ -133,11 +132,11 @@ USAGE:
     pfd profile  <data.csv>
     pfd discover <data.csv> [--min-support K] [--noise D] [--coverage G]
                             [--max-lhs N] [--rules <out.pfd>] [--review]
-                            [--snapshot <file.pfds>]
+                            [--snapshot <file.pfds>] [--recover strict|salvage]
     pfd check    <data.csv> [--rules <rules.pfd>] [--json]
                  [--snapshot <file.pfds>] [--recover strict|salvage]
-    pfd repair   <data.csv> --rules <rules.pfd> [--engine naive|delta]
-                 [--max-passes N] [--explain] [--out <cleaned.csv>] [--json]
+    pfd repair   <data.csv> --rules <rules.pfd> [--max-passes N] [--explain]
+                 [--out <cleaned.csv>] [--json]
     pfd session  <data.csv> [--rules <rules.pfd>] [--script <edits.jsonl>]
                  [--snapshot <file.pfds>] [--recover strict|salvage]
     pfd serve    [<data.csv>] [--rules <rules.pfd>] [--root <dir>]
@@ -151,8 +150,6 @@ OPTIONS:
     --max-lhs N       maximum LHS attributes (default 1)
     --rules FILE      rule file to write (discover) or read (check/repair/session)
     --review          print the human-review queue instead of raw rules
-    --engine E        repair engine: delta (incremental, default) or naive
-                      (full rescan per pass — the pinned reference)
     --max-passes N    fixpoint pass cap for repair (default 10)
     --explain         print each fix's score breakdown and beaten candidates
     --out FILE        where repair writes the cleaned CSV (default stdout;
@@ -187,14 +184,64 @@ auto-opened when <data.csv> is given. Every event line is tagged with
 \"tenant\" and a per-tenant \"seq\". open takes \"csv\" and \"rules\" fields
 (--rules is the default rule file)";
 
-/// Which repair engine drives the fixpoint chase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RepairEngineKind {
-    /// Full rescan per pass (`repair_to_fixpoint`) — the pinned reference.
-    Naive,
-    /// Delta-driven `RepairEngine` over the incremental group indexes.
-    Delta,
-}
+/// The flags each command accepts, each marked with whether it takes a
+/// value. Any other flag is a usage error naming it.
+const COMMAND_FLAGS: &[(&str, &[(&str, bool)])] = &[
+    ("profile", &[]),
+    (
+        "discover",
+        &[
+            ("min-support", true),
+            ("noise", true),
+            ("coverage", true),
+            ("max-lhs", true),
+            ("rules", true),
+            ("review", false),
+            ("snapshot", true),
+            ("recover", true),
+        ],
+    ),
+    (
+        "check",
+        &[
+            ("rules", true),
+            ("json", false),
+            ("snapshot", true),
+            ("recover", true),
+        ],
+    ),
+    (
+        "repair",
+        &[
+            ("rules", true),
+            ("max-passes", true),
+            ("explain", false),
+            ("out", true),
+            ("json", false),
+        ],
+    ),
+    (
+        "session",
+        &[
+            ("rules", true),
+            ("script", true),
+            ("snapshot", true),
+            ("recover", true),
+        ],
+    ),
+    (
+        "serve",
+        &[
+            ("rules", true),
+            ("root", true),
+            ("workers", true),
+            ("max-resident", true),
+            ("coalesce", false),
+            ("script", true),
+            ("recover", true),
+        ],
+    ),
+];
 
 /// Parsed command line.
 #[derive(Debug, Clone)]
@@ -222,7 +269,6 @@ enum Command {
         rules: String,
         out: Option<String>,
         json: bool,
-        engine: RepairEngineKind,
         max_passes: usize,
         explain: bool,
     },
@@ -250,6 +296,11 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let cmd = it
         .next()
         .ok_or_else(|| CliError::Usage("missing command".into()))?;
+    let accepted = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| name == cmd)
+        .map(|(_, flags)| *flags)
+        .ok_or_else(|| CliError::Usage(format!("unknown command {cmd:?}")))?;
     let mut positional: Vec<String> = Vec::new();
     let mut flags: Vec<(String, Option<String>)> = Vec::new();
     let rest: Vec<&String> = it.collect();
@@ -257,8 +308,11 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     while i < rest.len() {
         let a = rest[i];
         if let Some(name) = a.strip_prefix("--") {
-            let takes_value =
-                name != "review" && name != "json" && name != "explain" && name != "coalesce";
+            let takes_value = accepted
+                .iter()
+                .find(|(flag, _)| *flag == name)
+                .map(|&(_, takes_value)| takes_value)
+                .ok_or_else(|| CliError::Usage(format!("{cmd} does not accept --{name}")))?;
             if takes_value {
                 let v = rest
                     .get(i + 1)
@@ -354,15 +408,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError::Usage("repair needs --rules".into()))?,
             out: flag("out").map(str::to_string),
             json: has_flag("json"),
-            engine: match flag("engine") {
-                None | Some("delta") => RepairEngineKind::Delta,
-                Some("naive") => RepairEngineKind::Naive,
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "--engine must be naive or delta, got {other:?}"
-                    )))
-                }
-            },
             max_passes: match flag("max-passes") {
                 None => 10,
                 Some(v) => parse_usize("max-passes", v)?.max(1),
@@ -392,7 +437,7 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             coalesce: has_flag("coalesce"),
             recover: recover_policy()?,
         }),
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+        other => unreachable!("{other:?} is listed in COMMAND_FLAGS"),
     }
 }
 
@@ -568,9 +613,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                     );
                     index_note = Some(if warm.result.stats.index_loaded {
                         format!(
-                            "index: warm start from {}{} in {:?}",
+                            "index: warm start from {} in {:?}",
                             index_path.display(),
-                            if warm.mapped { " (mmap)" } else { "" },
                             warm.result.stats.index_load_time
                         )
                     } else {
@@ -695,24 +739,18 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             rules,
             out: out_path,
             json,
-            engine,
             max_passes,
             explain,
         } => {
             let rel = load_relation(&data)?;
             let pfds = load_rules(&rules, &rel)?;
-            let (outcome, passes) = match engine {
-                RepairEngineKind::Naive => repair_to_fixpoint(&rel, &pfds, max_passes),
-                RepairEngineKind::Delta => {
-                    let options = RepairOptions {
-                        max_passes,
-                        ..RepairOptions::default()
-                    };
-                    // The engine owns its state — move the loaded relation
-                    // and rules in rather than cloning them.
-                    RepairEngine::new(rel, pfds, options).run()
-                }
+            let options = RepairOptions {
+                max_passes,
+                ..RepairOptions::default()
             };
+            // The engine owns its state — move the loaded relation and
+            // rules in rather than cloning them.
+            let (outcome, passes) = RepairEngine::new(rel, pfds, options).run();
             if json {
                 writeln!(out, "{}", repair_outcome_json(&outcome, passes))?;
                 if let Some(path) = out_path {
@@ -966,40 +1004,8 @@ mod tests {
             "repair-engines-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        // The acceptance diff: naive and delta produce byte-identical
-        // reports (text and JSON).
-        let (code_n, out_n) =
-            run_capture(&["repair", &data, "--rules", &rules_path, "--engine", "naive"]);
-        let (code_d, out_d) =
-            run_capture(&["repair", &data, "--rules", &rules_path, "--engine", "delta"]);
-        assert_eq!(code_n, 0);
-        assert_eq!(code_d, 0);
-        assert_eq!(out_n, out_d, "engine outputs must diff clean");
-        assert!(out_n.contains("passes"), "{out_n}");
-        let (_, json_n) = run_capture(&[
-            "repair",
-            &data,
-            "--rules",
-            &rules_path,
-            "--engine",
-            "naive",
-            "--json",
-            "--out",
-            &tmp("repair-engines-n.csv", ""),
-        ]);
-        let (_, json_d) = run_capture(&[
-            "repair",
-            &data,
-            "--rules",
-            &rules_path,
-            "--engine",
-            "delta",
-            "--json",
-            "--out",
-            &tmp("repair-engines-d.csv", ""),
-        ]);
-        assert_eq!(json_n, json_d, "JSON reports must diff clean");
-
+        // `repair_proptests` pins the engine to the `repair_to_fixpoint`
+        // oracle; here only the `--explain` rendering is checked.
         let (code, out) = run_capture(&[
             "repair",
             &data,
@@ -1010,24 +1016,9 @@ mod tests {
             &tmp("repair-engines-e.csv", ""),
         ]);
         assert_eq!(code, 0);
+        assert!(out.contains("passes"), "{out}");
         assert!(out.contains("score"), "{out}");
         assert!(out.contains("support"), "{out}");
-
-        let mut buf = Vec::new();
-        assert!(matches!(
-            run(
-                &[
-                    "repair".into(),
-                    data.clone(),
-                    "--rules".into(),
-                    rules_path,
-                    "--engine".into(),
-                    "warp".into()
-                ],
-                &mut buf
-            ),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
@@ -1461,6 +1452,31 @@ mod tests {
             ),
             Err(CliError::Usage(_))
         ));
+        // A flag the command does not accept is named, never ignored or
+        // allowed to swallow the next argument. The error comes before any
+        // input is read.
+        for (args, flag) in [
+            (
+                &["repair", "x.csv", "--rules", "r.pfd", "--engine", "naive"][..],
+                "--engine",
+            ),
+            (&["discover", "x.csv", "--nosie", "0.2"][..], "--nosie"),
+            (&["profile", "x.csv", "--bogus", "x"][..], "--bogus"),
+            (
+                &["check", "x.csv", "--rules", "r.pfd", "--coalesce"][..],
+                "--coalesce",
+            ),
+            (&["serve", "--json"][..], "--json"),
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&args, &mut buf).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.ends_with(&format!("does not accept {flag}"))),
+                "{args:?}: {err}"
+            );
+            assert_eq!(err.exit_code(), 2);
+        }
+        assert!(buf.is_empty());
     }
 
     /// Strip the `{"tenant":...,"seq":N,` prefix a serve event carries,
@@ -1594,8 +1610,17 @@ mod tests {
                     "{{\"op\":\"open\",\"tenant\":\"nofile\",\"csv\":\"/not/here.csv\"}}\n",
                     // Non-string tenant field.
                     "{{\"op\":\"check\",\"tenant\":7}}\n",
+                    // Nested past the JSON depth cap: bare, inside a set
+                    // value, and inside a line that is otherwise valid.
+                    "{deep}\n",
+                    "{{\"op\":\"set\",\"row\":0,\"attr\":\"city\",\"value\":{deep}\n",
+                    "{{\"op\":\"check\",\"x\":{nested}}}\n",
+                    // Still answered after them.
+                    "{{\"op\":\"check\"}}\n",
                 ),
-                data = data
+                data = data,
+                deep = "[".repeat(200_000),
+                nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)),
             ),
         );
         let (code, output) = run_capture(&[
@@ -1638,6 +1663,20 @@ mod tests {
         // The failed tenant is forgotten, not half-open.
         assert!(
             !output.contains("\"tenant\":\"nofile\",\"seq\":1"),
+            "{output}"
+        );
+        // One error per over-deep line, then the check is answered.
+        let deep_errors = output
+            .lines()
+            .filter(|l| {
+                l.starts_with("{\"event\":\"error\",\"message\":\"JSON nested deeper than 64")
+            })
+            .count();
+        assert_eq!(deep_errors, 3, "{output}");
+        assert!(
+            untag_serve(&output, "default")
+                .last()
+                .is_some_and(|l| l.starts_with("{\"event\":\"state\"")),
             "{output}"
         );
     }

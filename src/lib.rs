@@ -60,6 +60,8 @@
 //! assert_eq!(violations[0].rows(), &[3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use pfd_baselines as baselines;
