@@ -67,7 +67,7 @@ pub use server::{
 };
 pub use session::{
     check_report_json, fix_json, parse_command, recovery_report_json, repair_outcome_json,
-    run_durable_session, run_session, run_session_with, DurableSessionError, SessionCommand,
+    run_session, run_session_with, LineReader, Session, SessionCommand, SessionStore,
     SessionSummary,
 };
 pub use snapshot::{

@@ -1,14 +1,15 @@
 //! The multi-tenant session server: many named relations, one JSONL
 //! stream, one shared work-stealing runtime.
 //!
-//! `core::session` serves one relation on stdin/stdout. This module grows
-//! that seam into a long-running server: each **tenant** is a named
-//! relation owning its own [`RepairEngine`] and (in durable mode) its own
-//! [`SnapshotStore`] family — `<root>/<tenant>/state.pfds` plus the
-//! `.log`/`.prev`/`.tmp` siblings and the advisory `.pfdi` discovery
-//! index (written by `pfd discover --snapshot` against a tenant's file,
-//! keyed to the snapshot generation, and invalidated by every checkpoint)
-//! — while every tenant's commands ride the same [`pfd_runtime::Executor`].
+//! Each **tenant** is a named relation holding its own [`Session`] — the
+//! command loop `pfd session` runs, so recovery, append-then-ack and
+//! checkpointing exist once — and, in durable mode, its own
+//! [`SnapshotStore`](crate::snapshot::SnapshotStore) family:
+//! `<root>/<tenant>/state.pfds` plus the `.log`/`.prev`/`.tmp` siblings and
+//! the advisory `.pfdi` discovery index (written by `pfd discover
+//! --snapshot` against a tenant's file, keyed to the snapshot generation,
+//! and invalidated by every checkpoint). Every tenant's commands ride the
+//! same [`pfd_runtime::Executor`].
 //!
 //! ## Protocol
 //!
@@ -45,38 +46,49 @@
 //! merges consecutive queued edit commands into one
 //! [`DeltaEngine::apply_batch`] reconciliation and answers them with one
 //! combined `delta` event carrying `"coalesced":k` — higher throughput,
-//! coarser acks, off by default.
+//! coarser acks, off by default. A tenant whose state a panicking job
+//! poisoned answers every later command with one `error` event; the other
+//! tenants never notice.
 //!
 //! ## Eviction
 //!
 //! In durable mode with [`ServerOptions::max_resident`] set, a hand-rolled
 //! LRU ([`pfd_runtime::LruTracker`]) picks cold idle tenants once the
-//! resident count exceeds the cap: eviction checkpoints the tenant
-//! (retiring its WAL) and drops the engine and group indexes; the next
-//! command recovers from the snapshot family. A crash mid-eviction is the
-//! same crash the snapshot layer already survives — acknowledged edits
-//! are in the WAL until the checkpoint supersedes them, and the recovery
-//! ladder replays them.
+//! resident count exceeds the cap: eviction checkpoints the tenant's
+//! session (retiring its WAL) and drops it; the next command reopens the
+//! session from the snapshot family. A crash mid-eviction is the same
+//! crash the snapshot layer already survives — acknowledged edits are in
+//! the WAL until the checkpoint supersedes them, and the recovery ladder
+//! replays them.
 
-use crate::incremental::DeltaEngine;
-use crate::repair::{RepairEngine, RepairOptions};
+// A panic in a drain job silences a tenant and one in `submit` the whole
+// server, so unwrapping is denied outright (tests opt back in).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::incremental::{DeltaEngine, Edit};
+use crate::repair::RepairOptions;
 use crate::session::{
-    self, edits_as_batch_json, json, parse_command, process_line, ready_json, SessionCommand,
-    SessionSummary,
+    json, parse_command, ready_json, Session, SessionCommand, SessionStore, SessionSummary,
 };
-use crate::snapshot::{RecoveryPolicy, SnapshotError, SnapshotMeta, SnapshotStore};
+use crate::snapshot::{RecoveryPolicy, SnapshotError};
 use pfd_relation::io::Io;
-use pfd_relation::wal::{SyncPolicy, WalLineSink, WalWriter};
-use pfd_relation::{Relation, Schema};
+use pfd_relation::Relation;
 use pfd_runtime::{Executor, LruTracker};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Tenant that commands without a `tenant` field route to.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// Lock a mutex whose every critical section leaves its data whole, so a
+/// panic elsewhere while it was held cannot have torn it. Only tenant
+/// *state* is ever left torn, and that lock is never taken through here.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Where a server pushes its event lines. Implementations must tolerate
 /// concurrent calls; per-tenant ordering is guaranteed by the caller
@@ -100,16 +112,13 @@ impl CollectSink {
 
     /// Take every collected line, leaving the sink empty.
     pub fn take(&self) -> Vec<String> {
-        std::mem::take(&mut self.lines.lock().expect("sink poisoned"))
+        std::mem::take(&mut lock(&self.lines))
     }
 }
 
 impl EventSink for CollectSink {
     fn emit(&self, line: &str) {
-        self.lines
-            .lock()
-            .expect("sink poisoned")
-            .push(line.to_string());
+        lock(&self.lines).push(line.to_string());
     }
 }
 
@@ -129,11 +138,7 @@ impl ChannelSink {
 impl EventSink for ChannelSink {
     fn emit(&self, line: &str) {
         // A dropped receiver just means nobody is listening anymore.
-        let _ = self
-            .tx
-            .lock()
-            .expect("sink poisoned")
-            .send(line.to_string());
+        let _ = lock(&self.tx).send(line.to_string());
     }
 }
 
@@ -210,12 +215,6 @@ struct DurableRoot {
     root: PathBuf,
 }
 
-impl DurableRoot {
-    fn snapshot_path(&self, name: &str) -> PathBuf {
-        self.root.join(name).join("state.pfds")
-    }
-}
-
 /// What `submit` queues for a tenant drain job.
 enum QueuedItem {
     /// Open with a cold source: a protocol spec for the loader, or a
@@ -239,19 +238,21 @@ struct TenantQueue {
 }
 
 struct TenantState {
-    /// Resident engine; `None` when evicted (durable) or never opened.
-    engine: Option<RepairEngine>,
+    /// The live session; `None` when evicted (durable) or never opened.
+    session: Option<Session>,
     /// Set once the tenant opened successfully (survives eviction).
     opened: bool,
-    schema: Option<Schema>,
-    summary: SessionSummary,
-    /// Metadata of the last persisted snapshot (durable mode).
-    meta: SnapshotMeta,
-    /// Highest WAL sequence incorporated into the persisted state.
-    seq_floor: u64,
-    /// Cached next WAL sequence; `None` forces a full `WalWriter::open`
-    /// scan (first touch after open, recovery, or eviction).
-    wal_next_seq: Option<u64>,
+    /// The counts of the last session dropped by eviction or an I/O
+    /// failure, which its rebuild continues.
+    parked: SessionSummary,
+}
+
+impl TenantState {
+    fn summary(&self) -> SessionSummary {
+        self.session
+            .as_ref()
+            .map_or_else(|| self.parked.clone(), Session::summary)
+    }
 }
 
 struct Tenant {
@@ -271,20 +272,9 @@ impl Tenant {
                 running: false,
             }),
             state: Mutex::new(TenantState {
-                engine: None,
+                session: None,
                 opened: false,
-                schema: None,
-                summary: SessionSummary {
-                    applied: 0,
-                    rejected: 0,
-                    violations: 0,
-                },
-                meta: SnapshotMeta {
-                    generation: 0,
-                    last_seq: 0,
-                },
-                seq_floor: 0,
-                wal_next_seq: None,
+                parked: SessionSummary::default(),
             }),
             seq: AtomicU64::new(0),
         }
@@ -301,6 +291,22 @@ struct Shared {
     lru: Mutex<LruTracker<String>>,
     /// Tenants with an engine in memory (drives eviction).
     resident: AtomicUsize,
+}
+
+// The tenant map's critical sections are single map operations, which a
+// panic cannot leave half done; like `lock`, these see through poisoning.
+impl Shared {
+    fn tenants(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<Tenant>>> {
+        self.tenants.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn tenants_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<Tenant>>> {
+        self.tenants.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn tenant(&self, name: &str) -> Option<Arc<Tenant>> {
+        self.tenants().get(name).cloned()
+    }
 }
 
 /// The multi-tenant session server. See the module docs for the protocol.
@@ -339,15 +345,22 @@ impl<'a> TenantEmitter<'a> {
         let seq = self.tenant.seq.fetch_add(1, Ordering::Relaxed);
         self.sink.emit(&tag_line(&self.tenant.name, seq, line));
     }
+
+    fn emit_error(&self, message: &str) {
+        self.emit_line(&format!(
+            "{{\"event\":\"error\",\"message\":{}}}",
+            json::escaped(message)
+        ));
+    }
 }
 
 impl Write for TenantEmitter<'_> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         for &b in data {
             if b == b'\n' {
                 let line = std::mem::take(&mut self.buf);
                 let line = String::from_utf8(line).map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 event line")
+                    io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 event line")
                 })?;
                 self.emit_line(&line);
             } else {
@@ -357,7 +370,7 @@ impl Write for TenantEmitter<'_> {
         Ok(data.len())
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
 }
@@ -445,7 +458,7 @@ impl Server {
         let value = match json::parse(trimmed) {
             Ok(v) => v,
             Err(e) => {
-                self.global_error(None, &e.to_string());
+                self.reject(&e);
                 return;
             }
         };
@@ -453,7 +466,7 @@ impl Server {
             None => DEFAULT_TENANT,
             Some(json::Value::Str(s)) => s.as_str(),
             Some(_) => {
-                self.global_error(None, "\"tenant\" must be a string");
+                self.reject("\"tenant\" must be a string");
                 return;
             }
         };
@@ -463,6 +476,14 @@ impl Server {
             Some("list") => self.handle_list(),
             _ => self.enqueue(tenant, QueuedItem::Command(trimmed.to_string())),
         }
+    }
+
+    /// Answer an input line that belongs to no tenant — one the caller
+    /// could not read (not UTF-8, or longer than
+    /// [`json::MAX_LINE_BYTES`]), or that [`Server::submit`] could not
+    /// route — with one untagged `error` event.
+    pub fn reject(&self, message: &str) {
+        emit_global_error(&self.shared, None, message);
     }
 
     /// Open a tenant around a prebuilt engine (the CLI's auto-opened
@@ -475,13 +496,7 @@ impl Server {
     /// protocol open.
     pub fn open_with_engine(&self, name: &str, engine: DeltaEngine) -> Result<(), String> {
         validate_tenant_name(name)?;
-        if self
-            .shared
-            .tenants
-            .read()
-            .expect("tenants poisoned")
-            .contains_key(name)
-        {
+        if self.shared.tenant(name).is_some() {
             return Err(format!("tenant {name:?} is already open"));
         }
         self.handle_open(name, EngineSource::Engine(Box::new(engine)));
@@ -510,20 +525,14 @@ impl Server {
         self.shared.executor.wait_idle();
         let panics = self.shared.executor.take_panics();
         for p in &panics {
-            emit_global_error(&self.shared, None, &format!("worker job panicked: {p}"));
+            self.reject(&format!("worker job panicked: {p}"));
         }
         panics
     }
 
     /// Names of currently open tenants (sorted — the map is a `BTreeMap`).
     pub fn tenant_names(&self) -> Vec<String> {
-        self.shared
-            .tenants
-            .read()
-            .expect("tenants poisoned")
-            .keys()
-            .cloned()
-            .collect()
+        self.shared.tenants().keys().cloned().collect()
     }
 
     /// Tenants with an engine resident in memory.
@@ -537,18 +546,13 @@ impl Server {
     }
 
     /// Clone a tenant's current relation (for tests). `None` when the
-    /// tenant is unknown or not resident; call [`Server::drain`] first for
-    /// a quiescent answer.
+    /// tenant is unknown, not resident, or poisoned; call [`Server::drain`]
+    /// first for a quiescent answer.
     pub fn relation_of(&self, name: &str) -> Option<Relation> {
-        let tenant = self
-            .shared
-            .tenants
-            .read()
-            .expect("tenants poisoned")
-            .get(name)
-            .cloned()?;
-        let state = tenant.state.lock().expect("state poisoned");
-        state.engine.as_ref().map(|r| r.relation().clone())
+        let tenant = self.shared.tenant(name)?;
+        let state = tenant.state.lock().ok()?;
+        let session = state.session.as_ref()?;
+        Some(session.repairer().relation().clone())
     }
 
     /// Force-evict a tenant now (test hook; normal eviction is LRU-driven
@@ -556,18 +560,10 @@ impl Server {
     /// `Ok(false)` when the tenant was unknown, idle-less, or already
     /// evicted. Requires a durable root.
     pub fn evict(&self, name: &str) -> Result<bool, SnapshotError> {
-        let tenant = match self
-            .shared
-            .tenants
-            .read()
-            .expect("tenants poisoned")
-            .get(name)
-            .cloned()
-        {
-            Some(t) => t,
-            None => return Ok(false),
-        };
-        evict_tenant(&self.shared, &tenant)
+        match self.shared.tenant(name) {
+            Some(tenant) => evict_tenant(&self.shared, &tenant),
+            None => Ok(false),
+        }
     }
 
     /// Drain, close every tenant (final checkpoint in durable mode), and
@@ -577,85 +573,54 @@ impl Server {
     /// shutdown itself never panics on a misbehaving job.
     pub fn shutdown(self) -> Vec<TenantExit> {
         self.drain_report();
-        let tenants: Vec<Arc<Tenant>> = {
-            let mut map = self.shared.tenants.write().expect("tenants poisoned");
-            let drained: Vec<_> = map.values().cloned().collect();
-            map.clear();
-            drained
-        };
+        let tenants = std::mem::take(&mut *self.shared.tenants_mut());
         let mut exits = Vec::with_capacity(tenants.len());
-        for tenant in tenants {
-            let (mut state, poisoned) = match tenant.state.lock() {
+        for (name, tenant) in tenants {
+            let (mut state, failed) = match tenant.state.lock() {
                 Ok(guard) => (guard, false),
-                // A drain job panicked mid-mutation: the summary is still
+                // A drain job panicked mid-mutation: the counts are still
                 // readable, but the engine is untrusted — checkpointing it
                 // could persist a torn state over a good snapshot.
                 Err(e) => (e.into_inner(), true),
             };
-            let state = &mut *state;
-            if poisoned {
-                exits.push(TenantExit {
-                    name: tenant.name.clone(),
-                    summary: state.summary.clone(),
-                    relation: None,
-                    failed: true,
-                });
-                continue;
-            }
-            if let Some(repairer) = state.engine.as_ref() {
-                state.summary.violations = repairer.engine().violation_count();
-                if let Some(durable) = &self.shared.durable {
-                    let io: &dyn Io = &*durable.io;
-                    let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-                    let meta = SnapshotMeta {
-                        generation: state.meta.generation + 1,
-                        last_seq: state.wal_next_seq.map_or(state.seq_floor, |n| n - 1),
-                    };
-                    if let Err(e) = store.checkpoint(repairer.engine(), meta) {
-                        self.global_error(
-                            Some(&tenant.name),
-                            &format!("shutdown checkpoint failed: {e}"),
-                        );
-                    } else {
-                        state.meta = meta;
-                    }
+            let summary = state.summary();
+            let mut relation = None;
+            if let Some(mut session) = state.session.take().filter(|_| !failed) {
+                if let Err(e) = session.checkpoint() {
+                    emit_global_error(
+                        &self.shared,
+                        Some(&name),
+                        &format!("shutdown checkpoint failed: {e}"),
+                    );
                 }
+                relation = Some(session.into_repairer().into_relation());
             }
             exits.push(TenantExit {
-                name: tenant.name.clone(),
-                summary: state.summary.clone(),
-                relation: state.engine.as_ref().map(|r| r.relation().clone()),
-                failed: false,
+                name,
+                summary,
+                relation,
+                failed,
             });
         }
         exits
     }
 
-    fn global_error(&self, tenant: Option<&str>, message: &str) {
-        emit_global_error(&self.shared, tenant, message);
-    }
-
     fn handle_open(&self, name: &str, source: EngineSource) {
         if let Err(why) = validate_tenant_name(name) {
-            self.global_error(
-                None,
-                &format!("invalid tenant name {}: {why}", json::escaped(name)),
-            );
+            self.reject(&format!(
+                "invalid tenant name {}: {why}",
+                json::escaped(name)
+            ));
             return;
         }
-        let tenant = {
-            let mut map = self.shared.tenants.write().expect("tenants poisoned");
-            match map.get(name) {
+        let tenant = Arc::clone(
+            self.shared
+                .tenants_mut()
+                .entry(name.to_string())
                 // A duplicate open is queued too, so its error lands in
                 // order with the tenant's other commands.
-                Some(t) => t.clone(),
-                None => {
-                    let tenant = Arc::new(Tenant::new(name));
-                    map.insert(name.to_string(), tenant.clone());
-                    tenant
-                }
-            }
-        };
+                .or_insert_with(|| Arc::new(Tenant::new(name))),
+        );
         self.touch_lru(name);
         self.enqueue_on(&tenant, QueuedItem::Open(source));
     }
@@ -674,19 +639,13 @@ impl Server {
     }
 
     fn enqueue(&self, name: &str, item: QueuedItem) {
-        let tenant = self
-            .shared
-            .tenants
-            .read()
-            .expect("tenants poisoned")
-            .get(name)
-            .cloned();
-        match tenant {
+        match self.shared.tenant(name) {
             Some(tenant) => {
                 self.touch_lru(name);
                 self.enqueue_on(&tenant, item);
             }
-            None => self.global_error(
+            None => emit_global_error(
+                &self.shared,
                 Some(name),
                 &format!("unknown tenant {} (open it first)", json::escaped(name)),
             ),
@@ -695,14 +654,9 @@ impl Server {
 
     fn enqueue_on(&self, tenant: &Arc<Tenant>, item: QueuedItem) {
         let spawn = {
-            let mut queue = tenant.queue.lock().expect("queue poisoned");
+            let mut queue = lock(&tenant.queue);
             queue.pending.push_back(item);
-            if queue.running {
-                false
-            } else {
-                queue.running = true;
-                true
-            }
+            !std::mem::replace(&mut queue.running, true)
         };
         if spawn {
             let shared = Arc::clone(&self.shared);
@@ -714,11 +668,7 @@ impl Server {
     }
 
     fn touch_lru(&self, name: &str) {
-        self.shared
-            .lru
-            .lock()
-            .expect("lru poisoned")
-            .touch(name.to_string());
+        lock(&self.shared.lru).touch(name.to_string());
     }
 }
 
@@ -737,23 +687,63 @@ fn emit_global_error(shared: &Shared, tenant: Option<&str>, message: &str) {
     shared.sink.emit(&line);
 }
 
+/// A drain job's claimed items. Should the job panic, dropping this
+/// answers every unprocessed item — claimed or still queued — with one
+/// `error` event and clears `running`, so the tenant keeps answering
+/// instead of going silent behind a dead job.
+struct DrainJob<'a> {
+    shared: &'a Shared,
+    tenant: &'a Tenant,
+    claimed: VecDeque<QueuedItem>,
+}
+
+impl Drop for DrainJob<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut queue = lock(&self.tenant.queue);
+            let unanswered = self.claimed.len() + queue.pending.len();
+            queue.pending.clear();
+            answer_poisoned(self.shared, self.tenant, unanswered);
+            queue.running = false;
+        }
+    }
+}
+
+/// Answer `items` queued items of a tenant whose drain job panicked, or
+/// whose state a panic poisoned.
+fn answer_poisoned(shared: &Shared, tenant: &Tenant, items: usize) {
+    let emitter = TenantEmitter::new(tenant, &*shared.sink);
+    let message = format!(
+        "tenant {} is unavailable: a worker job panicked while serving it",
+        json::escaped(&tenant.name)
+    );
+    for _ in 0..items {
+        emitter.emit_error(&message);
+    }
+}
+
 /// The drain job: claim the tenant's state and process queued items in
 /// FIFO order until the queue is empty. Exactly one drain job exists per
 /// tenant at a time (`TenantQueue::running`), which is what makes
 /// per-tenant processing single-writer while tenants run in parallel.
 fn drain_tenant(shared: &Arc<Shared>, tenant: &Arc<Tenant>) {
+    let mut job = DrainJob {
+        shared,
+        tenant,
+        claimed: VecDeque::new(),
+    };
     loop {
-        let batch: Vec<QueuedItem> = {
-            let mut queue = tenant.queue.lock().expect("queue poisoned");
+        {
+            let mut queue = lock(&tenant.queue);
             if queue.pending.is_empty() {
                 queue.running = false;
                 break;
             }
-            queue.pending.drain(..).collect()
-        };
-        {
-            let mut state = tenant.state.lock().expect("state poisoned");
-            process_batch(shared, tenant, &mut state, batch);
+            job.claimed.extend(queue.pending.drain(..));
+        }
+        match tenant.state.lock() {
+            Ok(mut state) => process_batch(shared, tenant, &mut state, &mut job.claimed),
+            Err(_) => answer_poisoned(shared, tenant, job.claimed.drain(..).count()),
         }
         // Between batches (state released): enforce the residency cap.
         maybe_evict(shared);
@@ -763,362 +753,186 @@ fn drain_tenant(shared: &Arc<Shared>, tenant: &Arc<Tenant>) {
 
 /// Process one claimed batch of queued items under the tenant state lock.
 fn process_batch(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
+    shared: &Shared,
+    tenant: &Tenant,
     state: &mut TenantState,
-    batch: Vec<QueuedItem>,
+    batch: &mut VecDeque<QueuedItem>,
 ) {
     let mut emitter = TenantEmitter::new(tenant, &*shared.sink);
     // Pending coalesced edit run: merged edits + source command count.
-    let mut merged: Vec<crate::incremental::Edit> = Vec::new();
-    let mut merged_commands = 0usize;
-
-    // The WAL writer for this batch, created lazily on the first applied
-    // command (durable mode only).
-    let mut wal: Option<WalWriter<'_>> = None;
-
-    for item in batch {
-        match item {
+    let mut run: (Vec<Edit>, usize) = (Vec::new(), 0);
+    while let Some(item) = batch.pop_front() {
+        let line = match item {
+            QueuedItem::Command(line) => line,
             QueuedItem::Open(source) => {
-                flush_run(
-                    shared,
-                    tenant,
-                    state,
-                    &mut emitter,
-                    &mut wal,
-                    &mut merged,
-                    &mut merged_commands,
-                );
+                flush_run(shared, tenant, state, &mut emitter, &mut run);
                 handle_open_item(shared, tenant, state, &mut emitter, source);
+                continue;
             }
             QueuedItem::Close => {
-                flush_run(
-                    shared,
-                    tenant,
-                    state,
-                    &mut emitter,
-                    &mut wal,
-                    &mut merged,
-                    &mut merged_commands,
-                );
-                handle_close_item(shared, tenant, state, &mut emitter, &mut wal);
+                flush_run(shared, tenant, state, &mut emitter, &mut run);
+                handle_close_item(shared, tenant, state, &mut emitter);
+                continue;
             }
-            QueuedItem::Command(line) => {
-                if !state.opened {
-                    emitter.emit_line(&format!(
-                        "{{\"event\":\"error\",\"message\":{}}}",
-                        json::escaped(&format!(
-                            "tenant {} is not open",
-                            json::escaped(&tenant.name)
-                        ))
-                    ));
+        };
+        if shared.options.coalesce {
+            let Some(session) = resident_session(shared, tenant, state, &mut emitter) else {
+                continue;
+            };
+            match parse_command(&line, session.repairer().relation().schema()) {
+                Ok(SessionCommand::Single(edit)) => {
+                    run.0.push(edit);
+                    run.1 += 1;
                     continue;
                 }
-                if let Err(e) = ensure_resident(shared, tenant, state, &mut emitter, &mut wal) {
-                    emitter.emit_line(&format!(
-                        "{{\"event\":\"error\",\"message\":{}}}",
-                        json::escaped(&format!("rebuild from snapshot failed: {e}"))
-                    ));
+                Ok(SessionCommand::Batch(edits)) => {
+                    run.0.extend(edits);
+                    run.1 += 1;
                     continue;
                 }
-                let schema = state.schema.clone().expect("opened tenant has a schema");
-                // Coalescing: accumulate consecutive edit commands.
-                if shared.options.coalesce {
-                    match parse_command(&line, &schema) {
-                        Ok(SessionCommand::Single(edit)) => {
-                            merged.push(edit);
-                            merged_commands += 1;
-                            continue;
-                        }
-                        Ok(SessionCommand::Batch(edits)) => {
-                            merged.extend(edits);
-                            merged_commands += 1;
-                            continue;
-                        }
-                        _ => {
-                            // Repair/check/parse errors flush the run and
-                            // take the ordinary per-line path below.
-                            flush_run(
-                                shared,
-                                tenant,
-                                state,
-                                &mut emitter,
-                                &mut wal,
-                                &mut merged,
-                                &mut merged_commands,
-                            );
-                        }
-                    }
-                }
-                apply_one_line(
-                    shared,
-                    tenant,
-                    state,
-                    &mut emitter,
-                    &mut wal,
-                    &schema,
-                    &line,
-                );
+                // Repair/check/parse errors flush the run and take the
+                // ordinary per-line path below.
+                _ => flush_run(shared, tenant, state, &mut emitter, &mut run),
+            }
+        }
+        if let Some(session) = resident_session(shared, tenant, state, &mut emitter) {
+            if let Err(e) = session.handle_line(&line, &mut emitter) {
+                fail_tenant_io(shared, tenant, state, &emitter, &e);
             }
         }
     }
-    flush_run(
-        shared,
-        tenant,
-        state,
-        &mut emitter,
-        &mut wal,
-        &mut merged,
-        &mut merged_commands,
-    );
-    if let Some(w) = wal.take() {
-        state.wal_next_seq = Some(w.last_seq() + 1);
-    }
-}
-
-/// Run `process_line` for one command with the WAL as its log sink.
-fn apply_one_line<'io>(
-    shared: &'io Arc<Shared>,
-    tenant: &Arc<Tenant>,
-    state: &mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
-    wal: &mut Option<WalWriter<'io>>,
-    schema: &Schema,
-    line: &str,
-) {
-    if let Err(e) = ensure_wal(shared, tenant, state, wal) {
-        fail_tenant_io(shared, tenant, state, emitter, wal, &e);
-        return;
-    }
-    let repairer = state.engine.as_mut().expect("resident engine");
-    let result = match wal.as_mut() {
-        Some(w) => {
-            let mut sink = WalLineSink::new(w);
-            process_line(
-                repairer,
-                schema,
-                line,
-                emitter,
-                Some(&mut sink),
-                &mut state.summary,
-            )
-        }
-        None => process_line(repairer, schema, line, emitter, None, &mut state.summary),
-    };
-    if let Err(e) = result {
-        fail_tenant_io(shared, tenant, state, emitter, wal, &e.to_string());
-    }
+    flush_run(shared, tenant, state, &mut emitter, &mut run);
 }
 
 /// Apply a coalesced run of edits as one `apply_batch`, answered by one
 /// combined delta event tagged `"coalesced":k`.
-#[allow(clippy::too_many_arguments)]
-fn flush_run<'io>(
-    shared: &'io Arc<Shared>,
-    tenant: &Arc<Tenant>,
+fn flush_run(
+    shared: &Shared,
+    tenant: &Tenant,
     state: &mut TenantState,
     emitter: &mut TenantEmitter<'_>,
-    wal: &mut Option<WalWriter<'io>>,
-    merged: &mut Vec<crate::incremental::Edit>,
-    merged_commands: &mut usize,
+    run: &mut (Vec<Edit>, usize),
 ) {
-    if merged.is_empty() {
+    if run.1 == 0 {
         return;
     }
-    let edits = std::mem::take(merged);
-    let commands = std::mem::take(merged_commands);
-    let schema = state.schema.clone().expect("opened tenant has a schema");
-    if let Err(e) = ensure_wal(shared, tenant, state, wal) {
-        fail_tenant_io(shared, tenant, state, emitter, wal, &e);
-        return;
-    }
-    let repairer = state.engine.as_mut().expect("resident engine");
-    match repairer.engine_mut().apply_batch(&edits) {
-        Ok(delta) => {
-            if let Some(w) = wal.as_mut() {
-                let logged = edits_as_batch_json(&edits, &schema);
-                if let Err(e) = w.append(logged.as_bytes()) {
-                    let message = e.to_string();
-                    fail_tenant_io(shared, tenant, state, emitter, wal, &message);
-                    return;
-                }
-            }
-            // Counted only now: a run whose append failed was never
-            // acknowledged, so it must not show up as applied.
-            state.summary.applied += commands;
-            let violations = state
-                .engine
-                .as_ref()
-                .expect("resident engine")
-                .engine()
-                .violation_count();
-            let line = session::delta_json(&delta, violations, &schema);
-            emitter.emit_line(&format!("{{\"coalesced\":{commands},{}", &line[1..]));
-        }
-        Err(e) => {
-            // The whole run is rejected atomically — one error event.
-            state.summary.rejected += commands;
-            emitter.emit_line(&format!(
-                "{{\"event\":\"error\",\"coalesced\":{commands},\"message\":{}}}",
-                json::escaped(&e.to_string())
-            ));
+    let (edits, commands) = std::mem::take(run);
+    if let Some(session) = resident_session(shared, tenant, state, emitter) {
+        if let Err(e) = session.handle_coalesced(&edits, commands, emitter) {
+            fail_tenant_io(shared, tenant, state, emitter, &e);
         }
     }
 }
 
-/// Make sure the batch's WAL writer exists (durable mode). `Ok(())` in
-/// ephemeral mode with `wal` left `None`.
-fn ensure_wal<'io>(
-    shared: &'io Arc<Shared>,
-    tenant: &Arc<Tenant>,
-    state: &mut TenantState,
-    wal: &mut Option<WalWriter<'io>>,
-) -> Result<(), String> {
-    let Some(durable) = shared.durable.as_ref() else {
-        return Ok(());
-    };
-    if wal.is_some() {
-        return Ok(());
-    }
-    let io: &dyn Io = &*durable.io;
-    let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-    let log_path = store.log_path();
-    let writer = match state.wal_next_seq {
-        Some(next) => WalWriter::continue_at(io, &log_path, next, SyncPolicy::Always),
-        None => {
-            WalWriter::open(io, &log_path, state.seq_floor, SyncPolicy::Always)
-                .map_err(|e| format!("wal open failed: {e}"))?
-                .0
-        }
-    };
-    state.wal_next_seq = Some(writer.last_seq() + 1);
-    *wal = Some(writer);
-    Ok(())
-}
-
-/// An I/O failure mid-processing: report it and drop the engine so the
-/// next touch recovers from durable state (every acknowledged command is
-/// already in the snapshot family; the failed one was never acked).
+/// An I/O failure mid-processing: report it and, in durable mode, drop the
+/// session so the next touch recovers from durable state (every
+/// acknowledged command is already in the snapshot family; the failed one
+/// was never acked).
 fn fail_tenant_io(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
+    shared: &Shared,
+    tenant: &Tenant,
     state: &mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
-    wal: &mut Option<WalWriter<'_>>,
-    message: &str,
+    emitter: &TenantEmitter<'_>,
+    error: &io::Error,
 ) {
-    emitter.emit_line(&format!(
-        "{{\"event\":\"error\",\"message\":{}}}",
-        json::escaped(&format!("tenant {} i/o failed: {message}", tenant.name))
-    ));
-    // The batch-local writer may have a torn frame behind it, and the
-    // recovery triggered by the next touch replays and checkpoints —
-    // retiring the log file. Appending through the stale writer would
-    // recreate the log headerless and silently orphan every later acked
-    // record, so it must die with the engine.
-    *wal = None;
-    if let Some(repairer) = state.engine.as_ref() {
-        state.summary.violations = repairer.engine().violation_count();
+    emitter.emit_error(&format!("tenant {} i/o failed: {error}", tenant.name));
+    if shared.durable.is_some() {
+        if let Some(session) = state.session.take() {
+            state.parked = session.summary();
+            shared.resident.fetch_sub(1, Ordering::Relaxed);
+        }
     }
-    if shared.durable.is_some() && state.engine.take().is_some() {
-        shared.resident.fetch_sub(1, Ordering::Relaxed);
-        state.wal_next_seq = None;
+}
+
+/// Open a tenant's session: recover its snapshot family in durable mode
+/// (cold-building through `cold` when there is none), `cold` otherwise.
+fn open_session(
+    shared: &Shared,
+    tenant: &Tenant,
+    emitter: &mut TenantEmitter<'_>,
+    cold: impl FnOnce() -> Result<DeltaEngine, io::Error>,
+) -> Result<Session, String> {
+    let store = shared.durable.as_ref().map(|durable| SessionStore {
+        io: Arc::clone(&durable.io),
+        path: durable.root.join(&tenant.name).join("state.pfds"),
+        policy: shared.options.recovery,
+    });
+    Session::open(store, shared.options.repair, cold, emitter).map_err(|e| e.to_string())
+}
+
+/// The tenant's session, reopened from its snapshot family when evicted;
+/// `None` (after an `error` event) when the tenant is not open or the
+/// rebuild failed.
+fn resident_session<'s>(
+    shared: &Shared,
+    tenant: &Tenant,
+    state: &'s mut TenantState,
+    emitter: &mut TenantEmitter<'_>,
+) -> Option<&'s mut Session> {
+    if !state.opened {
+        emitter.emit_error(&format!(
+            "tenant {} is not open",
+            json::escaped(&tenant.name)
+        ));
+        return None;
     }
+    if state.session.is_none() {
+        let evicted = || Err(io::Error::other("evicted tenant has no snapshot family"));
+        match open_session(shared, tenant, emitter, evicted) {
+            Ok(mut session) => {
+                session.resume_counts(&state.parked);
+                state.session = Some(session);
+                shared.resident.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                emitter.emit_error(&format!("rebuild from snapshot failed: {e}"));
+                return None;
+            }
+        }
+    }
+    state.session.as_mut()
 }
 
 /// Open (or reject a duplicate open of) a tenant, under its state lock.
 fn handle_open_item(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
+    shared: &Shared,
+    tenant: &Tenant,
     state: &mut TenantState,
     emitter: &mut TenantEmitter<'_>,
     source: EngineSource,
 ) {
     if state.opened {
-        emitter.emit_line(&format!(
-            "{{\"event\":\"error\",\"message\":{}}}",
-            json::escaped(&format!(
-                "tenant {} is already open",
-                json::escaped(&tenant.name)
-            ))
+        emitter.emit_error(&format!(
+            "tenant {} is already open",
+            json::escaped(&tenant.name)
         ));
         return;
     }
-    let loader = Arc::clone(&shared.loader);
-    let name = tenant.name.clone();
-    let cold = move || -> Result<DeltaEngine, String> {
-        match source {
-            EngineSource::Spec(spec) => loader.load(&name, &spec),
-            EngineSource::Engine(engine) => Ok(*engine),
-        }
+    let dir = shared.durable.as_ref().map(|durable| {
+        durable
+            .io
+            .create_dir_all(&durable.root.join(&tenant.name))
+            .map_err(|e| format!("create tenant dir: {e}"))
+    });
+    let cold = || match source {
+        EngineSource::Spec(spec) => shared
+            .loader
+            .load(&tenant.name, &spec)
+            .map_err(io::Error::other),
+        EngineSource::Engine(engine) => Ok(*engine),
     };
-    let built = match shared.durable.as_ref() {
-        None => cold().map(|engine| {
-            (
-                engine,
-                SnapshotMeta {
-                    generation: 0,
-                    last_seq: 0,
-                },
-                0,
-            )
-        }),
-        Some(durable) => {
-            let io: &dyn Io = &*durable.io;
-            if let Err(e) = io.create_dir_all(&durable.root.join(&tenant.name)) {
-                emitter.emit_line(&format!(
-                    "{{\"event\":\"error\",\"message\":{}}}",
-                    json::escaped(&format!("open failed: create tenant dir: {e}"))
-                ));
-                forget_tenant(shared, tenant);
-                return;
-            }
-            let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-            match store.recover(shared.options.recovery, cold) {
-                Err(e) => Err(e.to_string()),
-                Ok(recovered) => {
-                    if recovered.report.degraded() || recovered.report.log_records_applied > 0 {
-                        emitter.emit_line(&session::recovery_report_json(&recovered.report));
-                    }
-                    let mut meta = recovered.meta;
-                    if recovered.needs_checkpoint {
-                        let next = recovered.next_meta();
-                        match store.checkpoint(&recovered.engine, next) {
-                            Ok(()) => meta = next,
-                            Err(e) => {
-                                emitter.emit_line(&format!(
-                                    "{{\"event\":\"error\",\"message\":{}}}",
-                                    json::escaped(&format!("open failed: checkpoint: {e}"))
-                                ));
-                                forget_tenant(shared, tenant);
-                                return;
-                            }
-                        }
-                    }
-                    Ok((recovered.engine, meta, recovered.seq_floor))
-                }
-            }
-        }
-    };
-    match built {
-        Ok((engine, meta, seq_floor)) => {
-            let repairer = RepairEngine::from_engine(engine, shared.options.repair);
-            state.schema = Some(repairer.relation().schema().clone());
-            state.summary.violations = repairer.engine().violation_count();
-            state.meta = meta;
-            state.seq_floor = seq_floor;
-            state.wal_next_seq = None;
-            state.engine = Some(repairer);
+    match dir
+        .unwrap_or(Ok(()))
+        .and_then(|()| open_session(shared, tenant, emitter, cold))
+    {
+        Ok(session) => {
+            emitter.emit_line(&ready_json(session.repairer()));
+            state.session = Some(session);
             state.opened = true;
             shared.resident.fetch_add(1, Ordering::Relaxed);
-            let ready = ready_json(state.engine.as_ref().expect("just set"));
-            emitter.emit_line(&ready);
         }
         Err(message) => {
-            emitter.emit_line(&format!(
-                "{{\"event\":\"error\",\"message\":{}}}",
-                json::escaped(&format!("open failed: {message}"))
-            ));
+            emitter.emit_error(&format!("open failed: {message}"));
             forget_tenant(shared, tenant);
         }
     }
@@ -1126,133 +940,53 @@ fn handle_open_item(
 
 /// Close a tenant: final checkpoint (durable), `closed` event, forget.
 fn handle_close_item(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
+    shared: &Shared,
+    tenant: &Tenant,
     state: &mut TenantState,
     emitter: &mut TenantEmitter<'_>,
-    wal: &mut Option<WalWriter<'_>>,
 ) {
     if !state.opened {
-        emitter.emit_line(&format!(
-            "{{\"event\":\"error\",\"message\":{}}}",
-            json::escaped(&format!(
-                "tenant {} is not open",
-                json::escaped(&tenant.name)
-            ))
+        emitter.emit_error(&format!(
+            "tenant {} is not open",
+            json::escaped(&tenant.name)
         ));
         return;
     }
-    // The batch's WAL writer must not outlive the close checkpoint.
-    if let Some(w) = wal.take() {
-        state.wal_next_seq = Some(w.last_seq() + 1);
-    }
-    if let Some(repairer) = state.engine.as_ref() {
-        state.summary.violations = repairer.engine().violation_count();
-        if let Some(durable) = shared.durable.as_ref() {
-            let io: &dyn Io = &*durable.io;
-            let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-            let meta = SnapshotMeta {
-                generation: state.meta.generation + 1,
-                last_seq: state.wal_next_seq.map_or(state.seq_floor, |n| n - 1),
-            };
-            if let Err(e) = store.checkpoint(repairer.engine(), meta) {
-                emitter.emit_line(&format!(
-                    "{{\"event\":\"error\",\"message\":{}}}",
-                    json::escaped(&format!("close checkpoint failed: {e}"))
-                ));
-                return;
-            }
-            state.meta = meta;
+    if let Some(session) = state.session.as_mut() {
+        if let Err(e) = session.checkpoint() {
+            emitter.emit_error(&format!("close checkpoint failed: {e}"));
+            return;
         }
     }
-    if state.engine.take().is_some() {
+    let summary = state.summary();
+    if state.session.take().is_some() {
         shared.resident.fetch_sub(1, Ordering::Relaxed);
     }
     state.opened = false;
     emitter.emit_line(&format!(
         "{{\"event\":\"closed\",\"applied\":{},\"rejected\":{},\"violations\":{}}}",
-        state.summary.applied, state.summary.rejected, state.summary.violations
+        summary.applied, summary.rejected, summary.violations
     ));
     forget_tenant(shared, tenant);
 }
 
 /// Remove a tenant from the registry and the LRU (failed open, close).
-fn forget_tenant(shared: &Arc<Shared>, tenant: &Arc<Tenant>) {
-    shared
-        .tenants
-        .write()
-        .expect("tenants poisoned")
-        .remove(&tenant.name);
-    shared
-        .lru
-        .lock()
-        .expect("lru poisoned")
-        .remove(&tenant.name);
-}
-
-/// Rebuild an evicted tenant's engine from its snapshot family.
-fn ensure_resident(
-    shared: &Arc<Shared>,
-    tenant: &Arc<Tenant>,
-    state: &mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
-    wal: &mut Option<WalWriter<'_>>,
-) -> Result<(), String> {
-    if state.engine.is_some() {
-        return Ok(());
-    }
-    // Recovery below may replay the log and checkpoint (which deletes the
-    // log file); a batch-local writer from before the rebuild would then
-    // append to a recreated, headerless file. Force `ensure_wal` to
-    // re-open against the post-recovery log.
-    *wal = None;
-    let durable = shared
-        .durable
-        .as_ref()
-        .expect("only durable tenants are evicted");
-    let io: &dyn Io = &*durable.io;
-    let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-    let recovered = store
-        .recover(shared.options.recovery, || {
-            Err::<DeltaEngine, String>("evicted tenant has no snapshot family".to_string())
-        })
-        .map_err(|e| e.to_string())?;
-    if recovered.report.degraded() || recovered.report.log_records_applied > 0 {
-        emitter.emit_line(&session::recovery_report_json(&recovered.report));
-    }
-    let mut meta = recovered.meta;
-    if recovered.needs_checkpoint {
-        let next = recovered.next_meta();
-        store
-            .checkpoint(&recovered.engine, next)
-            .map_err(|e| e.to_string())?;
-        meta = next;
-    }
-    state.meta = meta;
-    state.seq_floor = recovered.seq_floor;
-    state.wal_next_seq = None;
-    let repairer = RepairEngine::from_engine(recovered.engine, shared.options.repair);
-    state.schema = Some(repairer.relation().schema().clone());
-    state.summary.violations = repairer.engine().violation_count();
-    state.engine = Some(repairer);
-    shared.resident.fetch_add(1, Ordering::Relaxed);
-    Ok(())
+fn forget_tenant(shared: &Shared, tenant: &Tenant) {
+    shared.tenants_mut().remove(&tenant.name);
+    lock(&shared.lru).remove(&tenant.name);
 }
 
 /// While the resident count exceeds the cap, checkpoint-and-drop the
 /// coldest idle tenant. No-op without a durable root or with the cap off.
-fn maybe_evict(shared: &Arc<Shared>) {
-    if shared.durable.is_none() {
-        return;
-    }
+fn maybe_evict(shared: &Shared) {
     let max = shared.options.max_resident;
-    if max == 0 {
+    if shared.durable.is_none() || max == 0 {
         return;
     }
     while shared.resident.load(Ordering::Relaxed) > max {
         let candidate = {
-            let map = shared.tenants.read().expect("tenants poisoned");
-            let lru = shared.lru.lock().expect("lru poisoned");
+            let map = shared.tenants();
+            let lru = lock(&shared.lru);
             let picked = lru.coldest_first().find_map(|name| {
                 let tenant = map.get(name)?;
                 // Only idle tenants (no drain scheduled, nothing
@@ -1262,7 +996,7 @@ fn maybe_evict(shared: &Arc<Shared>) {
                     return None;
                 }
                 let state = tenant.state.try_lock().ok()?;
-                state.engine.as_ref()?;
+                state.session.as_ref()?;
                 Some(Arc::clone(tenant))
             });
             picked
@@ -1283,41 +1017,35 @@ fn maybe_evict(shared: &Arc<Shared>) {
     }
 }
 
-/// Checkpoint a tenant's live state and drop its engine. Returns whether
-/// an engine was actually evicted. On checkpoint failure the engine stays
-/// resident — acknowledged state is still covered by snapshot + WAL.
-fn evict_tenant(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Result<bool, SnapshotError> {
-    let Some(durable) = shared.durable.as_ref() else {
+/// Checkpoint a tenant's session and drop it. Returns whether a session
+/// was actually evicted. On checkpoint failure the session stays resident
+/// — acknowledged state is still covered by snapshot + WAL — and a
+/// poisoned tenant is never checkpointed.
+fn evict_tenant(shared: &Shared, tenant: &Tenant) -> Result<bool, SnapshotError> {
+    if shared.durable.is_none() {
+        return Ok(false);
+    }
+    let Ok(mut state) = tenant.state.lock() else {
         return Ok(false);
     };
-    let mut state = tenant.state.lock().expect("state poisoned");
-    let state = &mut *state;
-    let Some(repairer) = state.engine.as_ref() else {
+    let Some(session) = state.session.as_mut() else {
         return Ok(false);
     };
-    // The summary must reflect the engine being parked: an evicted tenant
-    // that is never touched again reports this count in its exit.
-    state.summary.violations = repairer.engine().violation_count();
-    let io: &dyn Io = &*durable.io;
-    let store = SnapshotStore::new(io, durable.snapshot_path(&tenant.name));
-    let last_seq = state.wal_next_seq.map_or(state.seq_floor, |n| n - 1);
-    let meta = SnapshotMeta {
-        generation: state.meta.generation + 1,
-        last_seq,
-    };
-    store.checkpoint(repairer.engine(), meta)?;
-    state.meta = meta;
-    state.seq_floor = last_seq;
-    state.engine = None;
-    state.wal_next_seq = None;
+    session.checkpoint()?;
+    // The parked counts must reflect the state being parked: an evicted
+    // tenant that is never touched again reports them in its exit.
+    state.parked = session.summary();
+    state.session = None;
     shared.resident.fetch_sub(1, Ordering::Relaxed);
     Ok(true)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::pfd::Pfd;
+    use crate::snapshot::SnapshotStore;
     use crate::tableau::TableauRow;
     use pfd_relation::MemIo;
     use std::io::BufRead as _;
@@ -1391,11 +1119,10 @@ mod tests {
         // Solo reference: the single-tenant session over the same script.
         let mut solo = Vec::new();
         let input = std::io::Cursor::new(script.join("\n"));
-        session::run_session_with(
-            RepairEngine::from_engine(engine(), RepairOptions::default()),
+        crate::session::run_session_with(
+            crate::repair::RepairEngine::from_engine(engine(), RepairOptions::default()),
             input,
             &mut solo,
-            None,
         )
         .unwrap();
         let solo: Vec<String> = solo.lines().map(Result::unwrap).collect();
@@ -1771,11 +1498,34 @@ mod tests {
             let _guard = sad.state.lock().expect("not poisoned yet");
             panic!("injected drain-job panic");
         });
+        assert_eq!(server.drain_report().len(), 1);
+        // The poisoned tenant answers each command with one error; the
+        // healthy one keeps serving.
+        server.submit(r#"{"op":"check","tenant":"sad"}"#);
+        server.submit(r#"{"op":"set","row":3,"attr":"gender","value":"F","tenant":"sad"}"#);
+        server.submit(r#"{"op":"check","tenant":"ok"}"#);
         let exits = server.shutdown();
         let lines = sink.take();
         assert!(
             lines.iter().any(|l| l.contains("worker job panicked")),
             "the panic is surfaced as an error event: {lines:?}"
+        );
+        let sad_events = untag(&lines, "sad");
+        assert_eq!(
+            sad_events.len(),
+            3,
+            "ready + one answer per command: {lines:?}"
+        );
+        for event in &sad_events[1..] {
+            assert!(
+                event.starts_with(r#"{"event":"error","message":"tenant \"sad\" is unavailable"#),
+                "{event}"
+            );
+        }
+        let ok_events = untag(&lines, "ok");
+        assert!(
+            ok_events.len() == 2 && ok_events[1].starts_with(r#"{"event":"state""#),
+            "{lines:?}"
         );
         let sad_exit = exits.iter().find(|e| e.name == "sad").unwrap();
         assert!(sad_exit.failed, "poisoned tenant is reported failed");
@@ -1783,6 +1533,47 @@ mod tests {
         let ok_exit = exits.iter().find(|e| e.name == "ok").unwrap();
         assert!(!ok_exit.failed);
         assert!(ok_exit.relation.is_some(), "healthy tenant is unaffected");
+    }
+
+    /// A loader that panics: the drain job running the open dies mid-batch.
+    struct PanickingLoader;
+
+    impl TenantLoader for PanickingLoader {
+        fn load(&self, _name: &str, _spec: &json::Value) -> Result<DeltaEngine, String> {
+            panic!("injected loader panic")
+        }
+    }
+
+    /// A drain job that panics mid-batch answers the commands it had not
+    /// reached and clears `running`, so later commands are answered too.
+    #[test]
+    fn drain_job_panic_answers_the_rest_of_its_batch() {
+        let sink = Arc::new(CollectSink::new());
+        let server = Server::new(
+            ServerOptions {
+                workers: 1,
+                ..ServerOptions::default()
+            },
+            Arc::new(PanickingLoader),
+            sink.clone(),
+        );
+        // Park the lone worker so the open and the check share one batch.
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        server.shared.executor.spawn(move || parked.recv().unwrap());
+        server.submit(r#"{"op":"open","tenant":"boom"}"#);
+        server.submit(r#"{"op":"check","tenant":"boom"}"#);
+        release.send(()).unwrap();
+        assert_eq!(server.drain_report().len(), 1);
+        server.submit(r#"{"op":"check","tenant":"boom"}"#);
+        server.drain();
+        let errors = untag(&sink.take(), "boom");
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(
+            errors.iter().all(|e| e.contains("is unavailable")),
+            "{errors:?}"
+        );
+        let exits = server.shutdown();
+        assert!(exits[0].failed);
     }
 
     #[test]

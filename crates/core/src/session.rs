@@ -2,11 +2,12 @@
 //! [`DeltaEngine`].
 //!
 //! The paper's ANMAT demo (§4.5) is a steward-in-the-loop tool: edits go in,
-//! violation changes come out, immediately. [`run_session`] is the
-//! embeddable seam for that loop — it reads one JSON command per input line
-//! and streams one JSON event per line to the output, so the same function
-//! backs the `pfd session` CLI subcommand today and a network server
-//! tomorrow.
+//! violation changes come out, immediately. A [`Session`] is that loop for
+//! one relation — it answers one JSON command per input line with JSON
+//! event lines, and when durable it recovers, logs every acknowledged
+//! command to its WAL and checkpoints. `pfd session` runs one over stdin,
+//! and every tenant of the multi-tenant [`Server`](crate::server::Server)
+//! holds one, so both front ends share one command loop.
 //!
 //! ```text
 //! → {"op":"set","row":3,"attr":"gender","value":"F"}
@@ -30,6 +31,10 @@
 //! the build environment vendors no serde; it covers the full value grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
 
+// Every input line is untrusted; a panic here would end every session the
+// process serves, so unwrapping is denied outright (tests opt back in).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::detect::DetectionReport;
 use crate::incremental::{DeltaEngine, DeltaEntry, Edit, ViolationDelta};
 use crate::pfd::{Pfd, Violation, ViolationKind};
@@ -38,10 +43,11 @@ use crate::snapshot::{
     RecoverFailure, RecoveryPolicy, RecoveryReport, SnapshotError, SnapshotMeta, SnapshotStore,
 };
 use pfd_relation::io::Io;
-use pfd_relation::wal::{SyncPolicy, WalLineSink, WalWriter};
-use pfd_relation::{AttrId, Relation, RowId, Schema};
-use std::io::{BufRead, Write};
-use std::path::Path;
+use pfd_relation::wal::{SyncPolicy, WalWriter};
+use pfd_relation::{AttrId, Relation, RelationError, RowId, Schema};
+use std::io::{self, BufRead, Read, Write};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Minimal JSON parsing and serialization helpers.
 pub mod json {
@@ -105,6 +111,11 @@ pub mod json {
     /// `cells`); the cap keeps the recursive parser, and the recursion over
     /// its result, far inside any thread's stack whatever a line holds.
     pub const MAX_DEPTH: usize = 64;
+
+    /// The longest command line, in bytes, a session or server reads. A
+    /// 10,000-edit `batch` line is ~0.6 MB; a longer line is answered with
+    /// one `error` event and its bytes are skipped, never buffered.
+    pub const MAX_LINE_BYTES: usize = 4 << 20;
 
     /// Parse one JSON document (trailing non-whitespace is an error).
     /// Nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
@@ -591,7 +602,7 @@ fn parse_attr(value: &Value, schema: &Schema) -> Result<AttrId, String> {
 }
 
 /// Summary of a finished session (for logging and tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionSummary {
     /// Commands that applied cleanly.
     pub applied: usize,
@@ -613,46 +624,23 @@ pub fn run_session(
     pfds: Vec<Pfd>,
     input: impl BufRead,
     out: &mut dyn Write,
-) -> std::io::Result<(Relation, SessionSummary)> {
+) -> io::Result<(Relation, SessionSummary)> {
     let repairer = RepairEngine::new(rel, pfds, RepairOptions::default());
-    let (repairer, summary) = run_session_with(repairer, input, out, None)?;
+    let (repairer, summary) = run_session_with(repairer, input, out)?;
     Ok((repairer.into_relation(), summary))
 }
 
-/// [`run_session`] over a prebuilt engine (e.g. loaded from a snapshot),
-/// optionally appending every applied command to `log` as replayable JSONL:
-/// successful edits are logged verbatim, a repair chase is logged as one
-/// `batch` of the `set` edits it applied. The log plus the engine's starting
-/// state reproduce the engine's final state exactly, which is the snapshot
-/// layer's resume contract.
+/// [`run_session`] over a prebuilt engine (e.g. loaded from a snapshot): an
+/// in-memory [`Session`] serving `input` to EOF.
 pub fn run_session_with(
-    mut repairer: RepairEngine,
+    repairer: RepairEngine,
     input: impl BufRead,
     out: &mut dyn Write,
-    mut log: Option<&mut dyn Write>,
-) -> std::io::Result<(RepairEngine, SessionSummary)> {
-    let schema = repairer.relation().schema().clone();
-    writeln!(out, "{}", ready_json(&repairer))?;
-    let mut summary = SessionSummary {
-        applied: 0,
-        rejected: 0,
-        violations: repairer.engine().violation_count(),
-    };
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Reborrow per iteration (`as_deref_mut` would pin the trait
-        // object's lifetime across the loop).
-        let log_line: Option<&mut dyn Write> = match log.as_mut() {
-            Some(l) => Some(&mut **l),
-            None => None,
-        };
-        process_line(&mut repairer, &schema, &line, out, log_line, &mut summary)?;
-    }
-    summary.violations = repairer.engine().violation_count();
-    Ok((repairer, summary))
+) -> io::Result<(RepairEngine, SessionSummary)> {
+    let mut session = Session::new(repairer);
+    session.serve(input, out)?;
+    let summary = session.summary();
+    Ok((session.into_repairer(), summary))
 }
 
 /// Serialize the session-opening `ready` event for the engine's current
@@ -673,88 +661,6 @@ fn state_event_json(event: &str, repairer: &RepairEngine) -> String {
         violations.len(),
         entries_json(&violations, schema)
     )
-}
-
-/// Process one non-empty session input line: parse it against `schema`,
-/// mutate `repairer`, stream the answering event(s) to `out`, and append
-/// replayable commands to `log`. This is the shared per-line core of
-/// [`run_session_with`] and the multi-tenant server's tenant drain jobs;
-/// errors are answered with an `error` event and never abort the stream.
-pub fn process_line(
-    repairer: &mut RepairEngine,
-    schema: &Schema,
-    line: &str,
-    out: &mut dyn Write,
-    mut log: Option<&mut dyn Write>,
-    summary: &mut SessionSummary,
-) -> std::io::Result<()> {
-    match parse_command(line, schema) {
-        Ok(SessionCommand::Repair { max_passes }) => {
-            // The override applies to this chase only (clamped to ≥ 1
-            // so a cap of 0 cannot silently no-op); later plain
-            // `repair` commands get the engine default back.
-            let saved = repairer.options().max_passes;
-            if let Some(cap) = max_passes {
-                repairer.options_mut().max_passes = cap.max(1);
-            }
-            let (outcome, passes) = repairer.run();
-            repairer.options_mut().max_passes = saved;
-            if let Some(log) = log.as_deref_mut() {
-                if !outcome.fixes.is_empty() {
-                    writeln!(log, "{}", repair_as_batch_json(&outcome, schema))?;
-                }
-            }
-            // Counted after the log append: a command whose append failed
-            // was never acknowledged and must not show up as applied.
-            summary.applied += 1;
-            write_repair_events(out, &outcome, passes, repairer.engine(), schema)?;
-        }
-        Ok(SessionCommand::Check) => {
-            // Read-only: answer with the current state, log nothing.
-            summary.applied += 1;
-            writeln!(out, "{}", state_event_json("state", repairer))?;
-        }
-        Ok(cmd) => {
-            let engine = repairer.engine_mut();
-            let applied = match cmd {
-                SessionCommand::Single(edit) => engine.apply(edit),
-                SessionCommand::Batch(edits) => engine.apply_batch(&edits),
-                SessionCommand::Repair { .. } | SessionCommand::Check => {
-                    unreachable!("handled above")
-                }
-            };
-            match applied {
-                Ok(delta) => {
-                    if let Some(log) = log.as_mut() {
-                        writeln!(log, "{}", line.trim())?;
-                    }
-                    summary.applied += 1;
-                    writeln!(
-                        out,
-                        "{}",
-                        delta_json(&delta, engine.violation_count(), schema)
-                    )?;
-                }
-                Err(e) => {
-                    summary.rejected += 1;
-                    writeln!(
-                        out,
-                        "{{\"event\":\"error\",\"message\":{}}}",
-                        json::escaped(&e.to_string())
-                    )?;
-                }
-            }
-        }
-        Err(message) => {
-            summary.rejected += 1;
-            writeln!(
-                out,
-                "{{\"event\":\"error\",\"message\":{}}}",
-                json::escaped(&message)
-            )?;
-        }
-    }
-    Ok(())
 }
 
 /// Serialize a [`RecoveryReport`] as a session `recovered` event line.
@@ -779,125 +685,351 @@ pub fn recovery_report_json(report: &RecoveryReport) -> String {
     out
 }
 
-/// Why [`run_durable_session`] could not run (or finish).
-#[derive(Debug)]
-pub enum DurableSessionError<E> {
-    /// Recovery failed: a persisted artifact was unusable under the chosen
-    /// policy, or nothing existed and the cold build failed.
-    Recover(RecoverFailure<E>),
-    /// A checkpoint or delta-log operation failed mid-session.
-    Snapshot(SnapshotError),
-    /// Streaming session I/O (the command input or event output) failed.
-    SessionIo(std::io::Error),
+/// Reads command lines as bytes, at most [`json::MAX_LINE_BYTES`] of any
+/// one line. A line that is not UTF-8 or runs past the cap comes back as an
+/// error message instead of ending the stream; its remaining bytes are
+/// skipped without being buffered, and the next line reads normally.
+pub struct LineReader<R> {
+    input: R,
+    buf: Vec<u8>,
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for DurableSessionError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurableSessionError::Recover(e) => write!(f, "{e}"),
-            DurableSessionError::Snapshot(e) => write!(f, "{e}"),
-            DurableSessionError::SessionIo(e) => write!(f, "session I/O error: {e}"),
+impl<R: BufRead> LineReader<R> {
+    /// Read lines from `input`.
+    pub fn new(input: R) -> Self {
+        LineReader {
+            input,
+            buf: Vec::new(),
         }
+    }
+
+    /// The next line without its `\n` or `\r\n`: `Ok(text)`, or `Err` with
+    /// the message its `error` event carries. `None` at end of input; an
+    /// `io::Error` only when reading itself fails.
+    pub fn next_line(&mut self) -> io::Result<Option<Result<&str, String>>> {
+        self.buf.clear();
+        let cap = json::MAX_LINE_BYTES + 1; // the longest line and its `\n`
+        let mut line = self.input.by_ref().take(cap as u64);
+        if line.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        } else if self.buf.len() == cap {
+            self.input.skip_until(b'\n')?;
+            let message = format!("line longer than {} bytes", json::MAX_LINE_BYTES);
+            return Ok(Some(Err(message)));
+        }
+        let text = std::str::from_utf8(&self.buf);
+        Ok(Some(
+            text.map_err(|_| "line is not valid UTF-8".to_string()),
+        ))
     }
 }
 
-/// A crash-safe [`run_session_with`]: recover, serve, checkpoint.
+/// Where a durable [`Session`] keeps its snapshot family, and the policy
+/// it recovers that family under.
+pub struct SessionStore {
+    /// Every file touch goes through this handle, so a failpoint harness
+    /// can crash any step at any byte.
+    pub io: Arc<dyn Io + Send + Sync>,
+    /// The current-snapshot path; `.prev`, `.tmp` and `.log` derive from it.
+    pub path: PathBuf,
+    /// How [`Session::open`] treats damaged files.
+    pub policy: RecoveryPolicy,
+}
+
+/// A durable session's place on disk and its position in the WAL.
+struct Durable {
+    store: SessionStore,
+    /// Generation of the newest snapshot, and the highest WAL sequence
+    /// number the engine held when that snapshot was written or recovered.
+    meta: SnapshotMeta,
+    /// Sequence number of the next WAL record; `None` scans the log (and
+    /// truncates any invalid tail) on the next append.
+    next_seq: Option<u64>,
+}
+
+impl Durable {
+    /// Append one record and sync it. The writer lives for this call only:
+    /// it resumes at the cached sequence number, or scans the log once
+    /// after an open or a checkpoint.
+    fn append(&mut self, record: &[u8]) -> io::Result<()> {
+        let io: &dyn Io = &*self.store.io;
+        let log = SnapshotStore::new(io, &self.store.path).log_path();
+        let mut wal = match self.next_seq.take() {
+            Some(next) => WalWriter::continue_at(io, &log, next, SyncPolicy::Always),
+            None => {
+                WalWriter::open(io, &log, self.meta.last_seq, SyncPolicy::Always)
+                    .map_err(|e| io::Error::new(e.kind(), format!("wal open failed: {e}")))?
+                    .0
+            }
+        };
+        wal.append(record)?;
+        self.next_seq = Some(wal.last_seq() + 1);
+        Ok(())
+    }
+}
+
+/// One relation's live cleaning state — the engine and its command counts —
+/// plus, when durable, its snapshot family and WAL position.
 ///
-/// The full durable lifecycle in one call, shared by the `pfd session`
-/// subcommand and the fault-injection harness:
+/// `pfd session` runs one directly, and every tenant of the multi-tenant
+/// [`Server`](crate::server::Server) holds one, so recovery, append-then-ack
+/// and checkpointing exist once:
 ///
-/// 1. [`SnapshotStore::recover`] under `policy` (cold-building from
-///    `cold` when no snapshot is usable);
-/// 2. emit a `recovered` event when recovery was degraded or replayed log
-///    records — a clean resume stays byte-identical to a fresh session;
-/// 3. checkpoint immediately if recovery said so, making the salvaged
-///    state durable before the first command is read;
-/// 4. run the session with every applied command appended to the
-///    record-framed delta log, fsynced per record — an acknowledged
+/// 1. [`Session::open`] recovers the snapshot family (or cold-builds), emits
+///    a `recovered` event when recovery was degraded or replayed records,
+///    and checkpoints when recovery says so;
+/// 2. [`Session::handle_line`] parses, applies, appends the command to the
+///    WAL (fsynced), and only then writes its answer — an acknowledged
 ///    command survives any crash;
-/// 5. checkpoint the final state and retire the log.
-///
-/// Every file touch goes through `io`, so a failpoint harness can crash
-/// any step at any byte and re-recover.
-pub fn run_durable_session<E>(
-    io: &dyn Io,
-    snapshot: &Path,
-    policy: RecoveryPolicy,
-    options: RepairOptions,
-    cold: impl FnOnce() -> Result<DeltaEngine, E>,
-    input: impl BufRead,
-    out: &mut dyn Write,
-) -> Result<(RepairEngine, SessionSummary, RecoveryReport), DurableSessionError<E>> {
-    let store = SnapshotStore::new(io, snapshot);
-    let recovered = store
-        .recover(policy, cold)
-        .map_err(DurableSessionError::Recover)?;
-    if recovered.report.degraded() || recovered.report.log_records_applied > 0 {
-        writeln!(out, "{}", recovery_report_json(&recovered.report))
-            .map_err(DurableSessionError::SessionIo)?;
-    }
-    let mut generation = recovered.meta.generation;
-    if recovered.needs_checkpoint {
-        generation += 1;
-        store
-            .checkpoint(
-                &recovered.engine,
-                SnapshotMeta {
-                    generation,
-                    last_seq: recovered.seq_floor,
-                },
-            )
-            .map_err(DurableSessionError::Snapshot)?;
-    }
-    let log_path = store.log_path();
-    let (mut wal, _) = WalWriter::open(io, &log_path, recovered.seq_floor, SyncPolicy::Always)
-        .map_err(|e| {
-            DurableSessionError::Snapshot(SnapshotError::Io {
-                op: "open",
-                path: log_path.clone(),
-                source: e,
-            })
-        })?;
-    let repairer = RepairEngine::from_engine(recovered.engine, options);
-    let (repairer, summary) = {
-        let mut sink = WalLineSink::new(&mut wal);
-        run_session_with(repairer, input, out, Some(&mut sink))
-            .map_err(DurableSessionError::SessionIo)?
-    };
-    store
-        .checkpoint(
-            repairer.engine(),
-            SnapshotMeta {
-                generation: generation + 1,
-                last_seq: wal.last_seq(),
-            },
-        )
-        .map_err(DurableSessionError::Snapshot)?;
-    Ok((repairer, summary, recovered.report))
+/// 3. [`Session::checkpoint`] writes the next snapshot generation, covering
+///    every appended record, and retires the log.
+pub struct Session {
+    repairer: RepairEngine,
+    summary: SessionSummary,
+    durable: Option<Durable>,
 }
 
-/// Render a finished repair chase as one replayable `batch` command of
-/// `set` edits — the form a session log stores repairs in.
-fn repair_as_batch_json(outcome: &RepairOutcome, schema: &Schema) -> String {
-    let mut line = String::from("{\"op\":\"batch\",\"edits\":[");
-    for (i, fix) in outcome.fixes.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
+impl Session {
+    /// An in-memory session over a prebuilt engine.
+    pub(crate) fn new(repairer: RepairEngine) -> Self {
+        Session {
+            repairer,
+            summary: SessionSummary::default(),
+            durable: None,
         }
-        line.push_str(&format!(
-            "{{\"op\":\"set\",\"row\":{},\"attr\":{},\"value\":{}}}",
-            fix.row,
-            json::escaped(schema.name_of(fix.attr).unwrap_or("?")),
-            json::escaped(&fix.new)
-        ));
     }
-    line.push_str("]}");
-    line
+
+    /// Open a session. Without a `store` this is `cold` in memory. With
+    /// one, [`SnapshotStore::recover`] walks the degradation ladder under
+    /// the store's policy (calling `cold` only when no snapshot is usable),
+    /// a `recovered` event goes to `out` when recovery was degraded or
+    /// replayed log records — so a clean resume stays byte-identical to a
+    /// fresh session — and salvaged or rebuilt state is checkpointed before
+    /// the first command. A failed write to `out` is returned as
+    /// [`RecoverFailure::ColdBuild`] holding the I/O error as an `E`.
+    pub fn open<E: From<io::Error>>(
+        store: Option<SessionStore>,
+        options: RepairOptions,
+        cold: impl FnOnce() -> Result<DeltaEngine, E>,
+        out: &mut dyn Write,
+    ) -> Result<Self, RecoverFailure<E>> {
+        let Some(store) = store else {
+            let engine = cold().map_err(RecoverFailure::ColdBuild)?;
+            return Ok(Session::new(RepairEngine::from_engine(engine, options)));
+        };
+        let recovered = SnapshotStore::new(&*store.io, &store.path).recover(store.policy, cold)?;
+        if recovered.report.degraded() || recovered.report.log_records_applied > 0 {
+            writeln!(out, "{}", recovery_report_json(&recovered.report))
+                .map_err(|e| RecoverFailure::ColdBuild(e.into()))?;
+        }
+        let mut session = Session::new(RepairEngine::from_engine(recovered.engine, options));
+        session.durable = Some(Durable {
+            store,
+            meta: SnapshotMeta {
+                generation: recovered.meta.generation,
+                last_seq: recovered.seq_floor,
+            },
+            next_seq: None,
+        });
+        if recovered.needs_checkpoint {
+            session.checkpoint().map_err(RecoverFailure::Snapshot)?;
+        }
+        Ok(session)
+    }
+
+    /// Serve `input` to EOF: the `ready` event, then one answer per
+    /// non-blank line. Lines come through a [`LineReader`], so an
+    /// unreadable line is rejected like malformed JSON.
+    pub fn serve(&mut self, input: impl BufRead, out: &mut dyn Write) -> io::Result<()> {
+        writeln!(out, "{}", ready_json(&self.repairer))?;
+        let mut lines = LineReader::new(input);
+        while let Some(line) = lines.next_line()? {
+            match line {
+                Ok(line) if line.trim().is_empty() => {}
+                Ok(line) => self.handle_line(line, out)?,
+                Err(unreadable) => self.reject(&unreadable, out)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Answer one command line: parse it, apply it, append it to the WAL
+    /// (durable sessions), then write its events. A command that does not
+    /// parse or apply gets one `error` event and the session goes on. An
+    /// `Err` means the WAL or `out` failed: the engine may then hold an
+    /// edit that was never acknowledged, so the caller must drop the
+    /// session (a durable one reopens from its snapshot family).
+    pub fn handle_line(&mut self, line: &str, out: &mut dyn Write) -> io::Result<()> {
+        match parse_command(line, self.repairer.relation().schema()) {
+            Ok(SessionCommand::Repair { max_passes }) => {
+                // The override applies to this chase only (clamped to ≥ 1
+                // so a cap of 0 cannot silently no-op); later plain
+                // `repair` commands get the engine default back.
+                let saved = self.repairer.options().max_passes;
+                if let Some(cap) = max_passes {
+                    self.repairer.options_mut().max_passes = cap.max(1);
+                }
+                let (outcome, passes) = self.repairer.run();
+                self.repairer.options_mut().max_passes = saved;
+                if !outcome.fixes.is_empty() {
+                    // Logged as one `batch` of the `set` edits it applied.
+                    self.log(|schema| {
+                        let edits: Vec<Edit> = (outcome.fixes.iter())
+                            .map(|fix| Edit::Set {
+                                row: fix.row,
+                                attr: fix.attr,
+                                value: fix.new.clone(),
+                            })
+                            .collect();
+                        edits_as_batch_json(&edits, schema)
+                    })?;
+                }
+                self.summary.applied += 1;
+                let (engine, schema) = (self.repairer.engine(), self.repairer.relation().schema());
+                write_repair_events(out, &outcome, passes, engine, schema)
+            }
+            Ok(SessionCommand::Check) => {
+                // Read-only: answer with the current state, log nothing.
+                self.summary.applied += 1;
+                writeln!(out, "{}", state_event_json("state", &self.repairer))
+            }
+            Ok(SessionCommand::Single(edit)) => {
+                let applied = self.repairer.engine_mut().apply(edit);
+                self.answer_edits(applied, None, |_| line.trim().to_string(), out)
+            }
+            Ok(SessionCommand::Batch(edits)) => {
+                let applied = self.repairer.engine_mut().apply_batch(&edits);
+                self.answer_edits(applied, None, |_| line.trim().to_string(), out)
+            }
+            Err(message) => self.reject(&message, out),
+        }
+    }
+
+    /// Apply the edits of `commands` queued commands as one `apply_batch`,
+    /// logged as one `batch` record and answered by one `delta` event
+    /// tagged `"coalesced":k` — or rejected as a whole by one `error` event.
+    /// The multi-tenant server's coalescing path; errors as
+    /// [`Session::handle_line`].
+    pub(crate) fn handle_coalesced(
+        &mut self,
+        edits: &[Edit],
+        commands: usize,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        let applied = self.repairer.engine_mut().apply_batch(edits);
+        let record = |schema: &Schema| edits_as_batch_json(edits, schema);
+        self.answer_edits(applied, Some(commands), record, out)
+    }
+
+    /// Acknowledge applied edits once their record is in the WAL, or reject
+    /// them. `coalesced` counts the commands merged into one answer.
+    fn answer_edits(
+        &mut self,
+        applied: Result<ViolationDelta, RelationError>,
+        coalesced: Option<usize>,
+        record: impl FnOnce(&Schema) -> String,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        let commands = coalesced.unwrap_or(1);
+        let tag = coalesced.map_or(String::new(), |k| format!("\"coalesced\":{k},"));
+        match applied {
+            Ok(delta) => {
+                self.log(record)?;
+                // Counted only now: a command whose append failed was never
+                // acknowledged and must not show up as applied.
+                self.summary.applied += commands;
+                let violations = self.repairer.engine().violation_count();
+                let line = delta_json(&delta, violations, self.repairer.relation().schema());
+                writeln!(out, "{{{tag}{}", &line[1..])
+            }
+            Err(e) => {
+                self.summary.rejected += commands;
+                writeln!(
+                    out,
+                    "{{\"event\":\"error\",{tag}\"message\":{}}}",
+                    json::escaped(&e.to_string())
+                )
+            }
+        }
+    }
+
+    /// Answer an unusable line with one `error` event.
+    fn reject(&mut self, message: &str, out: &mut dyn Write) -> io::Result<()> {
+        self.summary.rejected += 1;
+        writeln!(
+            out,
+            "{{\"event\":\"error\",\"message\":{}}}",
+            json::escaped(message)
+        )
+    }
+
+    /// Append a command's replayable record to the WAL (durable sessions
+    /// only; the record is not even rendered in memory).
+    fn log(&mut self, record: impl FnOnce(&Schema) -> String) -> io::Result<()> {
+        match self.durable.as_mut() {
+            Some(durable) => durable.append(record(self.repairer.relation().schema()).as_bytes()),
+            None => Ok(()),
+        }
+    }
+
+    /// Persist the live state as the next snapshot generation, covering
+    /// every appended record, and retire the log. A no-op in memory. On
+    /// failure the session stays usable: its state is still covered by the
+    /// previous snapshot plus the log.
+    pub fn checkpoint(&mut self) -> Result<(), SnapshotError> {
+        let Some(durable) = self.durable.as_mut() else {
+            return Ok(());
+        };
+        let meta = SnapshotMeta {
+            generation: durable.meta.generation + 1,
+            last_seq: durable
+                .next_seq
+                .map_or(durable.meta.last_seq, |next| next - 1),
+        };
+        SnapshotStore::new(&*durable.store.io, &durable.store.path)
+            .checkpoint(self.repairer.engine(), meta)?;
+        durable.meta = meta;
+        // The log is gone; the next append starts a fresh one after `meta`.
+        durable.next_seq = None;
+        Ok(())
+    }
+
+    /// The live engine.
+    pub(crate) fn repairer(&self) -> &RepairEngine {
+        &self.repairer
+    }
+
+    /// Give up the session, keeping its engine.
+    pub(crate) fn into_repairer(self) -> RepairEngine {
+        self.repairer
+    }
+
+    /// Commands applied and rejected so far, and the violations now.
+    pub fn summary(&self) -> SessionSummary {
+        SessionSummary {
+            violations: self.repairer.engine().violation_count(),
+            ..self.summary.clone()
+        }
+    }
+
+    /// Continue the counts of an earlier session over the same state — a
+    /// server tenant rebuilt after eviction keeps counting where it was.
+    pub(crate) fn resume_counts(&mut self, earlier: &SessionSummary) {
+        self.summary.applied = earlier.applied;
+        self.summary.rejected = earlier.rejected;
+    }
 }
 
 /// Render a slice of edits as one replayable `batch` command line — the
-/// form a coalescing server logs a merged edit run in, so WAL replay
-/// reproduces the single `apply_batch` (and its one version bump) exactly.
+/// form the WAL stores a repair chase and a coalesced edit run in, so
+/// replay reproduces the single `apply_batch` (and its one version bump)
+/// exactly.
 pub(crate) fn edits_as_batch_json(edits: &[Edit], schema: &Schema) -> String {
     let mut line = String::from("{\"op\":\"batch\",\"edits\":[");
     for (i, edit) in edits.iter().enumerate() {
@@ -940,7 +1072,7 @@ fn write_repair_events(
     passes: usize,
     engine: &DeltaEngine,
     schema: &Schema,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     for fix in &outcome.fixes {
         if !fix.competitors.is_empty() {
             let mut line = format!(
@@ -980,6 +1112,7 @@ fn write_repair_events(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::tableau::TableauRow;
@@ -1052,17 +1185,22 @@ mod tests {
         let open_brackets = "[".repeat(200_000);
         let deep_set = format!(r#"{{"op":"set","row":0,"attr":"gender","value":{open_brackets}"#);
         let deep_check = format!(r#"{{"op":"check","x":{}}}"#, nested(10_000));
-        let script = [
-            open_brackets.as_str(),
-            &deep_set,
-            &deep_check,
-            r#"{"op":"check"}"#,
+        // Lines the reader cannot deliver — bytes that are not UTF-8, and a
+        // line past the byte cap — get one error event each as well.
+        let over_cap = "x".repeat(json::MAX_LINE_BYTES + 1);
+        let script: [&[u8]; 6] = [
+            open_brackets.as_bytes(),
+            deep_set.as_bytes(),
+            deep_check.as_bytes(),
+            b"\xff\xfe",
+            over_cap.as_bytes(),
+            br#"{"op":"check"}"#,
         ];
         let rel = name_relation();
         let pfds = vec![gender_pfd(&rel)];
         let mut out = Vec::new();
         let (_, summary) =
-            run_session(rel, pfds, Cursor::new(script.join("\n")), &mut out).unwrap();
+            run_session(rel, pfds, Cursor::new(script.join(&b'\n')), &mut out).unwrap();
         let events: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(events.len(), 1 + script.len(), "{events:?}");
         for event in &events[1..4] {
@@ -1071,12 +1209,34 @@ mod tests {
                 "{event}"
             );
         }
-        assert!(
-            events[4].starts_with(r#"{"event":"state""#),
-            "{}",
-            events[4]
+        assert_eq!(
+            events[4],
+            r#"{"event":"error","message":"line is not valid UTF-8"}"#
         );
-        assert_eq!((summary.applied, summary.rejected), (1, 3));
+        assert_eq!(
+            events[5],
+            r#"{"event":"error","message":"line longer than 4194304 bytes"}"#
+        );
+        assert!(
+            events[6].starts_with(r#"{"event":"state""#),
+            "{}",
+            events[6]
+        );
+        assert_eq!((summary.applied, summary.rejected), (1, 5));
+    }
+
+    #[test]
+    fn line_reader_bounds_each_line() {
+        let cap = json::MAX_LINE_BYTES;
+        let at_cap = "y".repeat(cap);
+        let input = format!("a\r\n\n{at_cap}\n{at_cap}z\nb");
+        let mut lines = LineReader::new(input.as_bytes());
+        let mut read = Vec::new();
+        while let Some(line) = lines.next_line().unwrap() {
+            read.push(line.map(str::len));
+        }
+        let too_long = Err(format!("line longer than {cap} bytes"));
+        assert_eq!(read, [Ok(1), Ok(0), Ok(cap), too_long, Ok(1)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! A resumed *session* is snapshot + record-framed delta log (see
 //! [`pfd_relation::wal`]): the log holds the session-command form of every
 //! applied edit (repairs as one `batch` of `set`s — see
-//! [`run_session_with`](crate::session::run_session_with)), each framed
+//! [`Session::handle_line`](crate::session::Session::handle_line)), each framed
 //! with a checksum and a monotonic sequence number. The `META` section
 //! records the highest sequence number a snapshot already incorporates, so
 //! replay can skip records the snapshot covers — which is what makes the

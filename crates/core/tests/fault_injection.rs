@@ -1,6 +1,7 @@
 //! Deterministic fault-injection property suite for the durability layer.
 //!
-//! A durable write sequence — checkpoint, a run of logged edits, a final
+//! The write sequence `pfd session --snapshot` runs — a [`Session`] opening
+//! (and checkpointing) a fresh store, a run of logged edits, a final
 //! checkpoint — is executed against [`FailpointIo`], whose *fuel* budget
 //! makes it crash after any chosen number of written bytes or metadata
 //! operations (the torn prefix of the failing write still lands, exactly
@@ -11,8 +12,9 @@
 //! * never panic, whatever the surviving files look like;
 //! * restore a state equal to the base engine plus a *prefix* of the
 //!   edit script;
-//! * restore a prefix at least as long as what the writer acknowledged
-//!   (an edit is acknowledged once its WAL append returned `Ok`).
+//! * restore a prefix at least as long as what the session acknowledged
+//!   (an edit's `delta` event is only written after its WAL append
+//!   returned `Ok`).
 //!
 //! The sweep samples ~100 crash points by default; set
 //! `PFD_FAULT_EXHAUSTIVE=1` to test every single fuel value (CI does this
@@ -24,10 +26,10 @@ use std::sync::Arc;
 
 use pfd_core::server::NoProtocolOpens;
 use pfd_core::{
-    replay_log, CollectSink, DeltaEngine, Pfd, RecoveryPolicy, Server, ServerOptions, SnapshotMeta,
-    SnapshotStore,
+    replay_log, CollectSink, DeltaEngine, Pfd, RecoveryPolicy, RepairOptions, Server,
+    ServerOptions, Session, SessionStore, SnapshotStore,
 };
-use pfd_relation::{read_csv_str, FailpointIo, Io, MemIo, SyncPolicy, WalWriter};
+use pfd_relation::{read_csv_str, FailpointIo, MemIo};
 use proptest::prelude::*;
 
 const GEO_CSV: &str = "\
@@ -102,51 +104,36 @@ fn prefix_states(base: &DeltaEngine, lines: &[String]) -> Vec<DeltaEngine> {
     expected
 }
 
-/// The durable write sequence under test, stopping at the first injected
-/// crash: checkpoint generation 1, append each edit to the WAL (fsync per
-/// record), checkpoint generation 2. Returns how many edits were
-/// *acknowledged* — their WAL append returned `Ok` before the crash.
-fn scripted_run(io: &dyn Io, base: &DeltaEngine, lines: &[String]) -> usize {
-    let store = SnapshotStore::new(io, SNAP);
-    let mut engine = base.clone();
-    if store
-        .checkpoint(
-            &engine,
-            SnapshotMeta {
-                generation: 1,
-                last_seq: 0,
-            },
-        )
-        .is_err()
-    {
-        return 0;
-    }
-    let log_path = store.log_path();
-    let Ok((mut wal, _)) = WalWriter::open(io, &log_path, 0, SyncPolicy::Always) else {
-        return 0;
+/// The durable session under test, stopping at the first injected crash:
+/// [`Session::open`] on an empty store (cold build from `base`, checkpoint
+/// generation 1), [`Session::handle_line`] per edit (WAL append, fsync,
+/// then the `delta` event), [`Session::checkpoint`] (generation 2). Returns
+/// how many edits were *acknowledged* — answered by a `delta` event.
+fn scripted_run(io: Arc<FailpointIo<MemIo>>, base: &DeltaEngine, lines: &[String]) -> usize {
+    let store = SessionStore {
+        io,
+        path: SNAP.into(),
+        policy: RecoveryPolicy::Strict,
     };
-    let mut acked = 0;
-    for line in lines {
-        replay_log(&mut engine, line).expect("script lines always apply in memory");
-        if wal.append(line.as_bytes()).is_err() {
-            return acked;
+    let mut out = Vec::new();
+    let cold = || Ok::<_, std::io::Error>(base.clone());
+    if let Ok(mut session) = Session::open(Some(store), RepairOptions::default(), cold, &mut out) {
+        let survived = lines
+            .iter()
+            .all(|line| session.handle_line(line, &mut out).is_ok());
+        if survived {
+            let _ = session.checkpoint();
         }
-        acked += 1;
     }
-    let _ = store.checkpoint(
-        &engine,
-        SnapshotMeta {
-            generation: 2,
-            last_seq: wal.last_seq(),
-        },
-    );
-    acked
+    out.split(|&b| b == b'\n')
+        .filter(|line| line.starts_with(br#"{"event":"delta""#))
+        .count()
 }
 
 /// Fuel of an uninterrupted run — the sweep's upper bound.
 fn total_fuel(base: &DeltaEngine, lines: &[String]) -> u64 {
-    let probe = FailpointIo::unlimited(MemIo::new());
-    let acked = scripted_run(&probe, base, lines);
+    let probe = Arc::new(FailpointIo::unlimited(MemIo::new()));
+    let acked = scripted_run(probe.clone(), base, lines);
     assert_eq!(acked, lines.len(), "unlimited run acknowledges everything");
     probe.consumed()
 }
@@ -176,8 +163,8 @@ fn crash_and_recover(
     policy: RecoveryPolicy,
 ) -> Option<usize> {
     let disk = MemIo::new();
-    let faulty = FailpointIo::with_fuel(disk.clone(), fuel);
-    let acked = scripted_run(&faulty, base, lines);
+    let faulty = Arc::new(FailpointIo::with_fuel(disk.clone(), fuel));
+    let acked = scripted_run(faulty, base, lines);
 
     let store = SnapshotStore::new(&disk, SNAP);
     let recovered = match store.recover(policy, || Ok::<_, Infallible>(base.clone())) {

@@ -121,7 +121,6 @@ fn solo_run(script: &[String]) -> (Vec<String>, Relation) {
         RepairEngine::from_engine(engine(), RepairOptions::default()),
         std::io::Cursor::new(script.join("\n")),
         &mut out,
-        None,
     )
     .unwrap();
     let lines = out.lines().map(Result::unwrap).collect();

@@ -243,7 +243,6 @@ fn eviction_under_load_is_stream_transparent() {
                 RepairEngine::from_engine(engine(), RepairOptions::default()),
                 std::io::Cursor::new(script.join("\n")),
                 &mut out,
-                None,
             )
             .unwrap();
             out.lines().map(Result::unwrap).collect()

@@ -45,6 +45,4 @@ pub use postings::{PostingList, RowSetAccumulator};
 pub use profile::{profile_column, profile_relation, ColumnKind, ColumnProfile, Extraction};
 pub use relation::{Relation, RelationError, RowDelta, RowId, RowView};
 pub use schema::{AttrId, Schema, SchemaError};
-pub use wal::{
-    read_wal_bytes, SyncPolicy, WalLineSink, WalReadOutcome, WalRecord, WalTail, WalWriter,
-};
+pub use wal::{read_wal_bytes, SyncPolicy, WalReadOutcome, WalRecord, WalTail, WalWriter};

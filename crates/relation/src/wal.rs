@@ -348,11 +348,11 @@ impl<'io> WalWriter<'io> {
     /// re-reading it: the next record gets sequence `next_seq`.
     ///
     /// [`WalWriter::open`] scans the whole file to find the valid prefix —
-    /// right after a crash, wrong on every reopen of a live log (a server
-    /// draining a tenant thousands of times would re-read the log
+    /// right after a crash, wrong on every append to a live log (a session
+    /// opening one writer per command would re-read the log
     /// quadratically). The caller owns the contract that the file exists
-    /// with a valid tail and that its last record is `next_seq - 1`; the
-    /// multi-tenant server caches that from its previous open or append.
+    /// with a valid tail and that its last record is `next_seq - 1`; a
+    /// `pfd_core` session caches that from its previous open or append.
     pub fn continue_at(io: &'io dyn Io, path: &Path, next_seq: u64, sync: SyncPolicy) -> Self {
         WalWriter {
             io,
@@ -385,44 +385,6 @@ impl<'io> WalWriter<'io> {
     /// The log file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// Adapts a [`WalWriter`] to [`io::Write`] for line-oriented producers:
-/// every `\n`-terminated chunk becomes one record (without the newline).
-///
-/// This is the bridge to the session layer, which logs one JSONL command
-/// per applied edit through a `&mut dyn Write` seam.
-pub struct WalLineSink<'a, 'io> {
-    writer: &'a mut WalWriter<'io>,
-    buf: Vec<u8>,
-}
-
-impl<'a, 'io> WalLineSink<'a, 'io> {
-    /// Frames lines written through `io::Write` into `writer`.
-    pub fn new(writer: &'a mut WalWriter<'io>) -> Self {
-        WalLineSink {
-            writer,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl io::Write for WalLineSink<'_, '_> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        for &b in data {
-            if b == b'\n' {
-                let line = std::mem::take(&mut self.buf);
-                self.writer.append(&line)?;
-            } else {
-                self.buf.push(b);
-            }
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -618,24 +580,5 @@ mod tests {
         assert_eq!(reread.tail, WalTail::Clean);
         assert_eq!(reread.records.len(), 2);
         assert_eq!(reread.records[1].seq, 2);
-    }
-
-    #[test]
-    fn line_sink_frames_one_record_per_line() {
-        use std::io::Write as _;
-        let mem = MemIo::new();
-        let path = Path::new("/session.log");
-        let (mut w, _) = WalWriter::open(&mem, path, 0, SyncPolicy::Never).unwrap();
-        {
-            let mut sink = WalLineSink::new(&mut w);
-            // Split writes must still frame on newlines only.
-            sink.write_all(b"{\"op\":").unwrap();
-            sink.write_all(b"\"set\"}\n{\"op\":\"delete\"}\n").unwrap();
-            sink.flush().unwrap();
-        }
-        let outcome = read_wal_bytes(&mem.read(path).unwrap());
-        assert_eq!(outcome.records.len(), 2);
-        assert_eq!(outcome.records[0].payload, b"{\"op\":\"set\"}");
-        assert_eq!(outcome.records[1].payload, b"{\"op\":\"delete\"}");
     }
 }

@@ -19,17 +19,17 @@
 //! own flags; any other flag is a usage error naming it. `repair` chases
 //! the fixpoint with the delta-driven [`RepairEngine`]; `--explain` prints
 //! each fix's score breakdown and the candidates it beat. `session` runs
-//! the JSONL steward loop of
-//! [`pfd_core::session`] over stdin (or `--script`); `--json` switches
+//! one [`pfd_core::Session`] — the JSONL steward loop every `serve` tenant
+//! also runs — over stdin (or `--script`); `--json` switches
 //! `check`/`repair` to the same machine-readable serialization the session
 //! protocol streams.
 
 use pfd_core::session::json;
 use pfd_core::{
     check_report_json, detect_errors, display_with_schema, parse_rules, repair_outcome_json,
-    run_durable_session, run_session_with, to_rules_string, ChannelSink, DeltaEngine,
-    DurableSessionError, Pfd, RecoverFailure, RecoveryPolicy, RepairEngine, RepairOptions, Server,
-    ServerOptions, SnapshotError, SnapshotStore, TenantLoader, DEFAULT_TENANT,
+    to_rules_string, ChannelSink, DeltaEngine, LineReader, Pfd, RecoverFailure, RecoveryPolicy,
+    RepairEngine, RepairOptions, Server, ServerOptions, Session, SessionStore, SnapshotError,
+    SnapshotStore, TenantLoader, DEFAULT_TENANT,
 };
 use pfd_discovery::{discover, discover_persistent, review_queue, DiscoveryConfig};
 use pfd_relation::io::StdIo;
@@ -111,16 +111,6 @@ impl From<RecoverFailure<CliError>> for CliError {
         match f {
             RecoverFailure::Snapshot(e) => CliError::Snapshot(e),
             RecoverFailure::ColdBuild(e) => e,
-        }
-    }
-}
-
-impl From<DurableSessionError<CliError>> for CliError {
-    fn from(e: DurableSessionError<CliError>) -> Self {
-        match e {
-            DurableSessionError::Recover(f) => f.into(),
-            DurableSessionError::Snapshot(s) => CliError::Snapshot(s),
-            DurableSessionError::SessionIo(io) => CliError::Io(io),
         }
     }
 }
@@ -500,6 +490,14 @@ fn obtain_engine(
     Ok(recovered.engine)
 }
 
+/// The command stream of `session`/`serve`: the `--script` file, or stdin.
+fn open_script(script: Option<&str>) -> Result<Box<dyn BufRead>, CliError> {
+    Ok(match script {
+        Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
+        None => Box::new(std::io::stdin().lock()),
+    })
+}
+
 /// Cold-builds serve tenants from the `open` command's `"csv"` and
 /// `"rules"` fields (`--rules` is the fallback rule file). Only consulted
 /// when no snapshot family exists for the tenant under `--root`.
@@ -819,36 +817,25 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             snapshot,
             recover,
         } => {
-            let input: Box<dyn BufRead> = match &script {
-                Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
-                None => Box::new(std::io::stdin().lock()),
-            };
-            let summary = match &snapshot {
-                // Durable lifecycle: recover (replaying any crashed
-                // session's log), checkpoint, serve with every applied
-                // command fsynced to the delta log, checkpoint again.
-                Some(path) => {
-                    let io = StdIo;
-                    let (_, summary, _) = run_durable_session(
-                        &io,
-                        Path::new(path),
-                        recover,
-                        RepairOptions::default(),
-                        || cold_build(&data, rules.as_deref(), "session"),
-                        input,
-                        out,
-                    )?;
-                    summary
-                }
-                None => {
-                    let engine = cold_build(&data, rules.as_deref(), "session")?;
-                    let repairer = RepairEngine::from_engine(engine, RepairOptions::default());
-                    let (_, summary) = run_session_with(repairer, input, out, None)?;
-                    summary
-                }
-            };
+            let input = open_script(script.as_deref())?;
+            // With --snapshot: recover (replaying any crashed session's
+            // log), serve with every applied command fsynced to the delta
+            // log, checkpoint at EOF. Without it all of that is a no-op.
+            let store = snapshot.map(|path| SessionStore {
+                io: Arc::new(StdIo),
+                path: path.into(),
+                policy: recover,
+            });
+            let mut session = Session::open(
+                store,
+                RepairOptions::default(),
+                || cold_build(&data, rules.as_deref(), "session"),
+                out,
+            )?;
+            session.serve(input, out)?;
+            session.checkpoint()?;
             // Dirty end state → exit code 1, matching `check`.
-            Ok(if summary.violations == 0 { 0 } else { 1 })
+            Ok(i32::from(session.summary().violations > 0))
         }
         Command::Serve {
             data,
@@ -860,10 +847,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             coalesce,
             recover,
         } => {
-            let input: Box<dyn BufRead> = match &script {
-                Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
-                None => Box::new(std::io::stdin().lock()),
-            };
+            let mut input = LineReader::new(open_script(script.as_deref())?);
             let (tx, rx) = std::sync::mpsc::channel();
             let sink = Arc::new(ChannelSink::new(tx));
             let loader = Arc::new(FileTenantLoader {
@@ -895,8 +879,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             // Piped/scripted input keeps the throughput-friendly path
             // where events stream out as they become ready.
             let interactive = script.is_none() && std::io::stdin().is_terminal();
-            for line in input.lines() {
-                server.submit(&line?);
+            while let Some(line) = input.next_line()? {
+                match line {
+                    Ok(line) => server.submit(line),
+                    Err(unreadable) => server.reject(&unreadable),
+                }
                 if interactive {
                     server.drain_report();
                 }
@@ -930,7 +917,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str, content: &str) -> String {
+    fn tmp(name: &str, content: impl AsRef<[u8]>) -> String {
         let dir = std::env::temp_dir().join("pfd-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{}-{name}", std::process::id()));
@@ -1270,7 +1257,7 @@ mod tests {
             ["city", "county", "state", "region"].map(|a| clean.schema().attr(a).unwrap());
         let profile = ErrorProfile::correlated(&targets, 0.02);
         let (dirty, _) = dirty_clean_pair(&clean, &profile, 3);
-        let data = tmp("snap-geo.csv", &pfd_relation::write_csv_string(&dirty));
+        let data = tmp("snap-geo.csv", pfd_relation::write_csv_string(&dirty));
         let rules = tmp_path("snap-geo-rules.pfd");
         let (code, output) = run_capture(&["discover", &data, "--rules", &rules]);
         assert_eq!(code, 0, "{output}");
@@ -1532,6 +1519,83 @@ mod tests {
         // both emit ready + delta + state here).
         let solo: Vec<String> = out_session.lines().map(str::to_string).collect();
         assert_eq!(untag_serve(&out_serve, "default"), solo);
+
+        // Durable, both front ends run one session loop: the same events,
+        // and the same snapshot family — from a clean start, then resuming
+        // it after a crash left one acknowledged record in each WAL.
+        let script = tmp(
+            "serve-compat-durable.jsonl",
+            concat!(
+                "{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}\n",
+                "{\"op\":\"fly\"}\n",
+                "{\"op\":\"insert\",\"cells\":[\"60606\",\"Chicgo\"]}\n",
+                "{\"op\":\"repair\"}\n",
+                "{\"op\":\"check\"}\n",
+            ),
+        );
+        let snap = tmp_path("serve-compat.pfds");
+        for suffix in [".prev", ".log"] {
+            let _ = std::fs::remove_file(format!("{snap}{suffix}"));
+        }
+        let root = tmp_path("serve-compat-root");
+        let _ = std::fs::remove_dir_all(&root);
+        let family = format!("{root}/default/state.pfds");
+        for leftover in [false, true] {
+            if leftover {
+                for path in [&snap, &family] {
+                    let bytes = std::fs::read(path).unwrap();
+                    let (_, meta) = pfd_core::load_from_bytes_with(&bytes).unwrap();
+                    let log = format!("{path}.log");
+                    let (mut wal, _) = pfd_relation::WalWriter::open(
+                        &StdIo,
+                        Path::new(&log),
+                        meta.last_seq,
+                        pfd_relation::SyncPolicy::Always,
+                    )
+                    .unwrap();
+                    wal.append(br#"{"op":"set","row":0,"attr":"city","value":"LA"}"#)
+                        .unwrap();
+                }
+            }
+            let (code_session, out_session) = run_capture(&[
+                "session",
+                &data,
+                "--rules",
+                &rules_path,
+                "--script",
+                &script,
+                "--snapshot",
+                &snap,
+            ]);
+            let (code_serve, out_serve) = run_capture(&[
+                "serve",
+                &data,
+                "--rules",
+                &rules_path,
+                "--script",
+                &script,
+                "--root",
+                &root,
+                "--workers",
+                "2",
+            ]);
+            assert_eq!((code_session, code_serve), (0, 0), "{out_serve}");
+            let solo: Vec<String> = out_session.lines().map(str::to_string).collect();
+            assert_eq!(untag_serve(&out_serve, "default"), solo);
+            assert_eq!(
+                solo[0].starts_with("{\"event\":\"recovered\""),
+                leftover,
+                "{out_session}"
+            );
+            for suffix in ["", ".prev"] {
+                assert_eq!(
+                    std::fs::read(format!("{snap}{suffix}")).unwrap(),
+                    std::fs::read(format!("{family}{suffix}")).unwrap(),
+                    "state.pfds{suffix} differs from the session's"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1544,7 +1608,7 @@ mod tests {
         );
         let script = tmp(
             "serve-multi-script.jsonl",
-            &format!(
+            format!(
                 concat!(
                     "{{\"op\":\"open\",\"tenant\":\"a\",\"csv\":{a:?}}}\n",
                     "{{\"op\":\"open\",\"tenant\":\"b\",\"csv\":{b:?}}}\n",
@@ -1595,34 +1659,36 @@ mod tests {
             "serve-neg-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let script = tmp(
-            "serve-neg-script.jsonl",
-            &format!(
-                concat!(
-                    // Command before any open of that tenant.
-                    "{{\"op\":\"check\",\"tenant\":\"ghost\"}}\n",
-                    // Malformed tenant names never create directories.
-                    "{{\"op\":\"open\",\"tenant\":\"../escape\"}}\n",
-                    "{{\"op\":\"open\",\"tenant\":\"\"}}\n",
-                    // Duplicate open of the auto-opened default tenant.
-                    "{{\"op\":\"open\",\"csv\":{data:?}}}\n",
-                    // Open that cold-builds from a missing file.
-                    "{{\"op\":\"open\",\"tenant\":\"nofile\",\"csv\":\"/not/here.csv\"}}\n",
-                    // Non-string tenant field.
-                    "{{\"op\":\"check\",\"tenant\":7}}\n",
-                    // Nested past the JSON depth cap: bare, inside a set
-                    // value, and inside a line that is otherwise valid.
-                    "{deep}\n",
-                    "{{\"op\":\"set\",\"row\":0,\"attr\":\"city\",\"value\":{deep}\n",
-                    "{{\"op\":\"check\",\"x\":{nested}}}\n",
-                    // Still answered after them.
-                    "{{\"op\":\"check\"}}\n",
-                ),
-                data = data,
-                deep = "[".repeat(200_000),
-                nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)),
+        let mut script = format!(
+            concat!(
+                // Command before any open of that tenant.
+                "{{\"op\":\"check\",\"tenant\":\"ghost\"}}\n",
+                // Malformed tenant names never create directories.
+                "{{\"op\":\"open\",\"tenant\":\"../escape\"}}\n",
+                "{{\"op\":\"open\",\"tenant\":\"\"}}\n",
+                // Duplicate open of the auto-opened default tenant.
+                "{{\"op\":\"open\",\"csv\":{data:?}}}\n",
+                // Open that cold-builds from a missing file.
+                "{{\"op\":\"open\",\"tenant\":\"nofile\",\"csv\":\"/not/here.csv\"}}\n",
+                // Non-string tenant field.
+                "{{\"op\":\"check\",\"tenant\":7}}\n",
+                // Nested past the JSON depth cap: bare, inside a set
+                // value, and inside a line that is otherwise valid.
+                "{deep}\n",
+                "{{\"op\":\"set\",\"row\":0,\"attr\":\"city\",\"value\":{deep}\n",
+                "{{\"op\":\"check\",\"x\":{nested}}}\n",
+                // A line past the byte cap.
+                "{over_cap}\n",
             ),
-        );
+            data = data,
+            deep = "[".repeat(200_000),
+            nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)),
+            over_cap = "x".repeat(json::MAX_LINE_BYTES + 1),
+        )
+        .into_bytes();
+        // Bytes that are not UTF-8; the check after them is still answered.
+        script.extend_from_slice(b"\xff\xfe\n{\"op\":\"check\"}\n");
+        let script = tmp("serve-neg-script.jsonl", script);
         let (code, output) = run_capture(&[
             "serve",
             &data,
@@ -1640,6 +1706,8 @@ mod tests {
             "{\"event\":\"error\",\"message\":\"invalid tenant name \\\"../escape\\\": tenant names may only contain [A-Za-z0-9_-]\"}",
             "{\"event\":\"error\",\"message\":\"invalid tenant name \\\"\\\": tenant names must be 1-64 characters\"}",
             "{\"event\":\"error\",\"message\":\"\\\"tenant\\\" must be a string\"}",
+            "{\"event\":\"error\",\"message\":\"line longer than 4194304 bytes\"}",
+            "{\"event\":\"error\",\"message\":\"line is not valid UTF-8\"}",
         ];
         for line in expect {
             assert!(
