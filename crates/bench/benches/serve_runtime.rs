@@ -6,8 +6,8 @@
 //! workload, submits a fixed number of `set` commands per tenant from a
 //! single feeder thread (round-robin, as a socket front-end would), and
 //! times submit-to-drain wall clock. Tenants are independent, so the
-//! shared work-stealing executor should scale throughput with the tenant
-//! count until the machine runs out of cores; the coalesced variant
+//! shared FIFO executor should scale throughput with the tenant count
+//! until the machine runs out of cores; the coalesced variant
 //! additionally folds each tenant's queue backlog into single
 //! `apply_batch` calls.
 //!
@@ -75,7 +75,6 @@ fn tenant_lines(tenants: usize, edits: usize, num_rows: usize) -> Vec<Vec<String
 
 struct RunResult {
     edits_per_sec: f64,
-    steals: usize,
 }
 
 /// One measured run: open `tenants` clones of `base`, feed every tenant
@@ -91,8 +90,9 @@ fn run_case(base: &DeltaEngine, tenants: usize, edits: usize, coalesce: bool) ->
         Arc::new(NullSink),
     );
     for t in 0..tenants {
+        let engine = base.clone();
         server
-            .open_with_engine(&format!("t{t}"), base.clone())
+            .open_with(&format!("t{t}"), move || Ok(engine))
             .unwrap();
     }
     server.drain();
@@ -105,11 +105,9 @@ fn run_case(base: &DeltaEngine, tenants: usize, edits: usize, coalesce: bool) ->
     }
     server.drain();
     let secs = t0.elapsed().as_secs_f64();
-    let steals = server.executor_steals();
     black_box(server.shutdown());
     RunResult {
         edits_per_sec: (tenants * edits) as f64 / secs.max(1e-9),
-        steals,
     }
 }
 
@@ -153,7 +151,7 @@ fn write_bench_json(smoke: bool) {
         .collect();
     let solo = cases[0].plain.edits_per_sec;
 
-    let mut json = String::from("{\n  \"schema_version\": 1,\n");
+    let mut json = String::from("{\n  \"schema_version\": 2,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -175,12 +173,11 @@ fn write_bench_json(smoke: bool) {
         let _ = write!(
             json,
             "    {{\"tenants\": {}, \"edits_per_sec\": {:.0}, \
-             \"coalesced_edits_per_sec\": {:.0}, \"scaling_x\": {:.2}, \"steals\": {}}}",
+             \"coalesced_edits_per_sec\": {:.0}, \"scaling_x\": {:.2}}}",
             c.tenants,
             c.plain.edits_per_sec,
             c.coalesced.edits_per_sec,
             c.plain.edits_per_sec / solo.max(1e-9),
-            c.plain.steals + c.coalesced.steals,
         );
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }

@@ -39,6 +39,7 @@ use crate::grouping::TableauScan;
 use crate::pfd::{Pfd, Violation, ViolationKind};
 use crate::reference;
 use pfd_relation::{AttrId, PostingList, Relation, RelationError, RowId, SchemaError};
+use pfd_runtime::parallel_map;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -533,42 +534,14 @@ impl DeltaEngine {
         groups: Vec<Vec<Vec<GroupSnapshot>>>,
     ) -> DeltaEngine {
         // Each tableau's index is independent (its own group map and
-        // row → key vector), so rebuild them in parallel: flatten to a task
-        // list, fan out in order-preserving chunks, then re-nest per PFD.
+        // row → key vector), so rebuild them in parallel over the
+        // flattened task list, then re-nest per PFD.
         let num_rows = rel.num_rows();
-        let shape: Vec<usize> = groups.iter().map(|tableaux| tableaux.len()).collect();
-        let tasks: Vec<Vec<GroupSnapshot>> = groups.into_iter().flatten().collect();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
-        let mut chunked: Vec<Vec<Vec<GroupSnapshot>>> = Vec::new();
-        let mut it = tasks.into_iter();
-        loop {
-            let c: Vec<Vec<GroupSnapshot>> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunked.push(c);
-        }
-        let mut built: Vec<TableauIndex> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunked
-                .into_iter()
-                .map(|c| {
-                    scope.spawn(move || {
-                        c.into_iter()
-                            .map(|snapshots| Self::rebuild_tableau_index(snapshots, num_rows))
-                            .collect::<Vec<TableauIndex>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                built.extend(h.join().expect("tableau index rebuild panicked"));
-            }
-        });
-        let mut built = built.into_iter();
+        let shape: Vec<usize> = groups.iter().map(Vec::len).collect();
+        let mut built = parallel_map(groups.into_iter().flatten(), |snapshots| {
+            Self::rebuild_tableau_index(snapshots, num_rows)
+        })
+        .into_iter();
         let index = shape
             .into_iter()
             .map(|n| PfdIndex {

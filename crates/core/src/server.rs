@@ -1,5 +1,5 @@
 //! The multi-tenant session server: many named relations, one JSONL
-//! stream, one shared work-stealing runtime.
+//! stream, one shared FIFO executor.
 //!
 //! Each **tenant** is a named relation holding its own [`Session`] — the
 //! command loop `pfd session` runs, so recovery, append-then-ack and
@@ -151,7 +151,7 @@ pub trait TenantLoader: Send + Sync {
 }
 
 /// A loader that refuses every protocol-initiated open — for servers whose
-/// tenants are only opened through [`Server::open_with_engine`].
+/// tenants are only opened through [`Server::open_with`].
 pub struct NoProtocolOpens;
 
 impl TenantLoader for NoProtocolOpens {
@@ -217,19 +217,17 @@ struct DurableRoot {
 
 /// What `submit` queues for a tenant drain job.
 enum QueuedItem {
-    /// Open with a cold source: a protocol spec for the loader, or a
-    /// prebuilt engine from [`Server::open_with_engine`].
-    Open(EngineSource),
+    /// Open, cold-building through the closure (the loader over a
+    /// protocol spec, or the one given to [`Server::open_with`]) only
+    /// when the tenant has no usable snapshot family.
+    Open(ColdBuild),
     /// One raw command line (still to be parsed against the schema).
     Command(String),
     /// Checkpoint, emit `closed`, and forget the tenant.
     Close,
 }
 
-enum EngineSource {
-    Spec(json::Value),
-    Engine(Box<DeltaEngine>),
-}
+type ColdBuild = Box<dyn FnOnce() -> Result<DeltaEngine, String> + Send>;
 
 struct TenantQueue {
     pending: VecDeque<QueuedItem>,
@@ -471,7 +469,11 @@ impl Server {
             }
         };
         match value.get("op").and_then(json::Value::as_str) {
-            Some("open") => self.handle_open(tenant, EngineSource::Spec(value.clone())),
+            Some("open") => {
+                let loader = Arc::clone(&self.shared.loader);
+                let (name, spec) = (tenant.to_string(), value.clone());
+                self.handle_open(tenant, Box::new(move || loader.load(&name, &spec)));
+            }
             Some("close") => self.enqueue(tenant, QueuedItem::Close),
             Some("list") => self.handle_list(),
             _ => self.enqueue(tenant, QueuedItem::Command(trimmed.to_string())),
@@ -486,20 +488,26 @@ impl Server {
         emit_global_error(&self.shared, None, message);
     }
 
-    /// Open a tenant around a prebuilt engine (the CLI's auto-opened
-    /// default tenant; tests and benches). In durable mode the engine is
-    /// the cold rung of the recovery ladder — an existing snapshot family
-    /// for the name wins.
+    /// Open a tenant whose engine `cold` builds: the CLI's auto-opened
+    /// default tenant reads its CSV and rules there, and a caller holding a
+    /// built engine passes `move || Ok(engine)`. In durable mode `cold` is
+    /// the last rung of the recovery ladder: it runs on the tenant's drain
+    /// job only when no snapshot family for the name is usable, and its
+    /// error fails the open like a loader's.
     ///
     /// Errors synchronously on invalid names and duplicate opens; the
     /// `ready` (or `error`) event still flows through the sink like a
     /// protocol open.
-    pub fn open_with_engine(&self, name: &str, engine: DeltaEngine) -> Result<(), String> {
+    pub fn open_with(
+        &self,
+        name: &str,
+        cold: impl FnOnce() -> Result<DeltaEngine, String> + Send + 'static,
+    ) -> Result<(), String> {
         validate_tenant_name(name)?;
         if self.shared.tenant(name).is_some() {
             return Err(format!("tenant {name:?} is already open"));
         }
-        self.handle_open(name, EngineSource::Engine(Box::new(engine)));
+        self.handle_open(name, Box::new(cold));
         Ok(())
     }
 
@@ -540,9 +548,12 @@ impl Server {
         self.shared.resident.load(Ordering::Relaxed)
     }
 
-    /// Steal operations performed by the shared executor so far.
+    /// Always 0: the shared executor is one FIFO queue and no longer
+    /// steals. Kept only for the benchmark harness's
+    /// `runtime.executor.steals` metric; the next benchmark change removes
+    /// this method together with that metric.
     pub fn executor_steals(&self) -> usize {
-        self.shared.executor.steals()
+        0
     }
 
     /// Clone a tenant's current relation (for tests). `None` when the
@@ -605,7 +616,7 @@ impl Server {
         exits
     }
 
-    fn handle_open(&self, name: &str, source: EngineSource) {
+    fn handle_open(&self, name: &str, cold: ColdBuild) {
         if let Err(why) = validate_tenant_name(name) {
             self.reject(&format!(
                 "invalid tenant name {}: {why}",
@@ -622,7 +633,7 @@ impl Server {
                 .or_insert_with(|| Arc::new(Tenant::new(name))),
         );
         self.touch_lru(name);
-        self.enqueue_on(&tenant, QueuedItem::Open(source));
+        self.enqueue_on(&tenant, QueuedItem::Open(cold));
     }
 
     fn handle_list(&self) {
@@ -764,9 +775,9 @@ fn process_batch(
     while let Some(item) = batch.pop_front() {
         let line = match item {
             QueuedItem::Command(line) => line,
-            QueuedItem::Open(source) => {
+            QueuedItem::Open(cold) => {
                 flush_run(shared, tenant, state, &mut emitter, &mut run);
-                handle_open_item(shared, tenant, state, &mut emitter, source);
+                handle_open_item(shared, tenant, state, &mut emitter, cold);
                 continue;
             }
             QueuedItem::Close => {
@@ -899,7 +910,7 @@ fn handle_open_item(
     tenant: &Tenant,
     state: &mut TenantState,
     emitter: &mut TenantEmitter<'_>,
-    source: EngineSource,
+    cold: ColdBuild,
 ) {
     if state.opened {
         emitter.emit_error(&format!(
@@ -914,13 +925,7 @@ fn handle_open_item(
             .create_dir_all(&durable.root.join(&tenant.name))
             .map_err(|e| format!("create tenant dir: {e}"))
     });
-    let cold = || match source {
-        EngineSource::Spec(spec) => shared
-            .loader
-            .load(&tenant.name, &spec)
-            .map_err(io::Error::other),
-        EngineSource::Engine(engine) => Ok(*engine),
-    };
+    let cold = || cold().map_err(io::Error::other);
     match dir
         .unwrap_or(Ok(()))
         .and_then(|()| open_session(shared, tenant, emitter, cold))
@@ -1136,7 +1141,7 @@ mod tests {
             } else {
                 "t1"
             };
-            server.open_with_engine(name, engine()).unwrap();
+            server.open_with(name, || Ok(engine())).unwrap();
             for cmd in &script {
                 server.submit(&format!("{{{tenant_field}{}", &cmd[1..]));
             }
@@ -1190,9 +1195,9 @@ mod tests {
     fn list_close_and_duplicate_open() {
         let sink = Arc::new(CollectSink::new());
         let server = ephemeral_server(sink.clone());
-        server.open_with_engine("a", engine()).unwrap();
-        server.open_with_engine("b", engine()).unwrap();
-        assert!(server.open_with_engine("a", engine()).is_err());
+        server.open_with("a", || Ok(engine())).unwrap();
+        server.open_with("b", || Ok(engine())).unwrap();
+        assert!(server.open_with("a", || Ok(engine())).is_err());
         server.drain();
         server.submit(r#"{"op":"list"}"#);
         server.submit(r#"{"op":"close","tenant":"a"}"#);
@@ -1225,7 +1230,7 @@ mod tests {
             Arc::new(NoProtocolOpens),
             sink.clone(),
         );
-        server.open_with_engine("t", engine()).unwrap();
+        server.open_with("t", || Ok(engine())).unwrap();
         server.drain(); // ready flushed; now queue edits while no job runs
 
         // Park the lone worker so all three commands are queued before the
@@ -1267,7 +1272,7 @@ mod tests {
             Arc::new(NoProtocolOpens),
             sink.clone(),
         );
-        server.open_with_engine("t", engine()).unwrap();
+        server.open_with("t", || Ok(engine())).unwrap();
         server.drain();
         server.submit(r#"{"op":"set","row":3,"attr":"gender","value":"F","tenant":"t"}"#);
         server.drain();
@@ -1374,7 +1379,7 @@ mod tests {
             Arc::new(NoProtocolOpens),
             sink.clone(),
         );
-        server.open_with_engine("t", engine()).unwrap();
+        server.open_with("t", || Ok(engine())).unwrap();
         server.drain();
 
         // Park the lone worker so all four commands land in one batch —
@@ -1431,7 +1436,7 @@ mod tests {
             Arc::new(NoProtocolOpens),
             sink.clone(),
         );
-        server.open_with_engine("t", engine()).unwrap();
+        server.open_with("t", || Ok(engine())).unwrap();
         server.drain();
         let (release, parked) = std::sync::mpsc::channel::<()>();
         server.shared.executor.spawn(move || parked.recv().unwrap());
@@ -1465,7 +1470,7 @@ mod tests {
             sink.clone(),
         );
         // Dirty at open (Susan Boyle is M): violations == 1 in the summary.
-        server.open_with_engine("t", engine()).unwrap();
+        server.open_with("t", || Ok(engine())).unwrap();
         server.submit(r#"{"op":"repair","tenant":"t"}"#);
         server.drain();
         assert!(server.evict("t").unwrap());
@@ -1483,8 +1488,8 @@ mod tests {
     fn worker_panic_fails_one_tenant_without_crashing_shutdown() {
         let sink = Arc::new(CollectSink::new());
         let server = ephemeral_server(sink.clone());
-        server.open_with_engine("ok", engine()).unwrap();
-        server.open_with_engine("sad", engine()).unwrap();
+        server.open_with("ok", || Ok(engine())).unwrap();
+        server.open_with("sad", || Ok(engine())).unwrap();
         server.drain();
         let sad = server
             .shared
@@ -1592,7 +1597,7 @@ mod tests {
             sink.clone(),
         );
         for name in ["a", "b", "c", "d"] {
-            server.open_with_engine(name, engine()).unwrap();
+            server.open_with(name, || Ok(engine())).unwrap();
             server.drain();
         }
         server.drain();

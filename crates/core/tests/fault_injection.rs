@@ -327,7 +327,7 @@ fn server_scripted_run(faulty: Arc<FailpointIo<MemIo>>, lines: &[String]) -> usi
         sink.clone(),
     );
     server
-        .open_with_engine(SRV_TENANT, base_engine())
+        .open_with(SRV_TENANT, || Ok(base_engine()))
         .expect("fresh tenant name is valid");
     let (head, tail) = lines.split_at(lines.len() / 2);
     for line in head {

@@ -154,7 +154,7 @@ proptest! {
             sink.clone(),
         );
         for i in 0..scripts.len() {
-            server.open_with_engine(&format!("t{i}"), engine()).unwrap();
+            server.open_with(&format!("t{i}"), || Ok(engine())).unwrap();
         }
         // Round-robin interleave: step k submits command k of every
         // tenant, so the tenants genuinely race on the executor while

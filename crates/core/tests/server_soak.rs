@@ -193,7 +193,7 @@ fn racing_tenants_reach_a_consistent_fixpoint() {
         sink.clone(),
     );
     for i in 0..TENANTS {
-        server.open_with_engine(&format!("t{i}"), engine()).unwrap();
+        server.open_with(&format!("t{i}"), || Ok(engine())).unwrap();
     }
     race(&server, &scripts);
 
@@ -262,7 +262,7 @@ fn eviction_under_load_is_stream_transparent() {
         sink.clone(),
     );
     for i in 0..TENANTS {
-        server.open_with_engine(&format!("t{i}"), engine()).unwrap();
+        server.open_with(&format!("t{i}"), || Ok(engine())).unwrap();
     }
     race(&server, &scripts);
 

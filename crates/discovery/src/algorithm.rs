@@ -8,8 +8,9 @@
 //! coverage threshold. Multi-attribute LHS candidates walk the attribute-set
 //! lattice with pruning (§4.2 restriction iv).
 //!
-//! Candidate checks and index builds run on the work-stealing pool of
-//! [`pfd_runtime::pool`] when [`DiscoveryConfig::parallel`] is set; row
+//! Candidate checks and index builds fan out over
+//! [`pfd_runtime::parallel_map`] when [`DiscoveryConfig::parallel`] is set
+//! (sequentially otherwise, as the CLI runs them); row
 //! sets are the compact [`PostingList`]s of [`pfd_relation::postings`].
 //! Per-phase timings land in [`DiscoveryStats`].
 

@@ -17,8 +17,9 @@
 //! Engineering-wise the hot path runs on interned fragments
 //! ([`FragmentDict`]), compact row sets
 //! ([`PostingList`](pfd_relation::PostingList): sorted runs with galloping
-//! intersection, bitsets once dense), and a work-stealing thread pool
-//! ([`pfd_runtime::pool`]) for index construction and candidate checking. Long
+//! intersection, bitsets once dense), and a scoped parallel map
+//! ([`pfd_runtime::parallel_map`]) for index construction and candidate
+//! checking when `DiscoveryConfig::parallel` is set. Long
 //! separator-free values take a suffix-automaton extraction path
 //! ([`FragmentExtractor`]) instead of the quadratic all-substrings
 //! enumeration, and the lattice walk batches RHS decisions per anchor

@@ -205,7 +205,8 @@ proptest! {
 
     #[test]
     fn parallel_pool_matches_sequential_discovery(rel in zip_city_relation()) {
-        // The work-stealing pool must not change a single discovered PFD.
+        // The parallel candidate fan-out must not change a single
+        // discovered PFD.
         let config = DiscoveryConfig { min_support: 3, parallel: false, ..DiscoveryConfig::default() };
         let parallel = DiscoveryConfig { parallel: true, ..config.clone() };
         let a = discover(&rel, &config);

@@ -1,67 +1,57 @@
-//! Persistent work-stealing executor for long-lived servers.
+//! Persistent FIFO executor for long-lived servers.
 //!
 //! The scoped [`crate::pool`] spins threads up per call, which is right
 //! for one-shot fan-outs (a discovery lattice level) but wrong for a
 //! server that schedules small jobs continuously: the multi-tenant session
 //! server submits one drain job per touched tenant, thousands of times per
-//! run. This executor keeps a fixed set of workers alive and reuses the
-//! same stealing discipline as the pool — own deque from the front, global
-//! injector, steal the back half of the fullest victim — with condvar
-//! parking when the system is empty.
+//! run. This executor keeps a fixed set of workers alive over one FIFO
+//! queue: a worker pops the front job, or parks until a push or shutdown
+//! wakes it.
 //!
-//! Jobs are `'static` boxed closures. Jobs spawned *from* a worker thread
-//! land on that worker's own deque (the common "tenant still has pending
-//! input, reschedule the drain" continuation), which is what makes
-//! stealing meaningful: an idle worker lifts the backlog off a busy one.
-//!
-//! Panics in jobs are caught and recorded rather than tearing down the
-//! worker; [`Executor::take_panics`] surfaces them so callers (and the
-//! soak tests) can fail loudly instead of deadlocking on a dead worker.
+//! Jobs are `'static` boxed closures, and a job may spawn further jobs
+//! onto the same queue. Panics in jobs are caught and recorded rather than
+//! tearing down the worker; [`Executor::take_panics`] surfaces them so
+//! callers (and the soak tests) can fail loudly instead of deadlocking on
+//! a dead worker.
 
-use std::cell::Cell;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// `(shared-ptr address, worker index)` when the current thread is an
-    /// executor worker; lets `spawn` route to the local deque.
-    static CURRENT_WORKER: Cell<(usize, usize)> = const { Cell::new((0, usize::MAX)) };
+/// The executor's whole mutable state, behind one lock. Jobs run outside
+/// it, so a panicking job cannot poison it.
+struct State {
+    /// Jobs not yet picked up, oldest first.
+    queue: VecDeque<Job>,
+    /// Jobs queued plus jobs running; `wait_idle` waits for 0.
+    active: usize,
+    /// Set by `Drop`: workers exit once the queue is empty.
+    shutdown: bool,
+    /// Panic messages captured from jobs, oldest first.
+    panics: Vec<String>,
 }
 
 /// Everything workers share; `Executor` holds it in an `Arc` so worker
 /// threads can outlive individual borrows.
 struct Shared {
-    /// Per-worker job deques (local pushes land here; victims for steals).
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Injector + counters behind one lock so parking can be raced-checked.
-    gate: Mutex<Gate>,
-    /// Signalled on every push and on drain-to-idle; workers park here.
+    state: Mutex<State>,
+    /// Signalled on every push and on shutdown; idle workers park here.
     work: Condvar,
-    /// Signalled when `active` drops to zero; `wait_idle` parks here.
+    /// Signalled when `active` reaches 0; `wait_idle` parks here.
     idle: Condvar,
-    /// Steal operations performed (observability / tests).
-    steals: AtomicUsize,
-    /// Panic payloads captured from jobs, oldest first.
-    panics: Mutex<Vec<String>>,
 }
 
-struct Gate {
-    /// Jobs not yet assigned to any worker.
-    injector: VecDeque<Job>,
-    /// Jobs queued anywhere plus jobs currently running.
-    active: usize,
-    /// Monotonic push counter; parking re-checks it to close the race
-    /// between a failed steal scan and the condvar wait.
-    pushes: u64,
-    shutdown: bool,
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// A fixed-size pool of long-lived work-stealing workers.
+/// A fixed-size pool of long-lived workers over one FIFO job queue.
 ///
 /// Dropping the executor signals shutdown, lets queued jobs drain, and
 /// joins every worker.
@@ -72,65 +62,41 @@ pub struct Executor {
 
 impl Executor {
     /// Spin up `workers` threads (clamped to at least 1).
+    #[allow(
+        clippy::expect_used,
+        reason = "a server cannot serve without workers, and this fails at \
+                  construction, before any tenant state exists"
+    )]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(Gate {
-                injector: VecDeque::new(),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
                 active: 0,
-                pushes: 0,
                 shutdown: false,
+                panics: Vec::new(),
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            steals: AtomicUsize::new(0),
-            panics: Mutex::new(Vec::new()),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pfd-runtime-{w}"))
-                    .spawn(move || worker_main(w, &shared))
+                    .spawn(move || worker_main(&shared))
                     .expect("spawn executor worker")
             })
             .collect();
         Executor { shared, handles }
     }
 
-    /// An executor sized to the machine's available parallelism.
-    pub fn with_default_workers() -> Self {
-        Executor::new(crate::default_parallelism())
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    /// Queue a job. From a worker thread of this executor the job lands on
-    /// that worker's own deque (stealable by idle peers); from any other
-    /// thread it goes to the global injector.
+    /// Queue a job behind every job already queued. Callable from any
+    /// thread, including this executor's own jobs.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let job: Job = Box::new(job);
-        let me = Arc::as_ptr(&self.shared) as usize;
-        let local = CURRENT_WORKER.with(|c| {
-            let (addr, idx) = c.get();
-            (addr == me).then_some(idx)
-        });
-        let mut gate = self.shared.gate.lock().expect("gate poisoned");
-        assert!(!gate.shutdown, "spawn on a shut-down executor");
-        gate.active += 1;
-        gate.pushes += 1;
-        match local {
-            Some(idx) => self.shared.deques[idx]
-                .lock()
-                .expect("deque poisoned")
-                .push_back(job),
-            None => gate.injector.push_back(job),
-        }
-        drop(gate);
+        let mut state = self.shared.lock();
+        state.queue.push_back(Box::new(job));
+        state.active += 1;
+        drop(state);
         self.shared.work.notify_one();
     }
 
@@ -138,29 +104,25 @@ impl Executor {
     /// from a worker thread would deadlock; it is meant for the thread
     /// that owns the executor.
     pub fn wait_idle(&self) {
-        let mut gate = self.shared.gate.lock().expect("gate poisoned");
-        while gate.active > 0 {
-            gate = self.shared.idle.wait(gate).expect("gate poisoned");
+        let mut state = self.shared.lock();
+        while state.active > 0 {
+            state = self
+                .shared
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Total steal operations since construction.
-    pub fn steals(&self) -> usize {
-        self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Drain captured job panics (oldest first). Empty in a healthy run.
     pub fn take_panics(&self) -> Vec<String> {
-        std::mem::take(&mut *self.shared.panics.lock().expect("panics poisoned"))
+        std::mem::take(&mut self.shared.lock().panics)
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let mut gate = self.shared.gate.lock().expect("gate poisoned");
-            gate.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -168,95 +130,45 @@ impl Drop for Executor {
     }
 }
 
-fn worker_main(me: usize, shared: &Arc<Shared>) {
-    CURRENT_WORKER.with(|c| c.set((Arc::as_ptr(shared) as usize, me)));
+/// Run queued jobs front first until shutdown finds the queue empty. A job
+/// spawned by a running job after shutdown is still picked up: its
+/// spawner's worker checks the queue again before it exits.
+fn worker_main(shared: &Shared) {
+    let mut state = shared.lock();
     loop {
-        // 1. Own deque, front first.
-        let job = shared.deques[me]
-            .lock()
-            .expect("deque poisoned")
-            .pop_front();
-        if let Some(job) = job {
-            run_job(shared, job);
-            continue;
-        }
-        // 2. Injector, then decide whether to exit or remember the push
-        //    ticket for the parking race check.
-        let seen = {
-            let mut gate = shared.gate.lock().expect("gate poisoned");
-            if let Some(job) = gate.injector.pop_front() {
-                drop(gate);
-                run_job(shared, job);
-                continue;
+        if let Some(job) = state.queue.pop_front() {
+            drop(state);
+            let panic = catch_unwind(AssertUnwindSafe(job)).err();
+            state = shared.lock();
+            state.panics.extend(panic.as_deref().map(panic_message));
+            state.active -= 1;
+            if state.active == 0 {
+                shared.idle.notify_all();
             }
-            if gate.shutdown && gate.active == 0 {
-                return;
-            }
-            gate.pushes
-        };
-        // 3. Steal the back half of the fullest victim.
-        let mut stolen: VecDeque<Job> = VecDeque::new();
-        let victim = (0..shared.deques.len())
-            .filter(|&v| v != me)
-            .max_by_key(|&v| shared.deques[v].lock().expect("deque poisoned").len());
-        if let Some(v) = victim {
-            let mut vd = shared.deques[v].lock().expect("deque poisoned");
-            let take = vd.len().div_ceil(2);
-            for _ in 0..take {
-                if let Some(job) = vd.pop_back() {
-                    stolen.push_front(job);
-                }
-            }
-        }
-        if !stolen.is_empty() {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            shared.deques[me]
-                .lock()
-                .expect("deque poisoned")
-                .append(&mut stolen);
-            continue;
-        }
-        // 4. Nothing anywhere: park. A push that raced the steal scan bumps
-        //    `pushes`, so re-checking the ticket under the gate lock means
-        //    no job can be queued without either waking us or being seen
-        //    here before we wait.
-        let gate = shared.gate.lock().expect("gate poisoned");
-        if gate.shutdown && gate.active == 0 {
+        } else if state.shutdown {
             return;
-        }
-        if gate.pushes == seen {
-            // Safe under shutdown too: the final job's completion and
-            // `Drop` both notify `work`, and the exit condition is
-            // re-checked at the top of the loop.
-            let _unused = shared.work.wait(gate).expect("gate poisoned");
+        } else {
+            state = shared
+                .work
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-fn run_job(shared: &Shared, job: Job) {
-    let result = catch_unwind(AssertUnwindSafe(job));
-    if let Err(payload) = result {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "job panicked with a non-string payload".to_string());
-        shared.panics.lock().expect("panics poisoned").push(message);
-    }
-    let mut gate = shared.gate.lock().expect("gate poisoned");
-    gate.active -= 1;
-    if gate.active == 0 {
-        drop(gate);
-        shared.idle.notify_all();
-        // Wake parked workers so they can observe shutdown-and-drained.
-        shared.work.notify_all();
-    }
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "job panicked with a non-string payload".to_string())
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn runs_every_job_exactly_once() {
@@ -276,8 +188,9 @@ mod tests {
 
     #[test]
     fn worker_spawned_continuations_complete() {
-        // Jobs that respawn themselves land on worker-local deques; the
-        // chain must still drain and wait_idle must observe the tail.
+        // Jobs that respawn themselves queue their continuations from a
+        // worker thread; the chain must still drain and wait_idle must
+        // observe the tail.
         let executor = Arc::new(Executor::new(3));
         let counter = Arc::new(AtomicU64::new(0));
         fn chain(executor: &Arc<Executor>, counter: &Arc<AtomicU64>, depth: u32) {
@@ -317,7 +230,6 @@ mod tests {
     fn wait_idle_on_empty_executor_returns() {
         let executor = Executor::new(2);
         executor.wait_idle();
-        assert_eq!(executor.steals(), executor.steals());
     }
 
     #[test]

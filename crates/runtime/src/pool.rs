@@ -1,183 +1,67 @@
-//! Scoped work-stealing `parallel_map`.
+//! Scoped `parallel_map`: one iterator's items fanned out over a few
+//! threads.
 //!
-//! A static per-thread chunking of skewed workloads (one discovery
-//! candidate dominating a lattice level, one tenant's chase dwarfing the
-//! rest) leaves most threads idle while one grinds through the heavy
-//! chunk. This pool keeps a shared injector of index batches plus one
-//! deque per worker: a worker drains its own deque from the front, refills
-//! from the injector, and when both are empty steals the back half of a
-//! victim's deque. Results are written back in input order, so callers
-//! observe exactly the sequential output regardless of the interleaving.
+//! The workers share the input iterator behind one lock: each takes the
+//! next `(index, item)`, runs `f` outside the lock, and keeps the result
+//! with its index. Handing out one item at a time balances skewed
+//! workloads (one discovery candidate dominating a lattice level) with no
+//! per-worker queues, and sorting by index puts the output back in input
+//! order, so callers observe exactly the sequential result regardless of
+//! the interleaving.
 //!
-//! Built on `std::thread::scope` and mutex-guarded `VecDeque`s — the tasks
-//! this pool runs (candidate dependency checks, per-attribute index
-//! builds) are coarse enough that lock traffic is noise, and it keeps the
-//! workspace dependency-free. Because workers are scoped, `f` may borrow
-//! from the caller's stack; for `'static` jobs on long-lived threads use
-//! [`crate::executor::Executor`] instead.
+//! The tasks this runs (candidate dependency checks, per-attribute index
+//! builds, per-tableau index rebuilds) are coarse enough that one lock
+//! round-trip per item is noise. Because workers are scoped, `f` and the
+//! items may borrow from the caller's stack; for `'static` jobs on
+//! long-lived threads use [`crate::executor::Executor`] instead.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::resume_unwind;
 use std::sync::Mutex;
 
-/// Upper bound on worker threads (matches `available_parallelism`, with a
-/// fallback for platforms where it errors).
-fn worker_count(items: usize) -> usize {
-    crate::default_parallelism().min(items.max(1))
-}
-
-/// Batch size fed from the injector: small enough to rebalance, large
-/// enough to amortize a lock round-trip.
-fn batch_size(items: usize, workers: usize) -> usize {
-    (items / (workers * 8)).max(1)
-}
-
-struct Shared {
-    /// Per-worker deques of item indices.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Global batch queue; workers refill from here before stealing.
-    injector: Mutex<VecDeque<std::ops::Range<usize>>>,
-    /// Items not yet completed; workers exit when it reaches zero.
-    remaining: AtomicUsize,
-    /// Steal operations performed (observability / tests).
-    steals: AtomicUsize,
-}
-
-/// Map `f` over `items` on a work-stealing pool, preserving input order in
-/// the output. Falls back to a sequential map when the pool would have a
-/// single worker.
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    map_with_stats(items, f).0
-}
-
-/// [`parallel_map`] plus the number of steal operations that occurred
-/// (always 0 on the sequential fallback).
-pub fn map_with_stats<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> (Vec<R>, usize) {
-    let workers = worker_count(items.len());
-    if workers <= 1 || items.len() <= 1 {
-        return (items.iter().map(&f).collect(), 0);
+/// Map `f` over `items` on up to [`crate::default_parallelism`] scoped
+/// workers (never more than the iterator's upper size bound), returning
+/// the results in input order. With one worker this is a plain sequential
+/// map. A panic in `f` reaches the caller with its own payload.
+pub fn parallel_map<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T, IntoIter: Send>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let items = items.into_iter();
+    let workers = crate::default_parallelism().min(items.size_hint().1.unwrap_or(usize::MAX));
+    if workers <= 1 {
+        return items.map(f).collect();
     }
-
-    let batch = batch_size(items.len(), workers);
-    let shared = Shared {
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        injector: Mutex::new(VecDeque::new()),
-        remaining: AtomicUsize::new(items.len()),
-        steals: AtomicUsize::new(0),
+    let next = Mutex::new(items.enumerate());
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard drops inside `and_then`, before `f` runs. A
+            // poisoned lock means `next()` panicked on another worker, whose
+            // panic reaches the caller: stop taking items.
+            let item = next.lock().ok().and_then(|mut items| items.next());
+            let Some((index, item)) = item else {
+                return done;
+            };
+            done.push((index, f(item)));
+        }
     };
-
-    // Seed: one starter batch per worker, the rest into the injector.
-    {
-        let mut injector = shared.injector.lock().expect("injector poisoned");
-        let mut next = 0usize;
-        for deque in &shared.deques {
-            if next >= items.len() {
-                break;
-            }
-            let end = (next + batch).min(items.len());
-            deque.lock().expect("deque poisoned").extend(next..end);
-            next = end;
-        }
-        while next < items.len() {
-            let end = (next + batch).min(items.len());
-            injector.push_back(next..end);
-            next = end;
-        }
-    }
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let shared = &shared;
-                let f = &f;
-                scope.spawn(move || worker_loop(w, shared, items, f))
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload))
             })
-            .collect();
-        for handle in handles {
-            for (idx, result) in handle.join().expect("pool worker panicked") {
-                slots[idx] = Some(result);
-            }
-        }
+            .collect()
     });
-
-    let out = slots
-        .into_iter()
-        .map(|r| r.expect("every item completed"))
-        .collect();
-    (out, shared.steals.load(Ordering::Relaxed))
-}
-
-fn worker_loop<T: Sync, R: Send>(
-    me: usize,
-    shared: &Shared,
-    items: &[T],
-    f: &(impl Fn(&T) -> R + Sync),
-) -> Vec<(usize, R)> {
-    let mut done: Vec<(usize, R)> = Vec::new();
-    loop {
-        // 1. Own deque, front first.
-        let next = shared.deques[me]
-            .lock()
-            .expect("deque poisoned")
-            .pop_front();
-        if let Some(idx) = next {
-            done.push((idx, f(&items[idx])));
-            shared.remaining.fetch_sub(1, Ordering::Release);
-            continue;
-        }
-        if shared.remaining.load(Ordering::Acquire) == 0 {
-            return done;
-        }
-        // 2. Refill from the injector.
-        let refill = shared
-            .injector
-            .lock()
-            .expect("injector poisoned")
-            .pop_front();
-        if let Some(range) = refill {
-            shared.deques[me]
-                .lock()
-                .expect("deque poisoned")
-                .extend(range);
-            continue;
-        }
-        // 3. Steal the back half of the fullest victim.
-        let victim = (0..shared.deques.len())
-            .filter(|&v| v != me)
-            .max_by_key(|&v| shared.deques[v].lock().expect("deque poisoned").len());
-        let mut stolen: VecDeque<usize> = VecDeque::new();
-        if let Some(v) = victim {
-            let mut vd = shared.deques[v].lock().expect("deque poisoned");
-            let take = vd.len().div_ceil(2);
-            for _ in 0..take {
-                if let Some(idx) = vd.pop_back() {
-                    stolen.push_front(idx);
-                }
-            }
-        }
-        if stolen.is_empty() {
-            // The injector was empty and the victim scan saw every deque
-            // empty. Tasks never spawn tasks, so queued work only ever
-            // shrinks: nothing can arrive for this worker again, and any
-            // item that raced into another deque mid-scan belongs to the
-            // worker that took it. Exit instead of spinning on the tail.
-            return done;
-        }
-        shared.steals.fetch_add(1, Ordering::Relaxed);
-        shared.deques[me]
-            .lock()
-            .expect("deque poisoned")
-            .append(&mut stolen);
-    }
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -218,5 +102,44 @@ mod tests {
         let seq: Vec<usize> = items.iter().map(|s| s.len()).collect();
         let par = parallel_map(&items, |s| s.len());
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn panic_in_f_reaches_the_caller_with_its_own_payload() {
+        let items: Vec<usize> = (0..64).collect();
+        let payload = std::panic::catch_unwind(|| {
+            parallel_map(&items, |&x| {
+                if x == 17 {
+                    panic!("item {x} failed");
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("item 17 failed")
+        );
+        // A panic inside the shared iterator's `next()` too.
+        let payload = std::panic::catch_unwind(|| {
+            let items = (0..64usize).map(|x| if x == 17 { panic!("next failed") } else { x });
+            parallel_map(items, |x| x)
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"next failed"));
+    }
+
+    #[test]
+    fn owned_non_clone_items_map_by_value_in_order() {
+        // The snapshot-load shape: per-PFD lists of per-tableau parts,
+        // flattened and moved into the workers.
+        struct Part(Vec<u32>);
+        let nested: Vec<Vec<Part>> = (0..12u32)
+            .map(|p| (0..5).map(|t| Part(vec![p * 5 + t; 3])).collect())
+            .collect();
+        let out = parallel_map(nested.into_iter().flatten(), |Part(v)| {
+            v.into_iter().sum::<u32>()
+        });
+        assert_eq!(out, (0..60).map(|i| i * 3).collect::<Vec<u32>>());
     }
 }

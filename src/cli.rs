@@ -158,7 +158,7 @@ OPTIONS:
     --root DIR        serve: durable root; each tenant persists a snapshot
                       family under DIR/<tenant>/ and survives restarts.
                       Without it the server is in-memory only
-    --workers N       serve: work-stealing executor threads (default: the
+    --workers N       serve: executor worker threads (default: the
                       machine's parallelism)
     --max-resident N  serve: with --root, keep at most N tenant engines in
                       memory; cold tenants are checkpointed and evicted,
@@ -453,9 +453,12 @@ fn load_inputs(
     command: &str,
 ) -> Result<(Relation, Vec<Pfd>), CliError> {
     let rules = rules.ok_or_else(|| {
-        CliError::Usage(format!(
-            "{command} needs --rules (or an existing --snapshot)"
-        ))
+        let state = if command == "serve" {
+            "--root"
+        } else {
+            "--snapshot"
+        };
+        CliError::Usage(format!("{command} needs --rules (or an existing {state})"))
     })?;
     let rel = load_relation(data)?;
     let pfds = load_rules(rules, &rel)?;
@@ -866,12 +869,25 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             };
             // Backward compatibility: with a positional CSV the tenant
             // named "default" is opened up front, so a v1 single-tenant
-            // script (no tenant fields anywhere) just works.
-            if let Some(data) = &data {
-                let engine = cold_build(data, rules.as_deref(), "serve")?;
+            // script (no tenant fields anywhere) just works. The CSV and
+            // rules are read only when `--root` holds no state for it; a
+            // failed cold build is this command's error, returned before
+            // any event is printed.
+            if let Some(data) = data {
+                let (failed, failure) = std::sync::mpsc::channel();
                 server
-                    .open_with_engine(DEFAULT_TENANT, engine)
+                    .open_with(DEFAULT_TENANT, move || {
+                        cold_build(&data, rules.as_deref(), "serve").map_err(|e| {
+                            let message = e.to_string();
+                            let _ = failed.send(e);
+                            message
+                        })
+                    })
                     .map_err(CliError::Usage)?;
+                server.drain_report();
+                if let Ok(e) = failure.try_recv() {
+                    return Err(e);
+                }
             }
             // At a terminal a human is waiting on each answer, and drain
             // jobs complete asynchronously — block until the submitted
@@ -1795,7 +1811,57 @@ mod tests {
                 .any(|l| l.starts_with("{\"event\":\"ready\"") && l.contains("\"violations\":0")),
             "the fix persisted across the restart: {out2}"
         );
+        // Restart with the positional CSV but no --rules, then with a CSV
+        // path that does not exist: the auto-opened default tenant
+        // recovers from the root, so neither input is ever read.
+        let script3 = tmp("serve-durable-s3.jsonl", "{\"op\":\"check\"}\n");
+        for csv in [data.as_str(), "/definitely/not/here.csv"] {
+            let (code, out) = run_capture(&["serve", csv, "--root", &root, "--script", &script3]);
+            assert_eq!(code, 0, "{csv}: {out}");
+            let events = untag_serve(&out, "default");
+            assert!(
+                events[0].starts_with("{\"event\":\"ready\"")
+                    && events[0].contains("\"violations\":0"),
+                "{csv}: the fix persisted across the restart: {out}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn serve_cold_build_failures_keep_their_exit_codes() {
+        // A fresh root has no state for the default tenant, so its cold
+        // build runs and its error is the command's, before any event.
+        let data = tmp("serve-cold.csv", ZIP_CSV);
+        let rules = tmp(
+            "serve-cold-rules.pfd",
+            "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
+        );
+        let bad_csv = tmp("serve-cold-bad.csv", "zip,city\n90001\n");
+        let bad_rules = tmp("serve-cold-bad-rules.pfd", "this is not a rule(\n");
+        let script = tmp("serve-cold.jsonl", "{\"op\":\"check\"}\n");
+        let cases: [(&str, &[&str], u8); 4] = [
+            (&data, &[], 2),
+            ("/nonexistent.csv", &["--rules", &rules], 3),
+            (&bad_csv, &["--rules", &rules], 4),
+            (&data, &["--rules", &bad_rules], 5),
+        ];
+        for (i, (csv, flags, code)) in cases.into_iter().enumerate() {
+            let root = tmp_path(&format!("serve-cold-root-{i}"));
+            let _ = std::fs::remove_dir_all(&root);
+            let mut args = vec!["serve", csv, "--root", &root, "--script", &script];
+            args.extend_from_slice(flags);
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let mut buf = Vec::new();
+            let err = run(&args, &mut buf).unwrap_err();
+            assert_eq!(err.exit_code(), code, "{args:?}: {err}");
+            assert!(
+                buf.is_empty(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&buf)
+            );
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]
