@@ -1,15 +1,14 @@
-//! Criterion bench for the block-compressed posting lists and the hot-loop
-//! kernels riding on them: bytes/row of the blocked tier against the plain
-//! 4-bytes/id sorted tier, intersection and subset throughput across
-//! densities and sizes up to 1M rows, the SSE2 merge kernel against its
-//! scalar twin, and the SWAR text kernels against theirs.
+//! Criterion bench for the posting-list hot loops: intersection and subset
+//! throughput across densities and sizes up to 1M rows, the SSE2 merge
+//! kernel against its scalar twin, `PostingList::is_subset` against a
+//! scalar merge, and the SWAR text kernels against theirs.
 //!
 //! Besides the human-readable criterion output, the run writes
-//! `BENCH_postings.json` (bytes/row, intersect/subset ns, kernel vs scalar
-//! ratios) so the compression and kernel trajectory is tracked across PRs
-//! next to the other BENCH artifacts. `PFD_BENCH_SMOKE=1` skips criterion
-//! sampling and emits the JSON from a reduced-scale pass — the CI
-//! smoke-bench mode. `PFD_BENCH_JSON` overrides the output path.
+//! `BENCH_postings.json` (intersect/subset ns, kernel vs scalar ratios) so
+//! the kernel trajectory is tracked across changes next to the other BENCH
+//! artifacts. `PFD_BENCH_SMOKE=1` skips criterion sampling and emits the
+//! JSON from a reduced-scale pass — the CI smoke-bench mode.
+//! `PFD_BENCH_JSON` overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_pattern::simd;
@@ -54,17 +53,7 @@ fn bench_intersect(c: &mut Criterion) {
     for n in [10_000usize, 100_000, 1_000_000] {
         let a = irregular_ids(n, 36, 7);
         let b = irregular_ids(n, 36, 99);
-        let universe = universe_for(&a).max(universe_for(&b));
-        let la = PostingList::from_sorted(a.clone(), universe);
-        let lb = PostingList::from_sorted(b.clone(), universe);
         let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.clear();
-                la.intersect_into(&lb, &mut out);
-                black_box(out.len())
-            })
-        });
         group.bench_with_input(BenchmarkId::new("sorted_kernel", n), &n, |bch, _| {
             bch.iter(|| {
                 out.clear();
@@ -128,39 +117,12 @@ fn bench_text_kernels(c: &mut Criterion) {
 // Machine-readable results: BENCH_postings.json
 // ---------------------------------------------------------------------------
 
-struct MemoryCase {
-    label: &'static str,
-    rows: usize,
-    blocked_bytes_per_row: f64,
-    plain_bytes_per_row: f64,
-    ratio: f64,
-}
-
-fn memory_case(label: &'static str, n: usize, max_gap: u32) -> MemoryCase {
-    let ids = irregular_ids(n, max_gap, 0xC0FFEE);
-    let universe = universe_for(&ids);
-    let list = PostingList::from_sorted(ids, universe);
-    assert!(
-        list.is_blocked_repr(),
-        "memory case {label} must exercise the blocked tier"
-    );
-    let blocked = list.heap_bytes() as f64 / n as f64;
-    MemoryCase {
-        label,
-        rows: n,
-        blocked_bytes_per_row: blocked,
-        plain_bytes_per_row: 4.0,
-        ratio: 4.0 / blocked,
-    }
-}
-
 struct IntersectCase {
     rows: usize,
     density: &'static str,
-    blocked_ns: f64,
     sorted_kernel_ns: f64,
     sorted_scalar_ns: f64,
-    subset_blocked_ns: f64,
+    subset_ns: f64,
     subset_scalar_ns: f64,
 }
 
@@ -168,9 +130,8 @@ struct IntersectCase {
 fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) -> IntersectCase {
     let a = irregular_ids(n, max_gap, 7);
     let b = irregular_ids(n, max_gap, 99);
-    let universe = universe_for(&a).max(universe_for(&b));
+    let universe = universe_for(&a);
     let la = PostingList::from_sorted(a.clone(), universe);
-    let lb = PostingList::from_sorted(b.clone(), universe);
     let mut out: Vec<u32> = Vec::new();
 
     let time = |f: &mut dyn FnMut()| {
@@ -181,11 +142,6 @@ fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) ->
         t0.elapsed().as_secs_f64() * 1e9 / reps as f64
     };
 
-    let blocked_ns = time(&mut || {
-        out.clear();
-        la.intersect_into(&lb, &mut out);
-        black_box(out.len());
-    });
     let sorted_kernel_ns = time(&mut || {
         out.clear();
         kernels::intersect_merge(&a, &b, &mut out);
@@ -200,7 +156,7 @@ fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) ->
     // Subset probes: a genuine every-other-id subset against its superset.
     let sub: Vec<u32> = a.iter().copied().step_by(2).collect();
     let ls = PostingList::from_sorted(sub.clone(), universe);
-    let subset_blocked_ns = time(&mut || {
+    let subset_ns = time(&mut || {
         black_box(ls.is_subset(&la));
     });
     let subset_scalar_ns = time(&mut || {
@@ -211,10 +167,9 @@ fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) ->
     IntersectCase {
         rows: n,
         density,
-        blocked_ns,
         sorted_kernel_ns,
         sorted_scalar_ns,
-        subset_blocked_ns,
+        subset_ns,
         subset_scalar_ns,
     }
 }
@@ -286,20 +241,13 @@ fn text_cases(reps: usize) -> Vec<TextCase> {
 }
 
 fn write_bench_json(smoke: bool) {
-    let (mem, isect, text) = if smoke {
+    let (isect, text) = if smoke {
         (
-            vec![memory_case("sparse_10k", 10_000, 120)],
             vec![intersect_case(10_000, "sparse", 120, 20)],
             text_cases(5),
         )
     } else {
         (
-            vec![
-                memory_case("sparse_10k", 10_000, 120),
-                memory_case("sparse_100k", 100_000, 120),
-                memory_case("sparse_1m", 1_000_000, 120),
-                memory_case("tight_1m", 1_000_000, 36),
-            ],
             vec![
                 intersect_case(10_000, "sparse", 120, 200),
                 intersect_case(100_000, "sparse", 120, 50),
@@ -311,15 +259,15 @@ fn write_bench_json(smoke: bool) {
         )
     };
 
-    let mut json = String::from("{\n  \"schema_version\": 2,\n");
+    let mut json = String::from("{\n  \"schema_version\": 3,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
     json.push_str(
-        "  \"reference\": {\"label\": \"plain sorted u32 postings (PR 7 tree)\", \
-         \"metric\": \"bytes_per_row_and_ns_per_op\"},\n",
+        "  \"reference\": {\"label\": \"scalar merge over plain sorted u32 runs\", \
+         \"metric\": \"ns_per_op\"},\n",
     );
     // Receipt for which merge-kernel dispatch ran on this machine — the
     // `sorted_kernel_ns` numbers are meaningless without it.
@@ -328,29 +276,18 @@ fn write_bench_json(smoke: bool) {
         "  \"merge_kernel\": \"{}\",",
         kernels::merge_kernel_name()
     );
-    json.push_str("  \"memory\": [\n");
-    for (i, m) in mem.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"case\": \"{}\", \"rows\": {}, \"blocked_bytes_per_row\": {:.3}, \
-             \"plain_bytes_per_row\": {:.1}, \"compression_ratio\": {:.2}}}",
-            m.label, m.rows, m.blocked_bytes_per_row, m.plain_bytes_per_row, m.ratio
-        );
-        json.push_str(if i + 1 < mem.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"intersect\": [\n");
+    json.push_str("  \"intersect\": [\n");
     for (i, c) in isect.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"rows\": {}, \"density\": \"{}\", \"blocked_ns\": {:.0}, \
+            "    {{\"rows\": {}, \"density\": \"{}\", \
              \"sorted_kernel_ns\": {:.0}, \"sorted_scalar_ns\": {:.0}, \
-             \"subset_blocked_ns\": {:.0}, \"subset_scalar_ns\": {:.0}}}",
+             \"subset_ns\": {:.0}, \"subset_scalar_ns\": {:.0}}}",
             c.rows,
             c.density,
-            c.blocked_ns,
             c.sorted_kernel_ns,
             c.sorted_scalar_ns,
-            c.subset_blocked_ns,
+            c.subset_ns,
             c.subset_scalar_ns
         );
         json.push_str(if i + 1 < isect.len() { ",\n" } else { "\n" });
@@ -376,16 +313,16 @@ fn write_bench_json(smoke: bool) {
         Ok(()) => println!("bench results written to {path}"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
-    for m in &mem {
-        println!(
-            "memory {:>12}: blocked {:>6.3} B/row vs plain 4.0 B/row ({:.2}x)",
-            m.label, m.blocked_bytes_per_row, m.ratio
-        );
-    }
     for c in &isect {
         println!(
-            "intersect {:>9} rows {:>6}: blocked {:>10.0} ns, kernel {:>10.0} ns, scalar {:>10.0} ns",
-            c.density, c.rows, c.blocked_ns, c.sorted_kernel_ns, c.sorted_scalar_ns
+            "intersect {:>9} rows {:>7}: kernel {:>10.0} ns, scalar {:>10.0} ns; \
+             is_subset {:>10.0} ns, scalar {:>10.0} ns",
+            c.density,
+            c.rows,
+            c.sorted_kernel_ns,
+            c.sorted_scalar_ns,
+            c.subset_ns,
+            c.subset_scalar_ns
         );
     }
     for t in &text {

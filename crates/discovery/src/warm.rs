@@ -6,8 +6,8 @@
 //! `PFDS` section container, reusing the [`crate::serial`] codecs) keyed to
 //! the relation snapshot it was built from, and loads them back the way
 //! `PFDS` engine snapshots load: one [`Io::read`] of the file, a
-//! [`SectionReader`] over it, then the owned decoders, which copy each
-//! block-compressed row set's gap payload into the list's own buffer.
+//! [`SectionReader`] over it, then the owned decoders, which read each row
+//! set's gap stream id by id into a list of its own.
 //!
 //! ## Staleness and fallback
 //!

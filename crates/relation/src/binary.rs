@@ -8,8 +8,9 @@
 //!   stores only the byte length it shares with its predecessor plus the
 //!   fresh suffix, which compresses fragment vocabularies and per-column
 //!   value dictionaries well;
-//! * **delta-gap posting blocks** — a [`PostingList`] as universe + length +
-//!   varint gaps between consecutive sorted row ids.
+//! * **delta-gap posting lists** — a [`PostingList`] as universe + length +
+//!   varint gaps between consecutive sorted row ids, decoded by one checked
+//!   id-by-id loop.
 //!
 //! On top of those sits the *section container*: a file starts with the
 //! magic `PFDS`, a format version, and a section table of
@@ -175,6 +176,11 @@ impl<'a> Cursor<'a> {
             if shift == 63 && byte > 1 {
                 return Err(corrupt("varint overflows u64"));
             }
+            // [`put_varint`] never ends on a zero byte, so accepting one would
+            // give a value two encodings and break re-encode stability.
+            if shift > 0 && byte == 0 {
+                return Err(corrupt("varint is not minimally encoded"));
+            }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
                 return Ok(value);
@@ -213,12 +219,6 @@ impl<'a> Cursor<'a> {
         let n = self.get_len()?;
         let bytes = self.get_bytes(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not valid UTF-8"))
-    }
-
-    /// Raw input bytes between two previously observed positions — lets a
-    /// decoder validate a varint run and then adopt its bytes wholesale.
-    pub(crate) fn bytes_between(&self, start: usize, end: usize) -> &'a [u8] {
-        &self.data[start..end]
     }
 }
 
@@ -296,115 +296,47 @@ pub fn decode_string_table(cur: &mut Cursor<'_>) -> Result<Vec<String>, BinaryEr
 /// Encodes a posting list as `universe, len, first, gap, gap, ...` varints.
 ///
 /// Row ids are sorted and distinct, so every gap after the first id is at
-/// least 1 and the stream is self-validating on decode. The stream is
-/// independent of the in-memory representation: block-compressed lists
-/// contribute their block payloads wholesale (one inter-block gap varint
-/// per block, then a byte copy), so the bytes are identical to encoding the
-/// plain sorted run id by id.
+/// least 1 and the stream is self-validating on decode. The stream does not
+/// depend on which storage tier holds the list.
 pub fn encode_postings(out: &mut Vec<u8>, list: &PostingList) {
     put_varint(out, list.universe() as u64);
     put_varint(out, list.len() as u64);
-    list.write_wire_gaps(out);
+    // The first id is its own gap from 0.
+    let mut prev = 0;
+    for id in list.iter() {
+        put_varint(out, u64::from(id - prev));
+        prev = id;
+    }
 }
 
-/// Decodes a posting list written by [`encode_postings`].
-///
-/// Lists that would land in the block-compressed representation are built
-/// directly from the wire bytes: each 128-entry run of gaps is validated
-/// varint by varint and then adopted as a block payload without
-/// re-encoding.
+/// Decodes a posting list written by [`encode_postings`], checking each id
+/// as it is read: gaps after the first are non-zero, and every id fits
+/// `u32` and lies below the universe.
 pub fn decode_postings(cur: &mut Cursor<'_>) -> Result<PostingList, BinaryError> {
     // The universe is a bound, not an item count, so it must not go through
-    // the `get_len` remaining-input guard.
-    let universe = cur.get_index()?;
+    // the `get_len` remaining-input guard. Row ids are `u32`, so a larger
+    // universe cannot be stored.
+    let universe =
+        u32::try_from(cur.get_varint()?).map_err(|_| corrupt("posting universe overflows u32"))?;
     let len = cur.get_len()?;
-    if PostingList::wire_prefers_blocked(len as u64, universe as u64) {
-        return decode_postings_blocked(cur, universe, len);
-    }
     let mut ids = Vec::with_capacity(len.min(1 << 22));
     let mut prev: Option<u32> = None;
     for _ in 0..len {
-        let raw = cur.get_varint()?;
+        let gap = u32::try_from(cur.get_varint()?).map_err(|_| corrupt("row id overflows u32"))?;
         let id = match prev {
-            None => u32::try_from(raw).map_err(|_| corrupt("row id overflows u32"))?,
-            Some(p) => {
-                if raw == 0 {
-                    return Err(corrupt("zero gap in posting list"));
-                }
-                let id = u64::from(p) + raw;
-                u32::try_from(id).map_err(|_| corrupt("row id overflows u32"))?
-            }
+            None => gap,
+            Some(_) if gap == 0 => return Err(corrupt("zero gap in posting list")),
+            Some(p) => p
+                .checked_add(gap)
+                .ok_or_else(|| corrupt("row id overflows u32"))?,
         };
-        if id as usize >= universe {
+        if id >= universe {
             return Err(corrupt("posting id outside its universe"));
         }
         ids.push(id);
         prev = Some(id);
     }
-    Ok(PostingList::from_sorted(ids, universe))
-}
-
-/// Blocked decode path: validates each 128-entry gap run with the same
-/// checks (and error messages) as the id-by-id loop, then copies the run's
-/// bytes into the list's own block buffer. Payloads land back to back, so
-/// each block's payload ends where the next one's begins.
-fn decode_postings_blocked(
-    cur: &mut Cursor<'_>,
-    universe: usize,
-    len: usize,
-) -> Result<PostingList, BinaryError> {
-    use crate::postings::{BlockMeta, BLOCK_LEN};
-    let mut bytes: Vec<u8> = Vec::with_capacity(len.min(1 << 22));
-    let mut metas: Vec<BlockMeta> = Vec::with_capacity(len.div_ceil(BLOCK_LEN).min(1 << 16));
-    let mut prev: Option<u32> = None;
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(BLOCK_LEN);
-        // Leading varint: absolute first id for the first block, the gap
-        // from the previous block's last id otherwise.
-        let raw = cur.get_varint()?;
-        let first = match prev {
-            None => u32::try_from(raw).map_err(|_| corrupt("row id overflows u32"))?,
-            Some(p) => {
-                if raw == 0 {
-                    return Err(corrupt("zero gap in posting list"));
-                }
-                u32::try_from(u64::from(p) + raw).map_err(|_| corrupt("row id overflows u32"))?
-            }
-        };
-        if first as usize >= universe {
-            return Err(corrupt("posting id outside its universe"));
-        }
-        let start = cur.position();
-        let mut last = first;
-        for _ in 1..n {
-            let gap = cur.get_varint()?;
-            if gap == 0 {
-                return Err(corrupt("zero gap in posting list"));
-            }
-            last = u32::try_from(u64::from(last) + gap)
-                .map_err(|_| corrupt("row id overflows u32"))?;
-            if last as usize >= universe {
-                return Err(corrupt("posting id outside its universe"));
-            }
-        }
-        let offset = bytes.len() as u32;
-        bytes.extend_from_slice(cur.bytes_between(start, cur.position()));
-        metas.push(BlockMeta {
-            first,
-            last,
-            offset,
-            count: n as u32,
-        });
-        prev = Some(last);
-        remaining -= n;
-    }
-    Ok(PostingList::from_blocked_raw(
-        universe as u32,
-        len as u32,
-        bytes,
-        metas,
-    ))
+    Ok(PostingList::from_sorted(ids, universe as usize))
 }
 
 // ---------------------------------------------------------------------------
@@ -622,6 +554,20 @@ mod tests {
     }
 
     #[test]
+    fn varint_rejects_non_minimal_encoding() {
+        // 0x81 0x00 would read as 1, which `put_varint` writes as 0x01.
+        let mut cur = Cursor::new(&[0x81, 0x00]);
+        assert_eq!(
+            cur.get_varint(),
+            Err(BinaryError::Corrupt(
+                "varint is not minimally encoded".into()
+            ))
+        );
+        let mut cur = Cursor::new(&[0x80, 0x01]);
+        assert_eq!(cur.get_varint(), Ok(128));
+    }
+
+    #[test]
     fn string_round_trips_unicode() {
         let mut buf = Vec::new();
         put_string(&mut buf, "héllo, wörld");
@@ -689,31 +635,24 @@ mod tests {
     }
 
     #[test]
-    fn postings_blocked_round_trip_is_wholesale_and_canonical() {
+    fn postings_wire_stream_is_canonical() {
+        // A large sparse list: the wire bytes are the plain gap stream, and
+        // save ∘ load ∘ save is byte-stable.
         let ids: Vec<u32> = (0..1000u32).map(|i| i * 37).collect();
         let list = PostingList::from_sorted(ids.clone(), 1_000_000);
-        assert!(list.is_blocked_repr());
         let mut buf = Vec::new();
         encode_postings(&mut buf, &list);
-        // The wire bytes must match encoding the plain run id by id — the
-        // stream is independent of block partitioning.
         let mut plain = Vec::new();
         put_varint(&mut plain, 1_000_000);
         put_varint(&mut plain, ids.len() as u64);
-        let mut prev: Option<u32> = None;
-        for &id in &ids {
-            match prev {
-                None => put_varint(&mut plain, u64::from(id)),
-                Some(p) => put_varint(&mut plain, u64::from(id - p)),
-            }
-            prev = Some(id);
+        put_varint(&mut plain, 0);
+        for _ in 1..ids.len() {
+            put_varint(&mut plain, 37);
         }
         assert_eq!(buf, plain);
-        // Decode builds the blocked form directly and re-encodes stably.
         let mut cur = Cursor::new(&buf);
         let back = decode_postings(&mut cur).unwrap();
         assert!(cur.is_empty());
-        assert!(back.is_blocked_repr());
         assert_eq!(back.to_vec(), ids);
         assert_eq!(back, list);
         let mut buf2 = Vec::new();
@@ -722,18 +661,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_decode_rejects_corrupt_gap_runs() {
-        // A sparse 300-id list routes through the blocked decoder; corrupt
-        // it three ways and check each is caught, not panicked on.
+    fn decode_rejects_corrupt_gap_runs() {
+        // A sparse 300-id list; corrupt it three ways and check each is
+        // caught, not panicked on.
         let ids: Vec<u32> = (0..300u32).map(|i| i * 5 + 1).collect();
         let list = PostingList::from_sorted(ids, 100_000);
-        assert!(list.is_blocked_repr());
         let mut buf = Vec::new();
         encode_postings(&mut buf, &list);
 
-        // Zero gap in the middle of the second block (every gap is the
-        // single byte 5; flip one well past the first block's 128 entries
-        // plus the two header varints).
+        // Zero gap near the end (every gap is the single byte 5).
         let mut zero_gap = buf.clone();
         let target = zero_gap.len() - 10;
         assert_eq!(zero_gap[target], 5);
@@ -773,6 +709,31 @@ mod tests {
             decode_postings(&mut cur),
             Err(BinaryError::Corrupt(_))
         ));
+
+        // Row ids are u32: a universe of 2^32 + 64 must not wrap to 64
+        // (which would put ids 1000.. in a one-word bitset).
+        let mut buf = Vec::new();
+        put_varint(&mut buf, (1u64 << 32) + 64); // universe
+        put_varint(&mut buf, 8); // len
+        put_varint(&mut buf, 1000); // first id
+        for _ in 1..8 {
+            put_varint(&mut buf, 1);
+        }
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(
+            decode_postings(&mut cur),
+            Err(BinaryError::Corrupt(
+                "posting universe overflows u32".into()
+            ))
+        );
+        // The largest representable universe still decodes.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, u64::from(u32::MAX));
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, u64::from(u32::MAX - 1));
+        let list = decode_postings(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(list.to_vec(), vec![u32::MAX - 1]);
+        assert_eq!(list.universe(), u32::MAX as usize);
     }
 
     #[test]

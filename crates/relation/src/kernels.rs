@@ -9,9 +9,8 @@
 //! platform routes to the scalar twin; [`merge_kernel_name`] reports
 //! which path a process resolved to (the bench artifacts record it).
 //! All kernels expect strictly increasing inputs (the posting-list
-//! invariant) and append the ascending intersection to `out`, so callers
-//! can compose them over decoded posting blocks without clearing buffers
-//! between blocks.
+//! invariant) and append the ascending intersection to `out` without
+//! clearing it.
 //!
 //! Honesty note: the SIMD kernel wins on *balanced* inputs where the merge
 //! advances both cursors in lockstep. Lopsided intersections are better

@@ -2,22 +2,14 @@
 //! incremental cleaning engine.
 //!
 //! Index entries and candidate row sets were plain `Vec<RowId>`; at scale
-//! the discovery hot path is dominated by merging those lists and the
-//! resident index is dominated by their storage. A [`PostingList`] now has
-//! three tiers:
+//! the discovery hot path is dominated by merging those lists. A
+//! [`PostingList`] has two tiers:
 //!
-//! - **Sorted** — plain strictly-increasing `u32` runs below
-//!   `BLOCK_THRESHOLD` entries, where block bookkeeping would cost more
-//!   than it saves.
-//! - **Blocked** — delta-gap LEB128 varint blocks of `BLOCK_LEN` entries
-//!   at build time (mutation may split them, bounded by `BLOCK_MAX`).
-//!   Each block carries a skip pointer (`first`/`last` id) so galloping
-//!   intersection and `is_subset` jump whole blocks without decoding them;
-//!   only overlapping blocks are expanded, into a stack scratch buffer.
-//!   Typical sparse sets compress from 4 bytes/row to ~1–2 bytes/row.
-//! - **Dense** — a fixed-stride bitset once density crosses 1/16 of the
-//!   row universe, so the frequent entries (column formats, shared
-//!   prefixes) intersect word-at-a-time.
+//! - **Sorted** — strictly increasing `u32` runs while the set holds less
+//!   than 1/16 of the row universe (always, below 64 rows).
+//! - **Dense** — a fixed-stride bitset at or above that density, so the
+//!   frequent entries (column formats, shared prefixes) intersect
+//!   word-at-a-time.
 //!
 //! Sorted × sorted intersections gallop when the lengths are lopsided —
 //! the common shape when probing a rare pattern against a frequent one —
@@ -32,14 +24,16 @@
 //! [`remove`](PostingList::remove),
 //! [`renumber_after_delete`](PostingList::renumber_after_delete)) so the
 //! incremental engine's per-group row sets can track relation edits without
-//! rebuilding. Mutating a blocked list re-encodes exactly one block. This
-//! module lives in `pfd_relation` (rather than discovery, where it
-//! originated) because both layers depend on it — and because the snapshot
-//! codec (`relation::binary`) adopts blocked payloads wholesale: the wire
-//! gap stream is independent of block partitioning, so encode is a
-//! per-block memcpy and decode builds blocks directly.
+//! rebuilding. This module lives in `pfd_relation` (rather than discovery,
+//! where it originated) because both layers depend on it, and because the
+//! snapshot codec ([`crate::binary`]) writes every list as the same gap
+//! stream whichever tier holds it.
+//!
+//! A third, block-compressed tier (delta-gap varint blocks, ~1.1 bytes per
+//! sparse id) was measured and retired: below a million rows it saved under
+//! 10% of any command's peak RSS, and at a million rows it more than
+//! doubled discovery's check phase. `docs/ARCHITECTURE.md` has the numbers.
 
-use crate::binary::put_varint;
 use crate::relation::RowId;
 use std::hash::{Hash, Hasher};
 
@@ -51,56 +45,10 @@ const DENSE_NUMERATOR: u64 = 1;
 /// times longer than the other.
 const GALLOP_RATIO: usize = 8;
 
-/// Entries per block when a blocked list is built from a sorted run.
-pub(crate) const BLOCK_LEN: usize = 128;
-
-/// Upper bound on a block's entry count: inserts grow a block until it
-/// would exceed this, then it splits in half. Twice `BLOCK_LEN` so a
-/// freshly built list absorbs inserts without immediate splits.
-const BLOCK_MAX: usize = 256;
-
-/// Sorted runs at or above this length switch to blocked storage (unless
-/// density promotes them to the bitset first).
-const BLOCK_THRESHOLD: usize = 256;
-
-/// Skip pointer + directory entry for one compressed block.
-///
-/// The block's payload is `count - 1` LEB128 gap varints starting at
-/// `offset` in the list's byte buffer. Payloads are contiguous, so a block
-/// ends where the next one begins (the last at the end of the buffer). The
-/// first id lives here, not in the payload, so a block can be skipped or
-/// range-checked without decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BlockMeta {
-    /// First (smallest) id in the block.
-    pub(crate) first: u32,
-    /// Last (largest) id in the block.
-    pub(crate) last: u32,
-    /// Byte offset of the block's gap payload.
-    pub(crate) offset: u32,
-    /// Number of ids in the block (≥ 1; empty blocks are removed).
-    pub(crate) count: u32,
-}
-
-/// End offset (exclusive) of block `k`'s payload: the next block's offset,
-/// or the end of the buffer for the last block.
-fn block_end(bytes: &[u8], metas: &[BlockMeta], k: usize) -> usize {
-    metas.get(k + 1).map_or(bytes.len(), |m| m.offset as usize)
-}
-
 #[derive(Debug, Clone)]
 enum Repr {
     /// Strictly increasing row ids.
     Sorted(Vec<u32>),
-    /// Delta-gap varint blocks with per-block skip pointers.
-    Blocked {
-        /// Concatenated gap payloads of all blocks.
-        bytes: Vec<u8>,
-        /// Block directory, ordered by `first` (blocks are disjoint).
-        metas: Vec<BlockMeta>,
-        /// Total id count across blocks.
-        count: u32,
-    },
     /// Fixed-stride bitset over the row universe; `count` caches the popcount.
     Dense { words: Vec<u64>, count: u32 },
 }
@@ -123,33 +71,32 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// Build from a strictly increasing, deduplicated id vector.
+    /// Build from a strictly increasing, deduplicated id vector. The
+    /// universe must fit `u32` (row ids are `u32`).
     pub fn from_sorted(ids: Vec<u32>, universe: usize) -> PostingList {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids must be sorted+deduped"
         );
         debug_assert!(ids.last().is_none_or(|&m| (m as usize) < universe.max(1)));
+        debug_assert!(u32::try_from(universe).is_ok(), "universe overflows u32");
         let universe = universe as u32;
-        if is_dense(ids.len(), universe) {
-            let mut words = vec![0u64; universe.div_ceil(64) as usize];
-            for &id in &ids {
-                words[(id / 64) as usize] |= 1u64 << (id % 64);
-            }
-            PostingList {
-                universe,
-                repr: Repr::Dense {
-                    words,
-                    count: ids.len() as u32,
-                },
-            }
-        } else if ids.len() >= BLOCK_THRESHOLD {
-            build_blocked(&ids, universe)
-        } else {
-            PostingList {
+        if !is_dense(ids.len(), universe) {
+            return PostingList {
                 universe,
                 repr: Repr::Sorted(ids),
-            }
+            };
+        }
+        let mut words = vec![0u64; universe.div_ceil(64) as usize];
+        for &id in &ids {
+            words[(id / 64) as usize] |= 1u64 << (id % 64);
+        }
+        PostingList {
+            universe,
+            repr: Repr::Dense {
+                words,
+                count: ids.len() as u32,
+            },
         }
     }
 
@@ -169,7 +116,6 @@ impl PostingList {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Sorted(v) => v.len(),
-            Repr::Blocked { count, .. } => *count as usize,
             Repr::Dense { count, .. } => *count as usize,
         }
     }
@@ -189,51 +135,11 @@ impl PostingList {
         matches!(self.repr, Repr::Dense { .. })
     }
 
-    /// Is the set stored as compressed blocks? (Exposed for tests and stats.)
-    pub fn is_blocked_repr(&self) -> bool {
-        matches!(self.repr, Repr::Blocked { .. })
-    }
-
-    /// Heap bytes currently allocated by the id storage (capacity-based, so
-    /// over-allocation counts). The memory-budget guard test and the
-    /// `postings_runtime` bench report this.
-    pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Sorted(v) => v.capacity() * std::mem::size_of::<u32>(),
-            Repr::Blocked { bytes, metas, .. } => {
-                bytes.capacity() + metas.capacity() * std::mem::size_of::<BlockMeta>()
-            }
-            Repr::Dense { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, id: RowId) -> bool {
         let id = id as u32;
         match &self.repr {
             Repr::Sorted(v) => v.binary_search(&id).is_ok(),
-            Repr::Blocked { bytes, metas, .. } => {
-                let p = metas.partition_point(|m| m.first <= id);
-                if p == 0 {
-                    return false;
-                }
-                let m = &metas[p - 1];
-                if id > m.last {
-                    return false;
-                }
-                if id == m.first || id == m.last {
-                    return true;
-                }
-                let mut pos = m.offset as usize;
-                let mut cur = m.first;
-                for _ in 1..m.count {
-                    cur += read_gap(bytes, &mut pos);
-                    if cur >= id {
-                        return cur == id;
-                    }
-                }
-                false
-            }
             Repr::Dense { words, .. } => {
                 (id < self.universe) && words[(id / 64) as usize] & (1u64 << (id % 64)) != 0
             }
@@ -244,14 +150,6 @@ impl PostingList {
     pub fn iter(&self) -> PostingIter<'_> {
         PostingIter(match &self.repr {
             Repr::Sorted(v) => IterRepr::Sorted(v.iter()),
-            Repr::Blocked { bytes, metas, .. } => IterRepr::Blocked {
-                bytes,
-                metas,
-                block: 0,
-                pos: 0,
-                left: 0,
-                prev: 0,
-            },
             Repr::Dense { words, .. } => IterRepr::Dense {
                 words,
                 word_idx: 0,
@@ -267,8 +165,8 @@ impl PostingList {
         out
     }
 
-    /// Set intersection. Gallops on lopsided sorted inputs, skips whole
-    /// blocks on compressed ones, ANDs words on dense ones.
+    /// Set intersection. Gallops on lopsided sorted inputs, ANDs words on
+    /// dense ones.
     pub fn intersect(&self, other: &PostingList) -> PostingList {
         let universe = self.universe.max(other.universe) as usize;
         if let (Repr::Dense { words: wa, .. }, Repr::Dense { words: wb, .. }) =
@@ -280,18 +178,14 @@ impl PostingList {
             let mut words: Vec<u64> = wa.iter().zip(wb).map(|(a, b)| a & b).collect();
             words.resize((universe as u32).div_ceil(64) as usize, 0);
             let count: u32 = words.iter().map(|w| w.count_ones()).sum();
-            if is_dense(count as usize, universe as u32) {
-                return PostingList {
-                    universe: universe as u32,
-                    repr: Repr::Dense { words, count },
-                };
-            }
-            let ids = PostingList {
+            let dense = PostingList {
                 universe: universe as u32,
                 repr: Repr::Dense { words, count },
+            };
+            if is_dense(count as usize, universe as u32) {
+                return dense;
             }
-            .to_vec();
-            return PostingList::from_sorted(ids, universe);
+            return PostingList::from_sorted(dense.to_vec(), universe);
         }
         let mut out = Vec::new();
         self.intersect_into(other, &mut out);
@@ -307,35 +201,11 @@ impl PostingList {
         out.clear();
         match (&self.repr, &other.repr) {
             (Repr::Sorted(a), Repr::Sorted(b)) => intersect_sorted_into(a, b, out),
-            (Repr::Sorted(a), Repr::Blocked { bytes, metas, .. }) => {
-                intersect_sorted_blocked(a, bytes, metas, out);
-            }
-            (Repr::Blocked { bytes, metas, .. }, Repr::Sorted(b)) => {
-                intersect_sorted_blocked(b, bytes, metas, out);
-            }
-            (
-                Repr::Blocked {
-                    bytes: ab,
-                    metas: am,
-                    ..
-                },
-                Repr::Blocked {
-                    bytes: bb,
-                    metas: bm,
-                    ..
-                },
-            ) => intersect_blocked_blocked(ab, am, bb, bm, out),
             (Repr::Sorted(a), Repr::Dense { .. }) => {
                 out.extend(a.iter().copied().filter(|&id| other.contains(id as RowId)));
             }
             (Repr::Dense { .. }, Repr::Sorted(b)) => {
                 out.extend(b.iter().copied().filter(|&id| self.contains(id as RowId)));
-            }
-            (Repr::Blocked { .. }, Repr::Dense { .. }) => {
-                out.extend(self.iter().filter(|&id| other.contains(id as RowId)));
-            }
-            (Repr::Dense { .. }, Repr::Blocked { .. }) => {
-                out.extend(other.iter().filter(|&id| self.contains(id as RowId)));
             }
             (Repr::Dense { words: wa, .. }, Repr::Dense { words: wb, .. }) => {
                 for (i, (a, b)) in wa.iter().zip(wb).enumerate() {
@@ -353,7 +223,6 @@ impl PostingList {
     pub fn min(&self) -> Option<u32> {
         match &self.repr {
             Repr::Sorted(v) => v.first().copied(),
-            Repr::Blocked { metas, .. } => metas.first().map(|m| m.first),
             Repr::Dense { words, .. } => words
                 .iter()
                 .enumerate()
@@ -362,12 +231,11 @@ impl PostingList {
         }
     }
 
-    /// Largest row id, `None` when empty. O(1) on every representation
-    /// (the canonical hash depends on this staying cheap).
+    /// Largest row id, `None` when empty. O(1) on sorted runs and one
+    /// backward word scan on bitsets (the canonical hash calls it).
     pub fn max(&self) -> Option<u32> {
         match &self.repr {
             Repr::Sorted(v) => v.last().copied(),
-            Repr::Blocked { metas, .. } => metas.last().map(|m| m.last),
             Repr::Dense { words, .. } => words
                 .iter()
                 .enumerate()
@@ -378,11 +246,9 @@ impl PostingList {
     }
 
     /// Insert one row id, growing the universe when `id` lies beyond it.
-    /// Returns `true` when the id was newly added. Sorted runs promote to
-    /// blocked storage past `BLOCK_THRESHOLD` and either form promotes to
+    /// Returns `true` when the id was newly added. A sorted run promotes to
     /// a bitset when the insert crosses the density threshold; removals
-    /// never demote (hysteresis keeps edit sequences cheap). A blocked
-    /// insert re-encodes one block, splitting it at `BLOCK_MAX` entries.
+    /// never demote (hysteresis keeps edit sequences cheap).
     pub fn insert(&mut self, id: RowId) -> bool {
         let id = id as u32;
         if id >= self.universe {
@@ -391,49 +257,29 @@ impl PostingList {
                 words.resize(self.universe.div_ceil(64) as usize, 0);
             }
         }
-        let added = match &mut self.repr {
-            Repr::Sorted(v) => match v.binary_search(&id) {
-                Ok(_) => false,
-                Err(pos) => {
-                    v.insert(pos, id);
-                    true
+        match &mut self.repr {
+            Repr::Sorted(v) => {
+                let Err(pos) = v.binary_search(&id) else {
+                    return false;
+                };
+                v.insert(pos, id);
+                if is_dense(v.len(), self.universe) {
+                    let ids = std::mem::take(v);
+                    *self = PostingList::from_sorted(ids, self.universe as usize);
                 }
-            },
-            Repr::Blocked {
-                bytes,
-                metas,
-                count,
-            } => {
-                if insert_blocked(bytes, metas, id) {
-                    *count += 1;
-                    true
-                } else {
-                    false
-                }
+                true
             }
             Repr::Dense { words, count } => {
                 let w = &mut words[(id / 64) as usize];
                 let bit = 1u64 << (id % 64);
-                return if *w & bit == 0 {
-                    *w |= bit;
-                    *count += 1;
-                    true
-                } else {
-                    false
-                };
-            }
-        };
-        if added {
-            let promote = match &self.repr {
-                Repr::Sorted(v) => is_dense(v.len(), self.universe) || v.len() >= BLOCK_THRESHOLD,
-                Repr::Blocked { count, .. } => is_dense(*count as usize, self.universe),
-                Repr::Dense { .. } => false,
-            };
-            if promote {
-                *self = PostingList::from_sorted(self.to_vec(), self.universe as usize);
+                if *w & bit != 0 {
+                    return false;
+                }
+                *w |= bit;
+                *count += 1;
+                true
             }
         }
-        added
     }
 
     /// Remove one row id; returns `true` when it was present.
@@ -447,18 +293,6 @@ impl PostingList {
                 }
                 Err(_) => false,
             },
-            Repr::Blocked {
-                bytes,
-                metas,
-                count,
-            } => {
-                if remove_blocked(bytes, metas, id) {
-                    *count -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
             Repr::Dense { words, count } => {
                 if id >= self.universe {
                     return false;
@@ -490,109 +324,15 @@ impl PostingList {
         *self = PostingList::from_sorted(ids, self.universe.saturating_sub(1).max(1) as usize);
     }
 
-    /// Is `self ⊆ other`?
+    /// Is `self ⊆ other`? Sorted runs gallop through the superset; any
+    /// bitset side answers per id.
     pub fn is_subset(&self, other: &PostingList) -> bool {
         if self.len() > other.len() {
             return false;
         }
-        // Against a blocked superset there are two regimes: a small probe
-        // set wants the per-id skip-pointer search, a large one (anything
-        // past the gallop ratio) wants one linear merge walk — the probes
-        // cost O(|self| log) while the merge streams both sides once.
-        let prefer_merge = other.len() < self.len().saturating_mul(GALLOP_RATIO);
         match (&self.repr, &other.repr) {
             (Repr::Sorted(a), Repr::Sorted(b)) => is_subset_sorted(a, b),
-            (Repr::Sorted(a), Repr::Blocked { bytes, metas, .. }) => {
-                if prefer_merge {
-                    is_subset_iter_merge(a.iter().copied(), other.iter())
-                } else {
-                    is_subset_sorted_blocked(a, bytes, metas)
-                }
-            }
-            (Repr::Blocked { .. }, Repr::Sorted(b)) => is_subset_iter_sorted(self.iter(), b),
-            (
-                Repr::Blocked {
-                    bytes: ab,
-                    metas: am,
-                    ..
-                },
-                Repr::Blocked {
-                    bytes: bb,
-                    metas: bm,
-                    ..
-                },
-            ) => {
-                if prefer_merge {
-                    return is_subset_iter_merge(self.iter(), other.iter());
-                }
-                let mut buf = BlockBuf::new();
-                for k in 0..am.len() {
-                    decode_block(ab, am, k, &mut buf);
-                    if !is_subset_sorted_blocked(buf.ids(), bb, bm) {
-                        return false;
-                    }
-                }
-                true
-            }
             _ => self.iter().all(|id| other.contains(id as RowId)),
-        }
-    }
-
-    /// Append this list's canonical wire gap stream (`first, gap, gap, …`)
-    /// to `out`. The stream is independent of block partitioning, so the
-    /// blocked form emits one inter-block gap varint per block and then
-    /// copies the block's payload bytes wholesale — no re-encoding.
-    pub(crate) fn write_wire_gaps(&self, out: &mut Vec<u8>) {
-        if let Repr::Blocked { bytes, metas, .. } = &self.repr {
-            let mut prev_last: Option<u32> = None;
-            for (k, m) in metas.iter().enumerate() {
-                match prev_last {
-                    None => put_varint(out, m.first as u64),
-                    Some(p) => put_varint(out, (m.first - p) as u64),
-                }
-                out.extend_from_slice(&bytes[m.offset as usize..block_end(bytes, metas, k)]);
-                prev_last = Some(m.last);
-            }
-        } else {
-            let mut prev: Option<u32> = None;
-            for id in self.iter() {
-                match prev {
-                    None => put_varint(out, id as u64),
-                    Some(p) => put_varint(out, (id - p) as u64),
-                }
-                prev = Some(id);
-            }
-        }
-    }
-
-    /// Would a decoded wire list of `len` ids over `universe` land in the
-    /// blocked representation? Mirrors [`from_sorted`](Self::from_sorted)'s
-    /// tier choice so the codec can build blocks directly off the wire.
-    pub(crate) fn wire_prefers_blocked(len: u64, universe: u64) -> bool {
-        len >= BLOCK_THRESHOLD as u64 && !(universe >= 64 && len * 16 >= DENSE_NUMERATOR * universe)
-    }
-
-    /// Assemble a blocked list from codec-validated parts (the snapshot
-    /// decoder copies wire gap payloads wholesale into `bytes`).
-    pub(crate) fn from_blocked_raw(
-        universe: u32,
-        count: u32,
-        mut bytes: Vec<u8>,
-        mut metas: Vec<BlockMeta>,
-    ) -> PostingList {
-        debug_assert_eq!(
-            count as usize,
-            metas.iter().map(|m| m.count as usize).sum::<usize>()
-        );
-        bytes.shrink_to_fit();
-        metas.shrink_to_fit();
-        PostingList {
-            universe,
-            repr: Repr::Blocked {
-                bytes,
-                metas,
-                count,
-            },
         }
     }
 }
@@ -600,262 +340,6 @@ impl PostingList {
 /// Representation decision rule for the bitset tier.
 fn is_dense(count: usize, universe: u32) -> bool {
     universe >= 64 && (count as u64) * 16 >= DENSE_NUMERATOR * universe as u64
-}
-
-/// Read one LEB128 varint gap from in-memory (trusted) block bytes.
-#[inline]
-fn read_gap(bytes: &[u8], pos: &mut usize) -> u32 {
-    let b = bytes[*pos];
-    *pos += 1;
-    if b & 0x80 == 0 {
-        return b as u32;
-    }
-    let mut acc = (b & 0x7f) as u32;
-    let mut shift = 7u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        acc |= ((b & 0x7f) as u32) << shift;
-        if b & 0x80 == 0 {
-            return acc;
-        }
-        shift += 7;
-    }
-}
-
-/// Chunk a sorted run into `BLOCK_LEN`-entry gap blocks.
-fn build_blocked(ids: &[u32], universe: u32) -> PostingList {
-    let mut bytes = Vec::with_capacity(ids.len());
-    let mut metas = Vec::with_capacity(ids.len().div_ceil(BLOCK_LEN));
-    for chunk in ids.chunks(BLOCK_LEN) {
-        let offset = bytes.len();
-        for w in chunk.windows(2) {
-            put_varint(&mut bytes, (w[1] - w[0]) as u64);
-        }
-        metas.push(BlockMeta {
-            first: chunk[0],
-            last: *chunk.last().expect("chunks are non-empty"),
-            offset: offset as u32,
-            count: chunk.len() as u32,
-        });
-    }
-    bytes.shrink_to_fit();
-    metas.shrink_to_fit();
-    PostingList {
-        universe,
-        repr: Repr::Blocked {
-            bytes,
-            metas,
-            count: ids.len() as u32,
-        },
-    }
-}
-
-/// Stack scratch for decoding one block — read paths expand blocks here so
-/// intersections and subset checks never touch the heap per block.
-struct BlockBuf {
-    ids: [u32; BLOCK_MAX],
-    len: usize,
-}
-
-impl BlockBuf {
-    fn new() -> BlockBuf {
-        BlockBuf {
-            ids: [0; BLOCK_MAX],
-            len: 0,
-        }
-    }
-
-    fn ids(&self) -> &[u32] {
-        &self.ids[..self.len]
-    }
-}
-
-/// Decode block `k` into the scratch buffer.
-fn decode_block(bytes: &[u8], metas: &[BlockMeta], k: usize, buf: &mut BlockBuf) {
-    let m = &metas[k];
-    debug_assert!(m.count as usize <= BLOCK_MAX);
-    let mut pos = m.offset as usize;
-    let mut cur = m.first;
-    buf.ids[0] = cur;
-    for slot in buf.ids[1..m.count as usize].iter_mut() {
-        cur += read_gap(bytes, &mut pos);
-        *slot = cur;
-    }
-    buf.len = m.count as usize;
-}
-
-/// Decode block `k` into a fresh vector (mutation path).
-fn decode_block_vec(bytes: &[u8], metas: &[BlockMeta], k: usize) -> Vec<u32> {
-    let m = &metas[k];
-    let mut ids = Vec::with_capacity(m.count as usize + 1);
-    let mut pos = m.offset as usize;
-    let mut cur = m.first;
-    ids.push(cur);
-    for _ in 1..m.count {
-        cur += read_gap(bytes, &mut pos);
-        ids.push(cur);
-    }
-    ids
-}
-
-/// Re-encode block `k` from `ids`: removed when empty, split in half past
-/// `BLOCK_MAX`, otherwise rewritten in place. Subsequent blocks' offsets
-/// shift by the payload size delta; their payload bytes are untouched.
-fn replace_block(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, k: usize, ids: &[u32]) {
-    let start = metas[k].offset as usize;
-    let end = block_end(bytes, metas, k);
-    let chunks: [&[u32]; 2] = if ids.len() > BLOCK_MAX {
-        ids.split_at(ids.len() / 2).into()
-    } else {
-        [ids, &[]]
-    };
-    let mut payload: Vec<u8> = Vec::with_capacity(ids.len() * 2);
-    let mut new_metas: Vec<BlockMeta> = Vec::with_capacity(2);
-    for chunk in chunks {
-        if chunk.is_empty() {
-            continue;
-        }
-        let chunk_offset = payload.len();
-        for w in chunk.windows(2) {
-            put_varint(&mut payload, (w[1] - w[0]) as u64);
-        }
-        new_metas.push(BlockMeta {
-            first: chunk[0],
-            last: *chunk.last().expect("non-empty chunk"),
-            offset: (start + chunk_offset) as u32,
-            count: chunk.len() as u32,
-        });
-    }
-    let n_new = new_metas.len();
-    let delta = payload.len() as isize - (end - start) as isize;
-    bytes.splice(start..end, payload);
-    metas.splice(k..k + 1, new_metas);
-    for m in metas.iter_mut().skip(k + n_new) {
-        m.offset = (m.offset as isize + delta) as u32;
-    }
-}
-
-/// Insert `id` into a blocked list; `false` when already present.
-fn insert_blocked(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
-    if metas.is_empty() {
-        debug_assert!(
-            bytes.is_empty(),
-            "removing the last block drops its payload"
-        );
-        metas.push(BlockMeta {
-            first: id,
-            last: id,
-            offset: 0,
-            count: 1,
-        });
-        return true;
-    }
-    // Last block starting at or before `id`; ids below every block land in
-    // block 0 (binary_search then prepends).
-    let k = metas.partition_point(|m| m.first <= id).saturating_sub(1);
-    let mut ids = decode_block_vec(bytes, metas, k);
-    match ids.binary_search(&id) {
-        Ok(_) => false,
-        Err(pos) => {
-            ids.insert(pos, id);
-            replace_block(bytes, metas, k, &ids);
-            true
-        }
-    }
-}
-
-/// Remove `id` from a blocked list; `false` when absent.
-fn remove_blocked(bytes: &mut Vec<u8>, metas: &mut Vec<BlockMeta>, id: u32) -> bool {
-    let p = metas.partition_point(|m| m.first <= id);
-    if p == 0 || id > metas[p - 1].last {
-        return false;
-    }
-    let k = p - 1;
-    let mut ids = decode_block_vec(bytes, metas, k);
-    match ids.binary_search(&id) {
-        Ok(pos) => {
-            ids.remove(pos);
-            replace_block(bytes, metas, k, &ids);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Sorted ∩ blocked: skip pointers jump past non-overlapping blocks, then
-/// each overlapping block decodes once into stack scratch and intersects
-/// against its window of the sorted run.
-fn intersect_sorted_blocked(sorted: &[u32], bytes: &[u8], metas: &[BlockMeta], out: &mut Vec<u32>) {
-    let mut buf = BlockBuf::new();
-    let mut s = sorted;
-    let mut k = 0usize;
-    while !s.is_empty() && k < metas.len() {
-        // First block that can contain s[0].
-        k += metas[k..].partition_point(|m| m.last < s[0]);
-        if k >= metas.len() {
-            return;
-        }
-        let m = &metas[k];
-        let lo = s.partition_point(|&x| x < m.first);
-        let hi = s.partition_point(|&x| x <= m.last);
-        if lo < hi {
-            decode_block(bytes, metas, k, &mut buf);
-            intersect_sorted_into(&s[lo..hi], buf.ids(), out);
-        }
-        s = &s[hi..];
-        k += 1;
-    }
-}
-
-/// Blocked ∩ blocked: a two-cursor walk over the block directories.
-/// Non-overlapping blocks advance by skip pointer alone; overlapping pairs
-/// decode (cached per cursor) and intersect their overlapping windows.
-/// Each common id lives in exactly one block per side, so exactly one pair
-/// emits it, and pairs advance in ascending range order.
-fn intersect_blocked_blocked(
-    abytes: &[u8],
-    ametas: &[BlockMeta],
-    bbytes: &[u8],
-    bmetas: &[BlockMeta],
-    out: &mut Vec<u32>,
-) {
-    let mut abuf = BlockBuf::new();
-    let mut bbuf = BlockBuf::new();
-    let (mut adec, mut bdec) = (usize::MAX, usize::MAX);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ametas.len() && j < bmetas.len() {
-        let (ma, mb) = (&ametas[i], &bmetas[j]);
-        if ma.last < mb.first {
-            i += 1;
-            continue;
-        }
-        if mb.last < ma.first {
-            j += 1;
-            continue;
-        }
-        if adec != i {
-            decode_block(abytes, ametas, i, &mut abuf);
-            adec = i;
-        }
-        if bdec != j {
-            decode_block(bbytes, bmetas, j, &mut bbuf);
-            bdec = j;
-        }
-        let a = abuf.ids();
-        let b = bbuf.ids();
-        let a_lo = a.partition_point(|&x| x < mb.first);
-        let a_hi = a.partition_point(|&x| x <= mb.last);
-        let b_lo = b.partition_point(|&x| x < ma.first);
-        let b_hi = b.partition_point(|&x| x <= ma.last);
-        intersect_sorted_into(&a[a_lo..a_hi], &b[b_lo..b_hi], out);
-        if ma.last <= mb.last {
-            i += 1;
-        }
-        if mb.last <= ma.last {
-            j += 1;
-        }
-    }
 }
 
 /// Sorted intersection: linear merge for comparable lengths, galloping when
@@ -913,68 +397,17 @@ fn gallop_search(hay: &[u32], x: u32) -> Result<usize, usize> {
     }
 }
 
-/// Sorted subset check with a galloping scan through the superset.
+/// Sorted subset check: every id of `a` must appear in `b`; the gallop
+/// cursor into `b` persists across ids.
 fn is_subset_sorted(a: &[u32], b: &[u32]) -> bool {
-    is_subset_iter_sorted(a.iter().copied(), b)
-}
-
-/// Merge-style subset check over two ascending id streams: one linear walk
-/// of both sides, the right call when the candidate subset is a sizable
-/// fraction of the superset and per-id probes would cost more than the
-/// stream.
-fn is_subset_iter_merge(a: impl Iterator<Item = u32>, mut b: impl Iterator<Item = u32>) -> bool {
-    let mut cur = b.next();
-    'outer: for x in a {
-        while let Some(y) = cur {
-            cur = if y < x {
-                b.next()
-            } else if y == x {
-                continue 'outer;
-            } else {
-                return false;
-            };
-        }
-        return false;
-    }
-    true
-}
-
-/// Streaming subset check: every id the iterator yields (ascending) must
-/// appear in sorted `b`; the gallop cursor persists across ids.
-fn is_subset_iter_sorted(ids: impl Iterator<Item = u32>, b: &[u32]) -> bool {
     let mut base = 0usize;
-    for x in ids {
+    for &x in a {
         if base >= b.len() {
             return false;
         }
         match gallop_search(&b[base..], x) {
             Ok(off) => base += off + 1,
             Err(_) => return false,
-        }
-    }
-    true
-}
-
-/// Sorted ⊆ blocked: locate each id's candidate block via the skip
-/// pointers; consecutive ids in one block reuse its decode.
-fn is_subset_sorted_blocked(a: &[u32], bytes: &[u8], metas: &[BlockMeta]) -> bool {
-    let mut buf = BlockBuf::new();
-    let mut decoded = usize::MAX;
-    for &x in a {
-        let p = metas.partition_point(|m| m.first <= x);
-        if p == 0 || x > metas[p - 1].last {
-            return false;
-        }
-        let k = p - 1;
-        if x == metas[k].first || x == metas[k].last {
-            continue;
-        }
-        if decoded != k {
-            decode_block(bytes, metas, k, &mut buf);
-            decoded = k;
-        }
-        if buf.ids().binary_search(&x).is_err() {
-            return false;
         }
     }
     true
@@ -994,23 +427,6 @@ impl PartialEq for PostingList {
                     count: cb,
                 },
             ) => ca == cb && a == b,
-            (
-                Repr::Blocked {
-                    bytes: ab,
-                    metas: am,
-                    count: ca,
-                },
-                Repr::Blocked {
-                    bytes: bb,
-                    metas: bm,
-                    count: cb,
-                },
-            ) => {
-                // Identical block layout ⇒ identical sets, but mutation
-                // history can partition one set two ways — unequal bytes
-                // must still fall through to the element compare.
-                ca == cb && ((am == bm && ab == bb) || self.iter().eq(other.iter()))
-            }
             _ => self.len() == other.len() && self.iter().eq(other.iter()),
         }
     }
@@ -1021,15 +437,15 @@ impl Eq for PostingList {}
 impl Hash for PostingList {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Canonical over the element *sequence prefix* plus (count, max) so
-        // all three representations of one set hash alike without iterating
+        // both representations of one set hash alike without iterating
         // row sets that can span the whole relation. The bounded prefix
         // matters for discovery's RHS decision cache, which probes many
         // distinct joint row sets of equal size sharing min and max — a
         // summary-only hash would bucket those together and degrade every
         // probe to full `Eq` scans.
         state.write_usize(self.len());
-        if !self.is_empty() {
-            state.write_u32(self.max().expect("non-empty"));
+        if let Some(max) = self.max() {
+            state.write_u32(max);
             for id in self.iter().take(8) {
                 state.write_u32(id);
             }
@@ -1038,27 +454,12 @@ impl Hash for PostingList {
 }
 
 /// Iterator over a [`PostingList`]'s row ids, ascending. Opaque so the
-/// compressed block layout stays an implementation detail.
+/// storage tier stays an implementation detail.
 pub struct PostingIter<'a>(IterRepr<'a>);
 
 enum IterRepr<'a> {
     /// Sorted-vector cursor.
     Sorted(std::slice::Iter<'a, u32>),
-    /// Compressed-block cursor: decodes gaps on the fly, no scratch buffer.
-    Blocked {
-        /// Concatenated block payloads.
-        bytes: &'a [u8],
-        /// Block directory.
-        metas: &'a [BlockMeta],
-        /// Index of the next block to enter.
-        block: usize,
-        /// Byte position within the current block's payload.
-        pos: usize,
-        /// Ids left to emit from the current block.
-        left: u32,
-        /// Last id emitted (gap base).
-        prev: u32,
-    },
     /// Bitset word scanner.
     Dense {
         /// The words being scanned.
@@ -1076,27 +477,6 @@ impl Iterator for PostingIter<'_> {
     fn next(&mut self) -> Option<u32> {
         match &mut self.0 {
             IterRepr::Sorted(it) => it.next().copied(),
-            IterRepr::Blocked {
-                bytes,
-                metas,
-                block,
-                pos,
-                left,
-                prev,
-            } => {
-                if *left == 0 {
-                    let m = metas.get(*block)?;
-                    *block += 1;
-                    *pos = m.offset as usize;
-                    *left = m.count - 1;
-                    *prev = m.first;
-                    Some(m.first)
-                } else {
-                    *prev += read_gap(bytes, pos);
-                    *left -= 1;
-                    Some(*prev)
-                }
-            }
             IterRepr::Dense {
                 words,
                 word_idx,
@@ -1122,9 +502,8 @@ impl Iterator for PostingIter<'_> {
 ///
 /// Unions go straight into the bitset word-at-a-time —
 /// [`insert_all`](Self::insert_all) batches ascending ids sharing a word
-/// into one read-modify-write (blocked lists decode per block into stack
-/// scratch, dense lists OR whole words) — and
-/// [`into_posting_list`](Self::into_posting_list) hands the accumulated
+/// into one read-modify-write and ORs dense lists whole words at a time —
+/// and [`into_posting_list`](Self::into_posting_list) hands the accumulated
 /// set to the tiered representation without materializing a sorted vector
 /// when the result is dense.
 #[derive(Debug, Clone)]
@@ -1158,15 +537,6 @@ impl RowSetAccumulator {
     pub fn insert_all(&mut self, list: &PostingList) {
         match &list.repr {
             Repr::Sorted(v) => self.insert_ascending(v),
-            Repr::Blocked { bytes, metas, .. } => {
-                // Decode each block into stack scratch and union it with
-                // the word-batched path — no per-id branch, no heap.
-                let mut buf = BlockBuf::new();
-                for k in 0..metas.len() {
-                    decode_block(bytes, metas, k, &mut buf);
-                    self.insert_ascending(buf.ids());
-                }
-            }
             Repr::Dense { words, .. } => {
                 for (dst, src) in self.words.iter_mut().zip(words) {
                     let merged = *dst | src;
@@ -1216,7 +586,7 @@ impl RowSetAccumulator {
 
     /// Consume the accumulator into a tiered [`PostingList`]. A dense
     /// result adopts the bitset words as-is (no id materialization at
-    /// all); a sparse one scans set bits into the sorted/blocked tiers.
+    /// all); a sparse one scans set bits into a sorted run.
     pub fn into_posting_list(self) -> PostingList {
         let universe = self.universe as u32;
         if is_dense(self.count, universe) {
@@ -1248,10 +618,11 @@ mod tests {
         PostingList::from_sorted(ids.to_vec(), universe)
     }
 
-    /// Sparse ids guaranteed to land in the blocked tier.
-    fn blocked(n: u32, stride: u32, universe: usize) -> PostingList {
+    /// `n` ids spaced `stride` apart: with a wide universe, a large sparse
+    /// list that stays in the sorted tier.
+    fn sparse(n: u32, stride: u32, universe: usize) -> PostingList {
         let list = PostingList::from_sorted((0..n).map(|i| i * stride).collect(), universe);
-        assert!(list.is_blocked_repr(), "n={n} stride={stride} u={universe}");
+        assert!(!list.is_dense_repr(), "n={n} stride={stride} u={universe}");
         list
     }
 
@@ -1291,9 +662,8 @@ mod tests {
 
     #[test]
     fn galloping_matches_linear_on_lopsided_inputs() {
-        // Universe 1M keeps both sides sparse; 4 needles vs 600 haystack
-        // ids triggers the galloping intersection (hay stays below the
-        // block threshold).
+        // Universe 1M keeps both sides sparse; 4 needles vs 250 haystack
+        // ids triggers the galloping intersection.
         const U: usize = 1_000_000;
         let needles = pl(&[0, 7, 300, 1111], U);
         let hay: Vec<u32> = (0..250).map(|i| i * 2).collect();
@@ -1311,13 +681,13 @@ mod tests {
 
     #[test]
     fn galloping_subset_checks_stay_sorted() {
-        // Large universe, superset below the block threshold: the subset
-        // checks run the galloping scan, not the bitset or block paths.
+        // Large universe: the subset checks run the galloping scan, not the
+        // bitset path.
         const U: usize = 1_000_000;
         let small = pl(&[2, 40, 4000, 20_000], U);
         let big_ids: Vec<u32> = (0..250).map(|i| i * 100).collect(); // 0,100,…
         let big = PostingList::from_sorted(big_ids, U);
-        assert!(!small.is_dense_repr() && !big.is_dense_repr() && !big.is_blocked_repr());
+        assert!(!small.is_dense_repr() && !big.is_dense_repr());
         assert!(pl(&[0, 400, 4000, 20_000], U).is_subset(&big));
         assert!(!small.is_subset(&big), "2 and 40 are not multiples of 100");
         // First and last elements of the superset are found.
@@ -1348,31 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_representation_kicks_in_and_roundtrips() {
-        let ids: Vec<u32> = (0..1000).map(|i| i * 37).collect();
-        let list = PostingList::from_sorted(ids.clone(), 40_000);
-        assert!(list.is_blocked_repr());
-        assert_eq!(list.len(), 1000);
-        assert_eq!(list.to_vec(), ids);
-        assert_eq!(list.min(), Some(0));
-        assert_eq!(list.max(), Some(999 * 37));
-        for probe in [0u32, 37, 36, 38, 128 * 37, 128 * 37 + 1, 999 * 37, 39_999] {
-            assert_eq!(
-                list.contains(probe as usize),
-                ids.binary_search(&probe).is_ok(),
-                "probe {probe}"
-            );
-        }
-        // Compression actually saves memory vs 4 bytes/id.
-        assert!(
-            list.heap_bytes() < ids.len() * 4,
-            "blocked {} B ≥ sorted {} B",
-            list.heap_bytes(),
-            ids.len() * 4
-        );
-    }
-
-    #[test]
     fn equality_and_hash_are_representation_independent() {
         use std::collections::hash_map::DefaultHasher;
         let h = |p: &PostingList| {
@@ -1390,18 +735,8 @@ mod tests {
         assert!(dense.is_dense_repr());
         assert!(!sparse.is_dense_repr());
         assert_eq!(dense, sparse);
+        assert_eq!(sparse, dense);
         assert_eq!(h(&dense), h(&sparse));
-        // Blocked vs forced-sorted of the same ids.
-        let many: Vec<u32> = (0..400).map(|i| i * 50).collect();
-        let blocked = PostingList::from_sorted(many.clone(), 20_000);
-        let forced = PostingList {
-            universe: 20_000,
-            repr: Repr::Sorted(many),
-        };
-        assert!(blocked.is_blocked_repr());
-        assert_eq!(blocked, forced);
-        assert_eq!(forced, blocked);
-        assert_eq!(h(&blocked), h(&forced));
     }
 
     #[test]
@@ -1427,10 +762,12 @@ mod tests {
         assert_eq!(acc.len(), 101);
     }
 
+    /// A large sparse list (the size class a block-compressed tier once
+    /// held) unions idempotently.
     #[test]
     fn accumulator_accepts_blocked_lists() {
         let mut acc = RowSetAccumulator::new(40_000);
-        let b = blocked(500, 37, 40_000);
+        let b = sparse(500, 37, 40_000);
         acc.insert_all(&b);
         assert_eq!(acc.len(), 500);
         acc.insert_all(&b);
@@ -1440,11 +777,11 @@ mod tests {
     #[test]
     fn accumulator_into_posting_list_matches_model() {
         // Sparse result: collects ids; dense result: adopts the bitset.
-        let mut sparse = RowSetAccumulator::new(100_000);
-        sparse.insert_all(&pl(&[5, 70, 100, 65_000], 100_000));
-        sparse.insert(70);
-        sparse.insert(71);
-        let list = sparse.into_posting_list();
+        let mut sparse_acc = RowSetAccumulator::new(100_000);
+        sparse_acc.insert_all(&pl(&[5, 70, 100, 65_000], 100_000));
+        sparse_acc.insert(70);
+        sparse_acc.insert(71);
+        let list = sparse_acc.into_posting_list();
         assert_eq!(list.to_vec(), vec![5, 70, 71, 100, 65_000]);
         assert_eq!(list.universe(), 100_000);
 
@@ -1454,9 +791,9 @@ mod tests {
         assert!(list.is_dense_repr(), "128/256 crosses the density bar");
         assert_eq!(list.to_vec(), (0..128).collect::<Vec<u32>>());
 
-        // Blocked input unions through the word-batched path.
+        // A large sparse input unions through the word-batched path.
         let mut acc = RowSetAccumulator::new(1_000_000);
-        let b = blocked(2000, 9, 1_000_000);
+        let b = sparse(2000, 9, 1_000_000);
         acc.insert_all(&b);
         acc.insert_all(&b);
         assert_eq!(acc.len(), 2000);
@@ -1506,80 +843,13 @@ mod tests {
         assert_eq!(a.to_vec(), (0..8).collect::<Vec<u32>>());
     }
 
-    #[test]
-    fn sorted_promotes_to_blocked_past_threshold() {
-        const U: usize = 1_000_000;
-        let mut a = PostingList::from_sorted((0..255).map(|i| i * 10).collect(), U);
-        assert!(!a.is_blocked_repr(), "255 ids stay sorted");
-        assert!(a.insert(255 * 10));
-        assert!(a.is_blocked_repr(), "256th id crosses the block threshold");
-        assert_eq!(a.to_vec(), (0..256).map(|i| i * 10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn blocked_insert_remove_match_model_across_boundaries() {
-        const U: usize = 1_000_000;
-        let base: Vec<u32> = (0..640).map(|i| i * 7).collect();
-        let mut list = PostingList::from_sorted(base.clone(), U);
-        assert!(list.is_blocked_repr());
-        let mut model: std::collections::BTreeSet<u32> = base.into_iter().collect();
-        // Edits straddling the 128-entry block edges: ids around positions
-        // 0, 127/128, 255/256, and past the end.
-        let edits: Vec<u32> = vec![
-            3,           // interior of block 0
-            0,           // existing first id
-            127 * 7,     // last id of block 0
-            127 * 7 + 1, // gap straddling blocks 0/1
-            128 * 7,     // first id of block 1
-            255 * 7 + 3,
-            256 * 7,
-            639 * 7,     // global last
-            639 * 7 + 5, // beyond the last block
-        ];
-        for &id in &edits {
-            assert_eq!(list.insert(id as usize), model.insert(id), "insert {id}");
-        }
-        assert_eq!(list.to_vec(), model.iter().copied().collect::<Vec<_>>());
-        for &id in &edits {
-            assert_eq!(list.remove(id as usize), model.remove(&id), "remove {id}");
-        }
-        assert_eq!(list.to_vec(), model.iter().copied().collect::<Vec<_>>());
-        assert!(list.is_blocked_repr(), "removals never demote");
-    }
-
-    #[test]
-    fn blocked_front_insert_lands_before_first_block() {
-        const U: usize = 1_000_000;
-        let mut list = blocked(300, 10, U);
-        // All existing ids are multiples of 10 starting at 0; 5 sorts
-        // between blocks' firsts... actually before none: smallest is 0.
-        // Remove 0 so an insert below the new first block head exercises
-        // the p == 0 prepend path.
-        assert!(list.remove(0));
-        assert!(list.insert(5));
-        assert_eq!(list.min(), Some(5));
-        assert!(list.contains(5));
-    }
-
-    #[test]
-    fn blocked_split_keeps_blocks_bounded() {
-        const U: usize = 10_000_000;
-        // Widely spaced base so inserted ids fall inside block 0's range.
-        let mut list = blocked(400, 20_000, U);
-        for id in 1..300u32 {
-            assert!(list.insert(id as usize), "insert {id}");
-        }
-        let expected: std::collections::BTreeSet<u32> =
-            (0..400u32).map(|i| i * 20_000).chain(1..300).collect();
-        assert_eq!(list.to_vec(), expected.into_iter().collect::<Vec<_>>());
-    }
-
+    /// A large sparse list (the size class a block-compressed tier once
+    /// held) can lose every id and take new ones.
     #[test]
     fn blocked_can_empty_out_and_refill() {
         const U: usize = 1_000_000;
         let ids: Vec<u32> = (0..300).map(|i| i * 11).collect();
         let mut list = PostingList::from_sorted(ids.clone(), U);
-        assert!(list.is_blocked_repr());
         for &id in &ids {
             assert!(list.remove(id as usize));
         }
@@ -1591,6 +861,9 @@ mod tests {
         assert_eq!(list.to_vec(), vec![42]);
     }
 
+    /// Intersections of large sparse lists (the size class a
+    /// block-compressed tier once held), with each other, with short runs
+    /// and with bitsets, agree with a naive filter.
     #[test]
     fn blocked_intersections_agree_with_naive() {
         const U: usize = 1_000_000;
@@ -1602,18 +875,18 @@ mod tests {
                 .collect()
         };
         let shapes: Vec<(PostingList, PostingList)> = vec![
-            // blocked × blocked, interleaved strides
-            (blocked(2000, 6, U), blocked(1500, 10, U)),
-            // blocked × blocked, disjoint ranges
+            // interleaved strides
+            (sparse(2000, 6, U), sparse(1500, 10, U)),
+            // disjoint ranges
             (
                 PostingList::from_sorted((0..400).collect(), U),
                 PostingList::from_sorted((500_000..500_400).collect(), U),
             ),
-            // blocked × sorted (both directions exercised below)
-            (blocked(3000, 8, U), pl(&[0, 8, 9, 16, 23_000, 999_999], U)),
-            // blocked × dense
+            // large × short (both directions exercised below)
+            (sparse(3000, 8, U), pl(&[0, 8, 9, 16, 23_000, 999_999], U)),
+            // large sparse × dense
             (
-                blocked(1000, 13, U),
+                sparse(1000, 13, U),
                 PostingList::from_sorted((0..2000).collect(), 20_000),
             ),
         ];
@@ -1629,6 +902,8 @@ mod tests {
         }
     }
 
+    /// Subset checks between large sparse lists (the size class a
+    /// block-compressed tier once held) and short runs agree with the sets.
     #[test]
     fn blocked_subset_checks_agree_with_naive() {
         const U: usize = 1_000_000;
@@ -1636,23 +911,18 @@ mod tests {
         let every_6th: Vec<u32> = (0..1500).map(|i| i * 6).collect();
         let big = PostingList::from_sorted(every_3rd, U);
         let half = PostingList::from_sorted(every_6th, U);
-        assert!(big.is_blocked_repr() && half.is_blocked_repr());
         assert!(half.is_subset(&big));
         assert!(!big.is_subset(&half));
-        // sorted ⊆ blocked and blocked ⊆ sorted
         assert!(pl(&[0, 3, 8997], U).is_subset(&big));
         assert!(!pl(&[0, 4], U).is_subset(&big));
-        let small_blocked = blocked(300, 30, 1_000_000);
-        let superset_sorted = PostingList {
-            universe: 1_000_000,
-            repr: Repr::Sorted((0..1200u32).map(|i| i * 15).collect()),
-        };
-        assert!(small_blocked.is_subset(&superset_sorted));
-        let gap = PostingList {
-            universe: 1_000_000,
-            repr: Repr::Sorted((0..1200u32).map(|i| i * 15).filter(|&x| x != 60).collect()),
-        };
-        assert!(!small_blocked.is_subset(&gap));
+        let small = sparse(300, 30, U);
+        let superset = sparse(1200, 15, U);
+        assert!(small.is_subset(&superset));
+        let gap = PostingList::from_sorted(
+            (0..1200u32).map(|i| i * 15).filter(|&x| x != 60).collect(),
+            U,
+        );
+        assert!(!small.is_subset(&gap));
     }
 
     #[test]
@@ -1669,8 +939,8 @@ mod tests {
         d.renumber_after_delete(10);
         let expected: Vec<u32> = (0..49).collect();
         assert_eq!(d.to_vec(), expected);
-        // Blocked form: ids above the removed row shift down by one.
-        let mut b = blocked(400, 9, 1_000_000);
+        // A large sparse run: ids above the removed row shift down by one.
+        let mut b = sparse(400, 9, 1_000_000);
         b.remove(9);
         b.renumber_after_delete(9);
         let expected: Vec<u32> = (0..400u32)
@@ -1684,7 +954,7 @@ mod tests {
     #[test]
     fn intersect_into_agrees_with_intersect_across_reprs() {
         // Sparse × sparse (merge + gallop), sparse × dense, dense × dense,
-        // blocked × each.
+        // large sparse × each.
         let cases: Vec<(PostingList, PostingList)> = vec![
             (pl(&[1, 5, 9, 20], 1000), pl(&[5, 6, 9, 21], 1000)),
             (
@@ -1700,9 +970,9 @@ mod tests {
                 PostingList::from_sorted((0..100).filter(|i| i % 3 == 0).collect(), 100),
             ),
             (pl(&[], 100), pl(&[1, 2], 100)),
-            (blocked(1000, 4, 1_000_000), blocked(800, 6, 1_000_000)),
+            (sparse(1000, 4, 1_000_000), sparse(800, 6, 1_000_000)),
             (
-                blocked(1000, 4, 1_000_000),
+                sparse(1000, 4, 1_000_000),
                 PostingList::from_sorted((0..1000).collect(), 1001),
             ),
         ];

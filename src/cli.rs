@@ -35,9 +35,9 @@ use pfd_discovery::{discover, discover_persistent, review_queue, DiscoveryConfig
 use pfd_relation::io::StdIo;
 use pfd_relation::{profile_relation, read_csv, write_csv_string, Relation};
 use std::fmt;
-use std::io::{BufRead, IsTerminal as _, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// CLI errors, each mapping to a non-zero exit code and a message.
 #[derive(Debug)]
@@ -494,11 +494,22 @@ fn obtain_engine(
 }
 
 /// The command stream of `session`/`serve`: the `--script` file, or stdin.
-fn open_script(script: Option<&str>) -> Result<Box<dyn BufRead>, CliError> {
+/// `Send`, so `serve` can read it on a thread of its own.
+fn open_script(script: Option<&str>) -> Result<Box<dyn BufRead + Send>, CliError> {
     Ok(match script {
         Some(path) => Box::new(std::io::BufReader::new(std::fs::File::open(path)?)),
-        None => Box::new(std::io::stdin().lock()),
+        None => Box::new(std::io::BufReader::new(std::io::stdin())),
     })
+}
+
+/// Write each event line as it arrives until every sender is gone. On a
+/// failed write the receiver is dropped, so later events are discarded.
+fn write_events(events: mpsc::Receiver<String>, out: &mut dyn Write) -> std::io::Result<()> {
+    for event in events {
+        writeln!(out, "{event}")?;
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// Cold-builds serve tenants from the `open` command's `"csv"` and
@@ -851,7 +862,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             recover,
         } => {
             let mut input = LineReader::new(open_script(script.as_deref())?);
-            let (tx, rx) = std::sync::mpsc::channel();
+            let (tx, rx) = mpsc::channel();
             let sink = Arc::new(ChannelSink::new(tx));
             let loader = Arc::new(FileTenantLoader {
                 default_rules: rules.clone(),
@@ -874,7 +885,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             // failed cold build is this command's error, returned before
             // any event is printed.
             if let Some(data) = data {
-                let (failed, failure) = std::sync::mpsc::channel();
+                let (failed, failure) = mpsc::channel();
                 server
                     .open_with(DEFAULT_TENANT, move || {
                         cold_build(&data, rules.as_deref(), "serve").map_err(|e| {
@@ -889,33 +900,27 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                     return Err(e);
                 }
             }
-            // At a terminal a human is waiting on each answer, and drain
-            // jobs complete asynchronously — block until the submitted
-            // command has been processed before reading the next line.
-            // Piped/scripted input keeps the throughput-friendly path
-            // where events stream out as they become ready.
-            let interactive = script.is_none() && std::io::stdin().is_terminal();
-            while let Some(line) = input.next_line()? {
-                match line {
-                    Ok(line) => server.submit(line),
-                    Err(unreadable) => server.reject(&unreadable),
-                }
-                if interactive {
-                    server.drain_report();
-                }
-                // Stream whatever events are ready; ordering within a
-                // tenant is fixed by its seq numbers, not arrival time.
-                for event in rx.try_iter() {
-                    writeln!(out, "{event}")?;
-                }
-                if interactive {
-                    out.flush()?;
-                }
-            }
-            let exits = server.shutdown();
-            for event in rx.try_iter() {
-                writeln!(out, "{event}")?;
-            }
+            // A scoped thread reads and submits lines, and shuts the server
+            // down at end of input, which drops the last event sender. This
+            // thread writes each event as drain jobs produce it, so a
+            // terminal or a pipe gets every answer without first sending
+            // the next line. Ordering within a tenant is fixed by its seq
+            // numbers, not arrival time.
+            let (exits, written) = std::thread::scope(|scope| {
+                let reader = scope.spawn(move || {
+                    while let Some(line) = input.next_line()? {
+                        match line {
+                            Ok(line) => server.submit(line),
+                            Err(unreadable) => server.reject(&unreadable),
+                        }
+                    }
+                    Ok::<_, CliError>(server.shutdown())
+                });
+                let written = write_events(rx, out);
+                (reader.join(), written)
+            });
+            let exits = exits.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+            written?;
             // Any tenant left dirty or failed by a worker panic → exit
             // code 1, matching `check`.
             Ok(
