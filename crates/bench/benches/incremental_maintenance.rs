@@ -1,19 +1,24 @@
 //! Criterion bench for incremental violation maintenance: single-cell-edit
 //! reconciliation on the group-indexed [`DeltaEngine`] vs the naive
 //! full-recompute [`IncrementalChecker`], across relation sizes, plus the
-//! batched-edit path.
+//! batched-edit path, plus the engine under the rules `pfd discover` finds
+//! for the geo cascade table — hundreds to over a thousand tableau rows,
+//! where per-tableau-row costs show.
 //!
 //! Besides the human-readable criterion output, the run writes
 //! `BENCH_incremental.json` (µs/edit for both engines, speedup, batch
-//! coalescing factor) so the delta engine's perf trajectory is tracked
+//! coalescing factor, and per discovered-rules case the tableau rows, the
+//! engine build and the median µs of a set on each cascade column, an
+//! insert and a delete) so the delta engine's perf trajectory is tracked
 //! across PRs next to `BENCH_discovery.json`. `PFD_BENCH_SMOKE=1` skips the
 //! criterion sampling and emits the JSON from a tiny-scale pass — the CI
 //! smoke-bench mode. `PFD_BENCH_JSON` overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_core::{DeltaEngine, Edit, IncrementalChecker, Pfd};
-use pfd_datagen::zip_state_table;
-use pfd_relation::Relation;
+use pfd_datagen::{dirty_clean_pair, geo_cascade_table, zip_state_table, ErrorProfile};
+use pfd_discovery::{discover, DiscoveryConfig};
+use pfd_relation::{Relation, RowId};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -99,6 +104,155 @@ fn bench_batch(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
+// Discovered rules: the geo cascade table under what `pfd discover` finds
+// ---------------------------------------------------------------------------
+
+/// The cascade columns a discovered-rules case times sets on.
+const CASCADE: [&str; 5] = ["zip", "city", "county", "state", "region"];
+/// Timed samples per edit kind in a discovered-rules case.
+const DISCOVERED_SAMPLES: usize = 20;
+
+/// `geo_cascade_table(rows, 7)` with 0.5% correlated errors (seed 13) in
+/// the four columns below `zip`, and the PFDs discovery finds for it at the
+/// default configuration.
+fn discovered_workload(rows: usize) -> (Relation, Vec<Pfd>) {
+    let clean = geo_cascade_table(rows, 7);
+    let targets = ["city", "county", "state", "region"].map(|a| clean.schema().attr(a).unwrap());
+    let profile = ErrorProfile::correlated(&targets, 0.005);
+    let (dirty, _) = dirty_clean_pair(&clean, &profile, 13);
+    let pfds = discover(&dirty, &DiscoveryConfig::default())
+        .dependencies
+        .into_iter()
+        .map(|d| d.pfd)
+        .collect();
+    (dirty, pfds)
+}
+
+/// The `i`-th sampled row, spread over the table by a prime stride.
+fn sample_row(i: usize, rows: usize) -> RowId {
+    (i * 7919 + 13) % rows
+}
+
+/// The row's cells, for re-inserting it after a timed delete.
+fn row_cells(rel: &Relation, row: RowId) -> Vec<String> {
+    rel.schema()
+        .attr_ids()
+        .map(|a| rel.cell(row, a).to_string())
+        .collect()
+}
+
+fn elapsed_us(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e6
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn bench_discovered(c: &mut Criterion) {
+    let mut group = c.benchmark_group("incremental_discovered_rules");
+    group.sample_size(10);
+    for rows in [20_000usize, 50_000] {
+        let (rel, pfds) = discovered_workload(rows);
+        let city = rel.schema().attr("city").unwrap();
+        let mut engine = DeltaEngine::new(rel.clone(), pfds);
+        let mut step = 0usize;
+        // A city set to another row's city, then the old one back.
+        group.bench_function(BenchmarkId::new("set_city", rows), |b| {
+            b.iter(|| {
+                let row = sample_row(step / 2, rows);
+                let value = if step.is_multiple_of(2) {
+                    rel.cell(sample_row(step / 2 + 1, rows), city)
+                } else {
+                    rel.cell(row, city)
+                };
+                step += 1;
+                black_box(engine.set_cell(row, city, value.to_string()).unwrap())
+            })
+        });
+        let mut step = 0usize;
+        // A delete, then the deleted row appended again: the table keeps
+        // its size.
+        group.bench_function(BenchmarkId::new("delete_insert", rows), |b| {
+            b.iter(|| {
+                let row = sample_row(step, rows);
+                step += 1;
+                let cells = row_cells(engine.relation(), row);
+                black_box(engine.delete_row(row).unwrap());
+                black_box(engine.insert_row(cells).unwrap())
+            })
+        });
+    }
+    group.finish();
+}
+
+struct DiscoveredCase {
+    rows: usize,
+    dependencies: usize,
+    tableau_rows: usize,
+    build_ms: f64,
+    /// Median µs of a set on each [`CASCADE`] column, in that order.
+    set_us: Vec<f64>,
+    insert_us: f64,
+    delete_us: f64,
+}
+
+fn measure_discovered(rows: usize) -> DiscoveredCase {
+    let (rel, pfds) = discovered_workload(rows);
+    let dependencies = pfds.len();
+    let tableau_rows = pfds.iter().map(|p| p.tableau().len()).sum();
+    let t0 = Instant::now();
+    let mut engine = DeltaEngine::new(rel.clone(), pfds);
+    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    // Each sample sets a cell to another row's value in the same column,
+    // then sets the old value back; both sets are timed.
+    let set_us = CASCADE
+        .iter()
+        .map(|name| {
+            let attr = rel.schema().attr(name).unwrap();
+            let mut samples = Vec::with_capacity(2 * DISCOVERED_SAMPLES);
+            for i in 0..DISCOVERED_SAMPLES {
+                let row = sample_row(i, rows);
+                let other = rel.cell(sample_row(i + DISCOVERED_SAMPLES, rows), attr);
+                for value in [other, rel.cell(row, attr)] {
+                    let t0 = Instant::now();
+                    black_box(engine.set_cell(row, attr, value.to_string()).unwrap());
+                    samples.push(elapsed_us(t0));
+                }
+            }
+            median(samples)
+        })
+        .collect();
+
+    // Each sample deletes a row and appends its cells again, so the table
+    // keeps its size and the deletes land all over it.
+    let mut deletes = Vec::with_capacity(DISCOVERED_SAMPLES);
+    let mut inserts = Vec::with_capacity(DISCOVERED_SAMPLES);
+    for i in 0..DISCOVERED_SAMPLES {
+        let row = sample_row(i, rows);
+        let cells = row_cells(engine.relation(), row);
+        let t0 = Instant::now();
+        black_box(engine.delete_row(row).unwrap());
+        deletes.push(elapsed_us(t0));
+        let t0 = Instant::now();
+        black_box(engine.insert_row(cells).unwrap());
+        inserts.push(elapsed_us(t0));
+    }
+
+    DiscoveredCase {
+        rows,
+        dependencies,
+        tableau_rows,
+        build_ms,
+        set_us,
+        insert_us: median(inserts),
+        delete_us: median(deletes),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Machine-readable results: BENCH_incremental.json
 // ---------------------------------------------------------------------------
 
@@ -161,8 +315,16 @@ fn write_bench_json(smoke: bool) {
             measure(50_000, 100),
         ]
     };
+    let discovered: Vec<DiscoveredCase> = if smoke {
+        vec![measure_discovered(1_000)]
+    } else {
+        [5_000, 20_000, 50_000]
+            .into_iter()
+            .map(measure_discovered)
+            .collect()
+    };
 
-    let mut json = String::from("{\n  \"schema_version\": 1,\n");
+    let mut json = String::from("{\n  \"schema_version\": 2,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -191,6 +353,33 @@ fn write_bench_json(smoke: bool) {
         );
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
+    json.push_str("  ],\n");
+    json.push_str(
+        "  \"discovered_workload\": {\"table\": \"geo_cascade\", \"error_rate\": 0.005, \
+         \"rules\": \"discover, default config\", \"edit\": \"median_us\"},\n",
+    );
+    json.push_str("  \"discovered_cases\": [\n");
+    for (i, c) in discovered.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"rows\": {}, \"dependencies\": {}, \"tableau_rows\": {}, \
+             \"index_build_ms\": {:.2}",
+            c.rows, c.dependencies, c.tableau_rows, c.build_ms
+        );
+        for (name, us) in CASCADE.iter().zip(&c.set_us) {
+            let _ = write!(json, ", \"set_{name}_us\": {us:.2}");
+        }
+        let _ = write!(
+            json,
+            ", \"insert_us\": {:.2}, \"delete_us\": {:.2}}}",
+            c.insert_us, c.delete_us
+        );
+        json.push_str(if i + 1 < discovered.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
     json.push_str("  ]\n}\n");
 
     let path = std::env::var("PFD_BENCH_JSON").unwrap_or_else(|_| {
@@ -209,9 +398,26 @@ fn write_bench_json(smoke: bool) {
             c.rows, c.full_us_per_edit, c.delta_us_per_edit, c.speedup, c.batch_us_per_edit
         );
     }
+    for c in &discovered {
+        let sets: Vec<String> = CASCADE
+            .iter()
+            .zip(&c.set_us)
+            .map(|(name, us)| format!("{name} {us:.1}"))
+            .collect();
+        println!(
+            "discovered rules, rows {:>6} ({} tableau rows): build {:.1} ms; \
+             set µs {}; insert {:.1} µs; delete {:.1} µs",
+            c.rows,
+            c.tableau_rows,
+            c.build_ms,
+            sets.join(", "),
+            c.insert_us,
+            c.delete_us
+        );
+    }
 }
 
-criterion_group!(benches, bench_single_edit, bench_batch);
+criterion_group!(benches, bench_single_edit, bench_batch, bench_discovered);
 
 fn main() {
     let smoke = std::env::var("PFD_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");

@@ -39,9 +39,7 @@ use crate::grouping::TableauScan;
 use crate::pfd::{Pfd, Violation, ViolationKind};
 use crate::reference;
 use pfd_relation::{AttrId, PostingList, Relation, RelationError, RowId, SchemaError};
-use pfd_runtime::parallel_map;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// One relation mutation, the unit of the incremental engines' input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -388,22 +386,44 @@ struct Group {
     violations: Vec<Violation>,
 }
 
-/// The group index of one tableau row: LHS-key → group, plus the reverse
-/// map row → key so membership updates are O(1) lookups.
-#[derive(Debug, Clone)]
-struct TableauIndex {
-    groups: HashMap<Arc<Vec<String>>, Group>,
-    /// `row_key[rid]` is the LHS key of relation row `rid` under this
-    /// tableau row, `None` when the row does not match the LHS patterns.
-    /// Keys are shared with the `groups` map (`Arc`), so pointing many rows
-    /// at one group costs a refcount, not a string clone.
-    row_key: Vec<Option<Arc<Vec<String>>>>,
+/// The group index of one tableau row: LHS key → group. Every row matching
+/// the tableau row's LHS sits in exactly one group, the one under its key.
+type Groups = HashMap<Vec<String>, Group>;
+
+/// The LHS key `row` has under tableau row `ti` of `pfd`, as `groups`
+/// records it: `None` when the row is in no group.
+///
+/// A tableau row holding at most one group (every tableau row whose LHS key
+/// is a constant) answers from that group's membership; any other asks the
+/// relation with [`Pfd::lhs_key`], which agrees with the map because
+/// membership is re-keyed on every LHS write.
+fn group_key(
+    groups: &Groups,
+    rel: &Relation,
+    pfd: &Pfd,
+    ti: usize,
+    row: RowId,
+) -> Option<Vec<String>> {
+    if groups.len() <= 1 {
+        groups
+            .iter()
+            .find(|(_, g)| g.rows.contains(row))
+            .map(|(key, _)| key.clone())
+    } else {
+        pfd.lhs_key(rel, row, &pfd.tableau()[ti])
+    }
 }
 
-/// Group indexes for one PFD, one [`TableauIndex`] per tableau row.
-#[derive(Debug, Clone)]
-struct PfdIndex {
-    tableaux: Vec<TableauIndex>,
+/// Add `row` to the group under `key`, creating it over `universe` rows.
+fn join_group(groups: &mut Groups, key: Vec<String>, row: RowId, universe: usize) {
+    groups
+        .entry(key)
+        .or_insert_with(|| Group {
+            rows: PostingList::empty(universe),
+            violations: Vec::new(),
+        })
+        .rows
+        .insert(row);
 }
 
 /// One exported LHS-key group, the persistence image of [`Group`].
@@ -426,7 +446,9 @@ pub(crate) struct GroupSnapshot {
 /// signature and caches per-group violations. An edit then:
 ///
 /// 1. updates group *membership* for PFDs whose LHS mentions the edited
-///    attribute (the reverse map makes the old group an O(1) lookup);
+///    attribute: the row's old key is read before the write — from the
+///    group's row set when the tableau row holds one group, else from the
+///    relation — and its new key after it;
 /// 2. marks the touched group(s) dirty — the old and new group of a moved
 ///    row, or the row's current group for an RHS change;
 /// 3. re-evaluates only the dirty groups, diffing each group's fresh
@@ -439,7 +461,8 @@ pub(crate) struct GroupSnapshot {
 pub struct DeltaEngine {
     rel: Relation,
     pfds: Vec<Pfd>,
-    index: Vec<PfdIndex>,
+    /// `index[pfd][tableau_row]` is that tableau row's group index.
+    index: Vec<Vec<Groups>>,
     /// Reused across group reconciliations (the "shared scratch buffer" of
     /// the batched RHS decision).
     scratch: Vec<Violation>,
@@ -457,34 +480,28 @@ impl DeltaEngine {
         }
     }
 
-    fn build_index(rel: &Relation, pfd: &Pfd) -> PfdIndex {
+    fn build_index(rel: &Relation, pfd: &Pfd) -> Vec<Groups> {
         let num_rows = rel.num_rows();
-        let tableaux = (0..pfd.tableau().len())
+        (0..pfd.tableau().len())
             .map(|ti| {
                 let mut scan = TableauScan::dense(rel, pfd, ti);
                 let key_groups = scan.group_rows();
-                let mut row_key: Vec<Option<Arc<Vec<String>>>> = vec![None; num_rows];
                 let mut groups = HashMap::with_capacity(key_groups.len());
                 for group in key_groups {
-                    let key = Arc::new(scan.key_text(&group.key));
                     let mut violations = Vec::new();
                     scan.violations(&group.rows, &mut violations, None);
-                    for &rid in &group.rows {
-                        row_key[rid] = Some(Arc::clone(&key));
-                    }
                     let ids = group.rows.iter().map(|&rid| rid as u32).collect();
                     groups.insert(
-                        key,
+                        scan.key_text(&group.key),
                         Group {
                             rows: PostingList::from_sorted(ids, num_rows),
                             violations,
                         },
                     );
                 }
-                TableauIndex { groups, row_key }
+                groups
             })
-            .collect();
-        PfdIndex { tableaux }
+            .collect()
     }
 
     /// Export the group indexes for snapshot serialization:
@@ -499,16 +516,14 @@ impl DeltaEngine {
         let universe = self.rel.num_rows();
         self.index
             .iter()
-            .map(|pindex| {
-                pindex
-                    .tableaux
+            .map(|tableaux| {
+                tableaux
                     .iter()
                     .map(|tindex| {
                         let mut groups: Vec<GroupSnapshot> = tindex
-                            .groups
                             .iter()
                             .map(|(key, group)| GroupSnapshot {
-                                key: key.as_ref().clone(),
+                                key: key.clone(),
                                 rows: PostingList::from_sorted(
                                     group.rows.iter().collect(),
                                     universe,
@@ -526,26 +541,31 @@ impl DeltaEngine {
 
     /// Rebuild an engine from snapshot parts without re-grouping the
     /// relation: `groups[pfd][tableau_row]` as produced by
-    /// [`export_groups`](DeltaEngine::export_groups). The reverse row → key
-    /// maps are reconstructed from group membership.
+    /// [`export_groups`](DeltaEngine::export_groups), moved into the group
+    /// maps as they are.
     pub(crate) fn from_parts(
         rel: Relation,
         pfds: Vec<Pfd>,
         groups: Vec<Vec<Vec<GroupSnapshot>>>,
     ) -> DeltaEngine {
-        // Each tableau's index is independent (its own group map and
-        // row → key vector), so rebuild them in parallel over the
-        // flattened task list, then re-nest per PFD.
-        let num_rows = rel.num_rows();
-        let shape: Vec<usize> = groups.iter().map(Vec::len).collect();
-        let mut built = parallel_map(groups.into_iter().flatten(), |snapshots| {
-            Self::rebuild_tableau_index(snapshots, num_rows)
-        })
-        .into_iter();
-        let index = shape
+        let index = groups
             .into_iter()
-            .map(|n| PfdIndex {
-                tableaux: built.by_ref().take(n).collect(),
+            .map(|tableaux| {
+                tableaux
+                    .into_iter()
+                    .map(|snapshots| {
+                        snapshots
+                            .into_iter()
+                            .map(|snap| {
+                                let group = Group {
+                                    rows: snap.rows,
+                                    violations: snap.violations,
+                                };
+                                (snap.key, group)
+                            })
+                            .collect()
+                    })
+                    .collect()
             })
             .collect();
         DeltaEngine {
@@ -553,30 +573,6 @@ impl DeltaEngine {
             pfds,
             index,
             scratch: Vec::new(),
-        }
-    }
-
-    /// Rebuild one tableau's index from its exported groups, reconstructing
-    /// the reverse row → key map from group membership.
-    fn rebuild_tableau_index(snapshots: Vec<GroupSnapshot>, num_rows: usize) -> TableauIndex {
-        let mut row_key: Vec<Option<Arc<Vec<String>>>> = vec![None; num_rows];
-        let mut map = HashMap::with_capacity(snapshots.len());
-        for snap in snapshots {
-            let key = Arc::new(snap.key);
-            for rid in snap.rows.iter() {
-                row_key[rid as usize] = Some(Arc::clone(&key));
-            }
-            map.insert(
-                key,
-                Group {
-                    rows: snap.rows,
-                    violations: snap.violations,
-                },
-            );
-        }
-        TableauIndex {
-            groups: map,
-            row_key,
         }
     }
 
@@ -593,9 +589,9 @@ impl DeltaEngine {
     /// All current violations in the canonical delta order.
     pub fn sorted_violations(&self) -> Vec<DeltaEntry> {
         let mut out: Vec<DeltaEntry> = Vec::new();
-        for (pi, pindex) in self.index.iter().enumerate() {
-            for tindex in &pindex.tableaux {
-                for group in tindex.groups.values() {
+        for (pi, tableaux) in self.index.iter().enumerate() {
+            for tindex in tableaux {
+                for group in tindex.values() {
                     out.extend(group.violations.iter().map(|v| DeltaEntry {
                         pfd_index: pi,
                         violation: v.clone(),
@@ -611,8 +607,8 @@ impl DeltaEngine {
     pub fn violation_count(&self) -> usize {
         self.index
             .iter()
-            .flat_map(|p| &p.tableaux)
-            .flat_map(|t| t.groups.values())
+            .flatten()
+            .flat_map(HashMap::values)
             .map(|g| g.violations.len())
             .sum()
     }
@@ -653,62 +649,60 @@ impl DeltaEngine {
         self.apply_batch(std::slice::from_ref(&edit))
     }
 
-    /// Apply an edit script: membership updates happen per edit (they are
-    /// O(1) per touched group), but dirty-group reconciliation is deferred
-    /// and coalesced — a group touched by ten edits is re-evaluated once.
+    /// Apply an edit script: membership updates happen per edit (one key
+    /// read per tableau row of each touched PFD), but dirty-group
+    /// reconciliation is deferred and coalesced — a group touched by ten
+    /// edits is re-evaluated once.
     pub fn apply_batch(&mut self, edits: &[Edit]) -> Result<ViolationDelta, RelationError> {
         validate_batch(&self.rel, edits)?;
         // Dirty groups, identified by (pfd, tableau row, LHS key). Keys are
         // value-based, so they survive row renumbering inside the batch.
-        let mut dirty: BTreeSet<(usize, usize, Arc<Vec<String>>)> = BTreeSet::new();
+        let mut dirty: BTreeSet<(usize, usize, Vec<String>)> = BTreeSet::new();
         let mut drained: Vec<DeltaEntry> = Vec::new();
 
         for edit in edits {
             match edit {
                 Edit::Set { row, attr, value } => {
+                    let row = *row;
+                    // The row's key under every tableau row of a PFD that
+                    // mentions `attr`, read before the write.
+                    let mut old_keys = Vec::new();
+                    for (pi, pfd) in self.pfds.iter().enumerate() {
+                        if pfd.lhs().contains(attr) || pfd.rhs().contains(attr) {
+                            for (ti, groups) in self.index[pi].iter().enumerate() {
+                                let key = group_key(groups, &self.rel, pfd, ti, row);
+                                old_keys.push((pi, ti, key));
+                            }
+                        }
+                    }
                     self.rel
-                        .set_cell(*row, *attr, value.clone())
+                        .set_cell(row, *attr, value.clone())
                         .expect("validated");
                     let universe = self.rel.num_rows();
-                    for (pi, pfd) in self.pfds.iter().enumerate() {
-                        let in_lhs = pfd.lhs().contains(attr);
-                        let in_rhs = pfd.rhs().contains(attr);
-                        if !in_lhs && !in_rhs {
-                            continue;
-                        }
-                        for (ti, trow) in pfd.tableau().iter().enumerate() {
-                            let tindex = &mut self.index[pi].tableaux[ti];
-                            if in_lhs {
-                                let new_key = pfd.lhs_key(&self.rel, *row, trow);
-                                if new_key.as_ref() != tindex.row_key[*row].as_deref() {
-                                    if let Some(old) = tindex.row_key[*row].take() {
-                                        if let Some(g) = tindex.groups.get_mut(&old) {
-                                            g.rows.remove(*row);
-                                        }
-                                        dirty.insert((pi, ti, old));
+                    for (pi, ti, old) in old_keys {
+                        let pfd = &self.pfds[pi];
+                        if pfd.lhs().contains(attr) {
+                            let new = pfd.lhs_key(&self.rel, row, &pfd.tableau()[ti]);
+                            if new != old {
+                                let groups = &mut self.index[pi][ti];
+                                if let Some(old) = old {
+                                    if let Some(g) = groups.get_mut(&old) {
+                                        g.rows.remove(row);
                                     }
-                                    let new_key = new_key.map(Arc::new);
-                                    if let Some(new) = &new_key {
-                                        let g = tindex
-                                            .groups
-                                            .entry(Arc::clone(new))
-                                            .or_insert_with(|| Group {
-                                                rows: PostingList::empty(universe),
-                                                violations: Vec::new(),
-                                            });
-                                        g.rows.insert(*row);
-                                        dirty.insert((pi, ti, Arc::clone(new)));
-                                    }
-                                    tindex.row_key[*row] = new_key;
-                                    // Both affected groups are dirty; an RHS
-                                    // overlap is covered by the new group.
-                                    continue;
+                                    dirty.insert((pi, ti, old));
                                 }
+                                if let Some(new) = new {
+                                    join_group(groups, new.clone(), row, universe);
+                                    dirty.insert((pi, ti, new));
+                                }
+                                // Both affected groups are dirty; an RHS
+                                // overlap is covered by the new group.
+                                continue;
                             }
-                            if in_rhs {
-                                if let Some(key) = &tindex.row_key[*row] {
-                                    dirty.insert((pi, ti, Arc::clone(key)));
-                                }
+                        }
+                        if pfd.rhs().contains(attr) {
+                            if let Some(key) = old {
+                                dirty.insert((pi, ti, key));
                             }
                         }
                     }
@@ -719,28 +713,20 @@ impl DeltaEngine {
                     let universe = self.rel.num_rows();
                     for (pi, pfd) in self.pfds.iter().enumerate() {
                         for (ti, trow) in pfd.tableau().iter().enumerate() {
-                            let tindex = &mut self.index[pi].tableaux[ti];
-                            let key = pfd.lhs_key(&self.rel, rid, trow).map(Arc::new);
-                            if let Some(k) = &key {
-                                let g =
-                                    tindex.groups.entry(Arc::clone(k)).or_insert_with(|| Group {
-                                        rows: PostingList::empty(universe),
-                                        violations: Vec::new(),
-                                    });
-                                g.rows.insert(rid);
-                                dirty.insert((pi, ti, Arc::clone(k)));
+                            if let Some(key) = pfd.lhs_key(&self.rel, rid, trow) {
+                                join_group(&mut self.index[pi][ti], key.clone(), rid, universe);
+                                dirty.insert((pi, ti, key));
                             }
-                            tindex.row_key.push(key);
                         }
                     }
                 }
                 Edit::Delete { row } => {
                     let row = *row;
                     // Detach the row from its current group(s).
-                    for (pi, pindex) in self.index.iter_mut().enumerate() {
-                        for (ti, tindex) in pindex.tableaux.iter_mut().enumerate() {
-                            if let Some(key) = tindex.row_key[row].take() {
-                                if let Some(g) = tindex.groups.get_mut(&key) {
+                    for (pi, pfd) in self.pfds.iter().enumerate() {
+                        for (ti, groups) in self.index[pi].iter_mut().enumerate() {
+                            if let Some(key) = group_key(groups, &self.rel, pfd, ti, row) {
+                                if let Some(g) = groups.get_mut(&key) {
                                     g.rows.remove(row);
                                 }
                                 dirty.insert((pi, ti, key));
@@ -752,7 +738,7 @@ impl DeltaEngine {
                     // batch (the row was a member when their cache was
                     // last synced); drain them as resolved.
                     for (pi, ti, key) in &dirty {
-                        if let Some(g) = self.index[*pi].tableaux[*ti].groups.get_mut(key) {
+                        if let Some(g) = self.index[*pi][*ti].get_mut(key) {
                             g.violations.retain(|v| {
                                 if v.rows().contains(&row) {
                                     drained.push(DeltaEntry {
@@ -767,18 +753,18 @@ impl DeltaEngine {
                         }
                     }
                     self.rel.delete_row(row).expect("validated");
-                    // Renumber every surviving structure past the hole.
-                    for pindex in &mut self.index {
-                        for tindex in &mut pindex.tableaux {
-                            tindex.row_key.remove(row);
-                            for g in tindex.groups.values_mut() {
-                                if g.rows.max().is_some_and(|m| m as RowId > row) {
-                                    g.rows.renumber_after_delete(row);
-                                }
-                                for v in &mut g.violations {
-                                    v.remap_rows(|id| shift_after_delete(id, row));
-                                }
-                            }
+                    // Renumber every surviving group past the hole.
+                    for g in self
+                        .index
+                        .iter_mut()
+                        .flatten()
+                        .flat_map(HashMap::values_mut)
+                    {
+                        if g.rows.max().is_some_and(|m| m as RowId > row) {
+                            g.rows.renumber_after_delete(row);
+                        }
+                        for v in &mut g.violations {
+                            v.remap_rows(|id| shift_after_delete(id, row));
                         }
                     }
                 }
@@ -791,8 +777,8 @@ impl DeltaEngine {
         let mut resolved = Vec::new();
         let mut scratch = std::mem::take(&mut self.scratch);
         for (pi, ti, key) in &dirty {
-            let tindex = &mut self.index[*pi].tableaux[*ti];
-            let Some(group) = tindex.groups.get_mut(key) else {
+            let groups = &mut self.index[*pi][*ti];
+            let Some(group) = groups.get_mut(key) else {
                 continue;
             };
             scratch.clear();
@@ -822,7 +808,7 @@ impl DeltaEngine {
                 }
             }
             if group.rows.is_empty() {
-                tindex.groups.remove(key);
+                groups.remove(key);
             } else {
                 group.violations.clear();
                 group.violations.append(&mut scratch);

@@ -2,9 +2,10 @@
 //! [`IncrementalChecker`] semantics: over random relations and random
 //! edit/insert/delete sequences, both engines must yield identical violation
 //! sets, identical [`ViolationDelta`]s, and identical error results at every
-//! step — and both must agree with a from-scratch batch check.
+//! step — and both must agree with a from-scratch batch check. A live
+//! engine's group index must also equal a fresh build's, byte for byte.
 
-use pfd_core::{DeltaEngine, Edit, IncrementalChecker, Pfd, TableauRow};
+use pfd_core::{save_to_bytes, DeltaEngine, Edit, IncrementalChecker, Pfd, TableauRow};
 use pfd_relation::{AttrId, Relation, Schema};
 use proptest::prelude::*;
 
@@ -81,6 +82,26 @@ fn materialize(raw: &RawEdit, num_rows: usize) -> Edit {
     }
 }
 
+/// Materialize a whole script against the evolving row count, dropping
+/// the out-of-range draws, so it is valid end to end (batch validation is
+/// all-or-nothing).
+fn valid_edits(script: &[RawEdit], num_rows: usize) -> Vec<Edit> {
+    let mut edits = Vec::new();
+    let mut n = num_rows;
+    for raw in script {
+        let edit = materialize(raw, n);
+        match &edit {
+            Edit::Set { row, .. } if *row >= n => continue,
+            Edit::Delete { row } if *row >= n => continue,
+            Edit::Insert { .. } => n += 1,
+            Edit::Delete { .. } => n -= 1,
+            Edit::Set { .. } => {}
+        }
+        edits.push(edit);
+    }
+    edits
+}
+
 /// The monitored PFD set: a plain FD (wildcard tableau, pair semantics), a
 /// constant PFD (single-tuple semantics), and a prefix-pattern PFD whose
 /// LHS groups by the leading letter — three distinct grouping behaviours.
@@ -153,21 +174,7 @@ proptest! {
         script in proptest::collection::vec(raw_edit(), 1..12),
     ) {
         let pfds = pfd_set(rel.schema());
-        // Materialize the whole script against the evolving row count so the
-        // batch is valid end to end (batch validation is all-or-nothing).
-        let mut edits = Vec::new();
-        let mut n = rel.num_rows();
-        for raw in &script {
-            let edit = materialize(raw, n);
-            match &edit {
-                Edit::Set { row, .. } if *row >= n => continue,
-                Edit::Delete { row } if *row >= n => continue,
-                Edit::Insert { .. } => n += 1,
-                Edit::Delete { .. } => n -= 1,
-                Edit::Set { .. } => {}
-            }
-            edits.push(edit);
-        }
+        let edits = valid_edits(&script, rel.num_rows());
 
         let mut naive = IncrementalChecker::new(rel.clone(), pfds.clone());
         let mut batched = DeltaEngine::new(rel.clone(), pfds.clone());
@@ -191,5 +198,31 @@ proptest! {
             batch_truth(batched.relation(), batched.pfds()),
             batch_truth(sequential.relation(), sequential.pfds())
         );
+    }
+
+    /// The group index an edit script leaves behind, applied one edit at a
+    /// time or as one batch, is exactly the one a fresh build over the
+    /// edited relation groups: same keys, same row sets, same cached
+    /// violations. Snapshot bytes hold all three, so they must be equal.
+    #[test]
+    fn live_group_index_equals_a_fresh_build(
+        rel in small_relation(),
+        script in proptest::collection::vec(raw_edit(), 0..16),
+    ) {
+        let pfds = pfd_set(rel.schema());
+        let edits = valid_edits(&script, rel.num_rows());
+        let mut stepwise = DeltaEngine::new(rel.clone(), pfds.clone());
+        for edit in &edits {
+            stepwise.apply(edit.clone()).unwrap();
+        }
+        let mut batched = DeltaEngine::new(rel, pfds.clone());
+        batched.apply_batch(&edits).unwrap();
+        for live in [&stepwise, &batched] {
+            let fresh = DeltaEngine::new(live.relation().clone(), pfds.clone());
+            prop_assert!(
+                save_to_bytes(live) == save_to_bytes(&fresh),
+                "live group index differs from a fresh build after {:?}", edits
+            );
+        }
     }
 }

@@ -65,16 +65,17 @@ impl Fnv {
 }
 
 /// Content fingerprint of a relation: schema names plus every column's
-/// vocabulary and cell codes, hashed in the canonical (sorted-vocab,
+/// vocabulary and cell codes, hashed in the canonical (sorted live vocab,
 /// rank-remapped) view. Two relations with equal fingerprints hold the
 /// same values in the same rows, so they profile and index identically.
 ///
 /// The canonical view matters: snapshot saves canonicalize interning
-/// order, so a CSV-parsed relation and its snapshot reload differ in
-/// vocab order while holding identical cell values. The index itself only
-/// references row ids and fragment strings — both interning-independent —
-/// so the fingerprint must be too, or the first run after a snapshot save
-/// would always miss.
+/// order and keep only the values some cell holds, so a CSV-parsed or
+/// edited relation and its snapshot reload differ in vocab while holding
+/// identical cell values. The index itself only references row ids and
+/// fragment strings — both interning-independent — so the fingerprint
+/// must be too, or the first run after a snapshot save (or after a
+/// recovery replayed edits) would always miss.
 pub fn relation_fingerprint(rel: &Relation) -> u64 {
     let mut h = Fnv::new();
     h.update(rel.schema().relation().as_bytes());
@@ -85,13 +86,19 @@ pub fn relation_fingerprint(rel: &Relation) -> u64 {
         h.update_u64(name.len() as u64);
         h.update(name.as_bytes());
         let (vocab, cells) = rel.column_parts(attr);
-        let mut order: Vec<u32> = (0..vocab.len() as u32).collect();
+        let mut live = vec![false; vocab.len()];
+        for &c in cells {
+            live[c as usize] = true;
+        }
+        let mut order: Vec<u32> = (0..vocab.len() as u32)
+            .filter(|&i| live[i as usize])
+            .collect();
         order.sort_unstable_by_key(|&i| vocab[i as usize].as_str());
         let mut rank = vec![0u32; vocab.len()];
         for (r, &i) in order.iter().enumerate() {
             rank[i as usize] = r as u32;
         }
-        h.update_u64(vocab.len() as u64);
+        h.update_u64(order.len() as u64);
         for &i in &order {
             let v = &vocab[i as usize];
             h.update_u64(v.len() as u64);

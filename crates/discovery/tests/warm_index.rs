@@ -150,6 +150,52 @@ fn reinterned_relation_still_warm_loads() {
     assert_eq!(deps(&warm.result), deps(&discover(&rel, &cfg)));
 }
 
+/// An edit can leave a value no cell holds in a column's vocabulary; a
+/// snapshot save drops it. A relation recovered by replaying edits and its
+/// snapshot reload hold the same rows, so they must share an index.
+#[test]
+fn dead_vocabulary_entries_do_not_change_the_fingerprint() {
+    let mut edited = geo_relation();
+    edited.delete_row(0).unwrap();
+    let live_only: Vec<(Vec<String>, Vec<u32>)> = edited
+        .schema()
+        .attr_ids()
+        .map(|attr| {
+            let values: Vec<&str> = (0..edited.num_rows())
+                .map(|row| edited.cell(row, attr))
+                .collect();
+            let mut vocab: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+            vocab.sort();
+            vocab.dedup();
+            let cells = values
+                .iter()
+                .map(|v| vocab.binary_search_by(|w| w.as_str().cmp(v)).unwrap() as u32)
+                .collect();
+            (vocab, cells)
+        })
+        .collect();
+    let reloaded =
+        Relation::from_columns(edited.schema().clone(), live_only, edited.version()).unwrap();
+    assert!(
+        edited
+            .schema()
+            .attr_ids()
+            .any(|attr| edited.column_parts(attr).0.len() > reloaded.column_parts(attr).0.len()),
+        "fixture must leave a dead vocabulary entry"
+    );
+
+    let cfg = config();
+    let io = MemIo::new();
+    assert!(discover_persistent(&io, Path::new(INDEX), &edited, &cfg, 0, 0).saved);
+    let warm = discover_persistent(&io, Path::new(INDEX), &reloaded, &cfg, 0, 0);
+    assert!(
+        warm.result.stats.index_loaded,
+        "a dead vocabulary entry is not content: {:?}",
+        warm.fallback
+    );
+    assert_eq!(deps(&warm.result), deps(&discover(&edited, &cfg)));
+}
+
 #[test]
 fn changed_data_invalidates_the_index() {
     let rel = geo_relation();

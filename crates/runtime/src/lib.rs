@@ -4,8 +4,7 @@
 //!   [`default_parallelism`] threads per call share one item iterator, so
 //!   closures may borrow from the caller's stack. Discovery fans its
 //!   candidate checks and index builds out on it when
-//!   `DiscoveryConfig::parallel` is set, and a snapshot load rebuilds its
-//!   per-tableau group indexes on it.
+//!   `DiscoveryConfig::parallel` is set.
 //! - [`executor`] — the persistent [`Executor`] for long-lived servers:
 //!   `'static` jobs on one FIFO queue, condvar parking, panic capture,
 //!   and `wait_idle` barriers. Tenant drain jobs in `pfd_core::server`

@@ -146,11 +146,12 @@ OPTIONS:
                       with --json the CSV is only written when --out is given)
     --json            emit machine-readable JSON reports (check/repair)
     --script FILE     JSONL edit script for session (default: read stdin)
-    --snapshot FILE   binary engine snapshot: loaded when FILE exists (CSV is
-                      not re-read; --rules becomes optional), written
-                      otherwise. session also replays and appends the
-                      checksummed delta log FILE.log, so an interrupted
-                      session resumes losslessly
+    --snapshot FILE   binary engine snapshot: recovered when FILE or
+                      FILE.prev exists (CSV is not re-read; --rules becomes
+                      optional), written otherwise. Recovery replays the
+                      checksummed delta log FILE.log, which session also
+                      appends to, so an interrupted session resumes
+                      losslessly
     --recover P       recovery policy for --snapshot state (default salvage):
                       salvage walks the fallback ladder (current snapshot →
                       FILE.prev → rebuild) and replays the valid log prefix;
@@ -577,44 +578,54 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             snapshot,
             recover,
         } => {
-            // An existing snapshot replaces the CSV parse; a fresh snapshot
-            // path is written below with the discovered rules, so a
-            // follow-up `check --snapshot` needs no --rules at all.
-            let loaded_snapshot = snapshot
-                .as_deref()
-                .filter(|p| Path::new(p).exists())
-                .is_some();
+            // An existing snapshot family (the path or its `.prev`)
+            // replaces the CSV parse. It is recovered through the ladder,
+            // replaying a crashed session's log, and checkpointed when that
+            // changed it, as `check --snapshot` does. A fresh snapshot path
+            // is written below with the discovered rules, so a follow-up
+            // `check --snapshot` needs no --rules at all.
+            let io = StdIo;
+            let store = snapshot.as_deref().map(|p| SnapshotStore::new(&io, p));
+            let family = store
+                .as_ref()
+                .filter(|s| s.path().exists() || s.prev_path().exists());
+            let loaded_snapshot = family.is_some();
             // A fresh snapshot is written below with default (zero)
             // metadata, so zeros are also the right index key for it.
             let mut snap_meta = pfd_core::SnapshotMeta::default();
-            let rel = match (&snapshot, loaded_snapshot) {
-                (Some(path), true) => match std::fs::read(path)
-                    .map_err(CliError::Io)
-                    .and_then(|bytes| Ok(pfd_core::load_from_bytes_with(&bytes)?))
-                {
-                    Ok((engine, meta)) => {
-                        snap_meta = meta;
-                        engine.into_relation()
+            let rel = match family {
+                // Discovery reads no rules, so there is no cold build: a
+                // family without a usable snapshot fails recovery.
+                Some(store) => match store.recover(recover, || {
+                    Err(CliError::Io(std::io::ErrorKind::NotFound.into()))
+                }) {
+                    Ok(recovered) => {
+                        snap_meta = recovered.meta;
+                        if recovered.needs_checkpoint {
+                            snap_meta = recovered.next_meta();
+                            store.checkpoint(&recovered.engine, snap_meta)?;
+                        }
+                        recovered.engine.into_relation()
                     }
                     // Discovery state is rebuildable from the CSV, so a
                     // salvage policy treats a bad snapshot as a cache miss.
-                    Err(e) if recover == RecoveryPolicy::Salvage => {
+                    Err(failure) if recover == RecoveryPolicy::Salvage => {
+                        let e = CliError::from(failure);
                         writeln!(out, "warning: snapshot unusable ({e}); re-reading CSV")?;
                         load_relation(&data)?
                     }
-                    Err(e) => return Err(e),
+                    Err(failure) => return Err(failure.into()),
                 },
-                _ => load_relation(&data)?,
+                None => load_relation(&data)?,
             };
             // With a snapshot in play, discovery runs against the sibling
             // `.pfdi` index: warm-load it when fresh, cold-build and
             // (re-)save it otherwise. The dependency output is identical
             // either way — only the phase timings move.
             let mut index_note: Option<String> = None;
-            let result = match &snapshot {
-                Some(path) => {
-                    let io = StdIo;
-                    let index_path = SnapshotStore::new(&io, path.as_str()).index_path();
+            let result = match &store {
+                Some(store) => {
+                    let index_path = store.index_path();
                     let warm = discover_persistent(
                         &io,
                         &index_path,
@@ -1393,18 +1404,10 @@ mod tests {
         let (_, _) = run_capture(&["check", &data, "--rules", &rules_path, "--snapshot", &snap]);
         // Simulate a crashed session: the fix reached the framed delta log
         // but no re-snapshot happened.
-        let log_path = format!("{snap}.log");
-        {
-            let (mut wal, _) = pfd_relation::WalWriter::open(
-                &StdIo,
-                Path::new(&log_path),
-                0,
-                pfd_relation::SyncPolicy::Always,
-            )
-            .unwrap();
-            wal.append(b"{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}")
-                .unwrap();
-        }
+        let log_path = write_crashed_log(
+            &snap,
+            &[r#"{"op":"set","row":9,"attr":"city","value":"Chicago"}"#],
+        );
         let script = tmp("snap-crash-script.jsonl", "");
         let (code, output) =
             run_capture(&["session", &data, "--script", &script, "--snapshot", &snap]);
@@ -1418,6 +1421,126 @@ mod tests {
         assert!(
             !Path::new(&log_path).exists(),
             "recovery re-checkpoints and removes the replayed log"
+        );
+    }
+
+    /// Append `records` to the snapshot's delta log, numbered from 1, as a
+    /// session that crashed before its next checkpoint leaves them.
+    fn write_crashed_log(snap: &str, records: &[&str]) -> String {
+        let log_path = format!("{snap}.log");
+        let (mut wal, _) = pfd_relation::WalWriter::open(
+            &StdIo,
+            Path::new(&log_path),
+            0,
+            pfd_relation::SyncPolicy::Always,
+        )
+        .unwrap();
+        for record in records {
+            wal.append(record.as_bytes()).unwrap();
+        }
+        log_path
+    }
+
+    /// `discover --snapshot` over ZIP_CSV with its five Los Angeles rows
+    /// deleted finds only the zip → city rule; over all ten rows it also
+    /// finds the Los Angeles one.
+    fn assert_discovers_the_recovered_rows(output: &str) {
+        assert!(
+            output.starts_with("1 dependencies discovered"),
+            "discovery ran over the recovered rows: {output}"
+        );
+        assert!(!output.contains("Angeles"), "{output}");
+    }
+
+    #[test]
+    fn discover_from_snapshot_replays_a_crashed_session_log() {
+        let data = tmp("snap-discover-crash.csv", ZIP_CSV);
+        let snap = tmp_path("snap-discover-crash.pfds");
+        let discover = [
+            "discover",
+            &data,
+            "--min-support",
+            "3",
+            "--noise",
+            "0.2",
+            "--snapshot",
+            &snap,
+        ];
+        let (code, output) = run_capture(&discover);
+        assert_eq!(code, 0, "{output}");
+        assert!(output.starts_with("2 dependencies discovered"), "{output}");
+        // A session acknowledged five deletes, then died before its
+        // checkpoint: the log holds them, the snapshot does not.
+        let log_path = write_crashed_log(&snap, &[r#"{"op":"delete","row":0}"#; 5]);
+
+        let (code, output) = run_capture(&discover);
+        assert_eq!(code, 0, "{output}");
+        assert_discovers_the_recovered_rows(&output);
+        assert!(
+            !Path::new(&log_path).exists(),
+            "the replayed log is checkpointed away"
+        );
+        let (engine, meta) =
+            pfd_core::load_from_bytes_with(&std::fs::read(&snap).unwrap()).unwrap();
+        assert_eq!(engine.relation().num_rows(), 5);
+        assert_eq!((meta.generation, meta.last_seq), (1, 5));
+        assert!(
+            output.contains("index saved to"),
+            "the index is keyed to the checkpoint: {output}"
+        );
+
+        // The next run finds the checkpoint clean and the index fresh.
+        let (code, output) = run_capture(&discover);
+        assert_eq!(code, 0, "{output}");
+        assert_discovers_the_recovered_rows(&output);
+        assert!(output.contains("index: warm start"), "{output}");
+    }
+
+    #[test]
+    fn discover_from_snapshot_finishes_an_interrupted_checkpoint() {
+        let data = tmp("snap-discover-prev.csv", ZIP_CSV);
+        let rules = "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n";
+        let rules_path = tmp("snap-discover-prev-rules.pfd", rules);
+        let snap = tmp_path("snap-discover-prev.pfds");
+        let (_, _) = run_capture(&["check", &data, "--rules", &rules_path, "--snapshot", &snap]);
+        let (engine, meta) =
+            pfd_core::load_from_bytes_with(&std::fs::read(&snap).unwrap()).unwrap();
+        let user_rules = to_rules_string(engine.pfds(), engine.relation().schema());
+        // A checkpoint demoted the snapshot to `.prev` and crashed before
+        // renaming its successor into place, so the log is still there.
+        let prev = format!("{snap}.prev");
+        let _ = std::fs::remove_file(&prev);
+        std::fs::rename(&snap, &prev).unwrap();
+        let log_path = write_crashed_log(&snap, &[r#"{"op":"delete","row":0}"#; 5]);
+
+        let (code, output) = run_capture(&[
+            "discover",
+            &data,
+            "--min-support",
+            "3",
+            "--noise",
+            "0.2",
+            "--snapshot",
+            &snap,
+        ]);
+        assert_eq!(code, 0, "{output}");
+        assert_discovers_the_recovered_rows(&output);
+        assert!(
+            !output.contains("snapshot written"),
+            "the user's state is not overwritten by discovered rules: {output}"
+        );
+        assert!(!Path::new(&log_path).exists());
+        let (recovered, recovered_meta) =
+            pfd_core::load_from_bytes_with(&std::fs::read(&snap).unwrap()).unwrap();
+        assert_eq!(
+            to_rules_string(recovered.pfds(), recovered.relation().schema()),
+            user_rules,
+            "the snapshot keeps the user's rules"
+        );
+        assert_eq!(recovered.relation().num_rows(), 5);
+        assert_eq!(
+            (recovered_meta.generation, recovered_meta.last_seq),
+            (meta.generation + 1, 5)
         );
     }
 
