@@ -1,18 +1,16 @@
 //! Criterion bench for the posting-list hot loops: intersection and subset
-//! throughput across densities and sizes up to 1M rows, the SSE2 merge
-//! kernel against its scalar twin, `PostingList::is_subset` against a
-//! scalar merge, and the SWAR text kernels against theirs.
+//! throughput of sorted runs up to 1M rows, and `PostingList::is_subset`
+//! against a linear scan.
 //!
 //! Besides the human-readable criterion output, the run writes
-//! `BENCH_postings.json` (intersect/subset ns, kernel vs scalar ratios) so
-//! the kernel trajectory is tracked across changes next to the other BENCH
+//! `BENCH_postings.json` (intersect/subset ns) so the posting-list
+//! trajectory is tracked across changes next to the other BENCH
 //! artifacts. `PFD_BENCH_SMOKE=1` skips criterion sampling and emits the
 //! JSON from a reduced-scale pass — the CI smoke-bench mode.
 //! `PFD_BENCH_JSON` overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use pfd_pattern::simd;
-use pfd_relation::{kernels, PostingList};
+use pfd_relation::PostingList;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -47,69 +45,34 @@ fn universe_for(ids: &[u32]) -> usize {
 // Criterion groups (full mode only)
 // ---------------------------------------------------------------------------
 
+/// Two balanced sorted-tier lists of `n` irregular ids: the shape that
+/// runs the merge rather than the gallop.
+fn balanced_pair(n: usize, max_gap: u32) -> (PostingList, PostingList) {
+    let a = irregular_ids(n, max_gap, 7);
+    let b = irregular_ids(n, max_gap, 99);
+    let universe = universe_for(&a).max(universe_for(&b));
+    let la = PostingList::from_sorted(a, universe);
+    let lb = PostingList::from_sorted(b, universe);
+    assert!(
+        !la.is_dense_repr() && !lb.is_dense_repr(),
+        "n={n} gap={max_gap}"
+    );
+    (la, lb)
+}
+
 fn bench_intersect(c: &mut Criterion) {
     let mut group = c.benchmark_group("postings_intersect");
     group.sample_size(10);
     for n in [10_000usize, 100_000, 1_000_000] {
-        let a = irregular_ids(n, 36, 7);
-        let b = irregular_ids(n, 36, 99);
+        let (a, b) = balanced_pair(n, 36);
         let mut out = Vec::new();
-        group.bench_with_input(BenchmarkId::new("sorted_kernel", n), &n, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("sorted", n), &n, |bch, _| {
             bch.iter(|| {
-                out.clear();
-                kernels::intersect_merge(&a, &b, &mut out);
-                black_box(out.len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("sorted_scalar", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.clear();
-                kernels::intersect_merge_scalar(&a, &b, &mut out);
+                a.intersect_into(&b, &mut out);
                 black_box(out.len())
             })
         });
     }
-    group.finish();
-}
-
-fn bench_text_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("text_kernels");
-    group.sample_size(10);
-    let corpus: Vec<String> = (0..1000)
-        .map(|i| format!("Record Value {i:06} with a Mixed-Case tail XYZXYZ"))
-        .collect();
-    group.bench_function("eq_swar", |b| {
-        b.iter(|| {
-            corpus
-                .iter()
-                .filter(|s| simd::eq_bytes(s.as_bytes(), corpus[500].as_bytes()))
-                .count()
-        })
-    });
-    group.bench_function("eq_scalar", |b| {
-        b.iter(|| {
-            corpus
-                .iter()
-                .filter(|s| simd::eq_bytes_scalar(s.as_bytes(), corpus[500].as_bytes()))
-                .count()
-        })
-    });
-    group.bench_function("contains_swar", |b| {
-        b.iter(|| {
-            corpus
-                .iter()
-                .filter(|s| simd::contains_bytes(s.as_bytes(), b"XYZXYZ"))
-                .count()
-        })
-    });
-    group.bench_function("contains_scalar", |b| {
-        b.iter(|| {
-            corpus
-                .iter()
-                .filter(|s| simd::contains_bytes_scalar(s.as_bytes(), b"XYZXYZ"))
-                .count()
-        })
-    });
     group.finish();
 }
 
@@ -120,18 +83,16 @@ fn bench_text_kernels(c: &mut Criterion) {
 struct IntersectCase {
     rows: usize,
     density: &'static str,
-    sorted_kernel_ns: f64,
-    sorted_scalar_ns: f64,
+    sorted_ns: f64,
     subset_ns: f64,
     subset_scalar_ns: f64,
 }
 
 /// ns per intersection (amortised over `reps`) for one size/density shape.
 fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) -> IntersectCase {
-    let a = irregular_ids(n, max_gap, 7);
-    let b = irregular_ids(n, max_gap, 99);
-    let universe = universe_for(&a);
-    let la = PostingList::from_sorted(a.clone(), universe);
+    let (la, lb) = balanced_pair(n, max_gap);
+    let a = la.to_vec();
+    let universe = la.universe();
     let mut out: Vec<u32> = Vec::new();
 
     let time = |f: &mut dyn FnMut()| {
@@ -142,14 +103,8 @@ fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) ->
         t0.elapsed().as_secs_f64() * 1e9 / reps as f64
     };
 
-    let sorted_kernel_ns = time(&mut || {
-        out.clear();
-        kernels::intersect_merge(&a, &b, &mut out);
-        black_box(out.len());
-    });
-    let sorted_scalar_ns = time(&mut || {
-        out.clear();
-        kernels::intersect_merge_scalar(&a, &b, &mut out);
+    let sorted_ns = time(&mut || {
+        la.intersect_into(&lb, &mut out);
         black_box(out.len());
     });
 
@@ -167,143 +122,44 @@ fn intersect_case(n: usize, density: &'static str, max_gap: u32, reps: usize) ->
     IntersectCase {
         rows: n,
         density,
-        sorted_kernel_ns,
-        sorted_scalar_ns,
+        sorted_ns,
         subset_ns,
         subset_scalar_ns,
     }
 }
 
-struct TextCase {
-    kernel: &'static str,
-    swar_ns: f64,
-    scalar_ns: f64,
-}
-
-fn text_cases(reps: usize) -> Vec<TextCase> {
-    let corpus: Vec<String> = (0..1000)
-        .map(|i| format!("Record Value {i:06} with a Mixed-Case tail XYZXYZ"))
-        .collect();
-    let needle = corpus[500].clone();
-    let time = |f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_secs_f64() * 1e9 / (reps * corpus.len()) as f64
-    };
-
-    let mut out = Vec::new();
-    let swar = time(&mut || {
-        black_box(
-            corpus
-                .iter()
-                .filter(|s| simd::eq_bytes(s.as_bytes(), needle.as_bytes()))
-                .count(),
-        );
-    });
-    let scalar = time(&mut || {
-        black_box(
-            corpus
-                .iter()
-                .filter(|s| simd::eq_bytes_scalar(s.as_bytes(), needle.as_bytes()))
-                .count(),
-        );
-    });
-    out.push(TextCase {
-        kernel: "eq_bytes",
-        swar_ns: swar,
-        scalar_ns: scalar,
-    });
-
-    let swar = time(&mut || {
-        black_box(
-            corpus
-                .iter()
-                .filter(|s| simd::contains_bytes(s.as_bytes(), b"XYZXYZ"))
-                .count(),
-        );
-    });
-    let scalar = time(&mut || {
-        black_box(
-            corpus
-                .iter()
-                .filter(|s| simd::contains_bytes_scalar(s.as_bytes(), b"XYZXYZ"))
-                .count(),
-        );
-    });
-    out.push(TextCase {
-        kernel: "contains_bytes",
-        swar_ns: swar,
-        scalar_ns: scalar,
-    });
-    out
-}
-
 fn write_bench_json(smoke: bool) {
-    let (isect, text) = if smoke {
-        (
-            vec![intersect_case(10_000, "sparse", 120, 20)],
-            text_cases(5),
-        )
+    let isect = if smoke {
+        vec![intersect_case(10_000, "sparse", 120, 20)]
     } else {
-        (
-            vec![
-                intersect_case(10_000, "sparse", 120, 200),
-                intersect_case(100_000, "sparse", 120, 50),
-                intersect_case(100_000, "tight", 36, 50),
-                intersect_case(1_000_000, "sparse", 120, 10),
-                intersect_case(1_000_000, "tight", 36, 10),
-            ],
-            text_cases(50),
-        )
+        vec![
+            intersect_case(10_000, "sparse", 120, 200),
+            intersect_case(100_000, "sparse", 120, 50),
+            intersect_case(100_000, "tight", 36, 50),
+            intersect_case(1_000_000, "sparse", 120, 10),
+            intersect_case(1_000_000, "tight", 36, 10),
+        ]
     };
 
-    let mut json = String::from("{\n  \"schema_version\": 3,\n");
+    let mut json = String::from("{\n  \"schema_version\": 4,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
         if smoke { "smoke" } else { "full" }
     );
     json.push_str(
-        "  \"reference\": {\"label\": \"scalar merge over plain sorted u32 runs\", \
+        "  \"reference\": {\"label\": \"linear subset scan over plain sorted u32 runs\", \
          \"metric\": \"ns_per_op\"},\n",
-    );
-    // Receipt for which merge-kernel dispatch ran on this machine — the
-    // `sorted_kernel_ns` numbers are meaningless without it.
-    let _ = writeln!(
-        json,
-        "  \"merge_kernel\": \"{}\",",
-        kernels::merge_kernel_name()
     );
     json.push_str("  \"intersect\": [\n");
     for (i, c) in isect.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"rows\": {}, \"density\": \"{}\", \
-             \"sorted_kernel_ns\": {:.0}, \"sorted_scalar_ns\": {:.0}, \
+            "    {{\"rows\": {}, \"density\": \"{}\", \"sorted_ns\": {:.0}, \
              \"subset_ns\": {:.0}, \"subset_scalar_ns\": {:.0}}}",
-            c.rows,
-            c.density,
-            c.sorted_kernel_ns,
-            c.sorted_scalar_ns,
-            c.subset_ns,
-            c.subset_scalar_ns
+            c.rows, c.density, c.sorted_ns, c.subset_ns, c.subset_scalar_ns
         );
         json.push_str(if i + 1 < isect.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"text_kernels\": [\n");
-    for (i, t) in text.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"kernel\": \"{}\", \"swar_ns_per_string\": {:.2}, \
-             \"scalar_ns_per_string\": {:.2}, \"speedup\": {:.2}}}",
-            t.kernel,
-            t.swar_ns,
-            t.scalar_ns,
-            t.scalar_ns / t.swar_ns
-        );
-        json.push_str(if i + 1 < text.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
 
@@ -315,28 +171,14 @@ fn write_bench_json(smoke: bool) {
     }
     for c in &isect {
         println!(
-            "intersect {:>9} rows {:>7}: kernel {:>10.0} ns, scalar {:>10.0} ns; \
+            "intersect {:>9} rows {:>7}: sorted {:>10.0} ns; \
              is_subset {:>10.0} ns, scalar {:>10.0} ns",
-            c.density,
-            c.rows,
-            c.sorted_kernel_ns,
-            c.sorted_scalar_ns,
-            c.subset_ns,
-            c.subset_scalar_ns
-        );
-    }
-    for t in &text {
-        println!(
-            "text {:>16}: swar {:>7.2} ns/str, scalar {:>7.2} ns/str ({:.2}x)",
-            t.kernel,
-            t.swar_ns,
-            t.scalar_ns,
-            t.scalar_ns / t.swar_ns
+            c.density, c.rows, c.sorted_ns, c.subset_ns, c.subset_scalar_ns
         );
     }
 }
 
-criterion_group!(benches, bench_intersect, bench_text_kernels);
+criterion_group!(benches, bench_intersect);
 
 fn main() {
     let smoke = std::env::var("PFD_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");

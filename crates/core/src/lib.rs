@@ -71,8 +71,8 @@ pub use session::{
     SessionSummary,
 };
 pub use snapshot::{
-    load, load_from_bytes, load_from_bytes_with, replay_log, save, save_to_bytes,
-    save_to_bytes_with, RecoverFailure, Recovered, RecoveryPolicy, RecoveryReport, RecoverySource,
-    SnapshotError, SnapshotMeta, SnapshotStore,
+    load_from_bytes, load_from_bytes_with, replay_log, save_to_bytes, save_to_bytes_with,
+    RecoverFailure, Recovered, RecoveryPolicy, RecoveryReport, RecoverySource, SnapshotError,
+    SnapshotMeta, SnapshotStore,
 };
 pub use tableau::{TableauCell, TableauRow};

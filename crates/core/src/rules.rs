@@ -261,6 +261,9 @@ pub fn parse_rule(text: &str, schema: &Schema, line: usize) -> Result<Pfd, RuleE
 /// Parse a whole rule file: one rule per line, `#` comments and blank lines
 /// ignored. Errors carry 1-based line numbers.
 pub fn parse_rules(text: &str, schema: &Schema) -> Result<Vec<Pfd>, RuleError> {
+    // A UTF-8 byte-order mark opening the file is encoding metadata;
+    // `str::trim` does not strip U+FEFF.
+    let text = text.strip_prefix('\u{FEFF}').unwrap_or(text);
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let trimmed = line.trim();
@@ -366,6 +369,18 @@ mod tests {
         .unwrap();
         let rules = parse_rules("Name([name = [Susan\\ ]\\A*] -> [gender = F])", &s).unwrap();
         assert_eq!(rules[0].violations(&rel).len(), 1);
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_dropped() {
+        let s = schema();
+        let text = "# gender rules\nName([name = [Susan\\ ]\\A*] -> [gender = F])\n";
+        let plain = parse_rules(text, &s).unwrap();
+        assert_eq!(plain.len(), 1);
+        assert_eq!(parse_rules(&format!("\u{FEFF}{text}"), &s).unwrap(), plain);
+        // Only the one opening the text: a U+FEFF on a later line is data.
+        let err = parse_rules(&format!("{text}\u{FEFF}{text}"), &s).unwrap_err();
+        assert!(matches!(err, RuleError::Syntax { line: 3, .. }), "{err}");
     }
 
     #[test]

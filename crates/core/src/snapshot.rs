@@ -15,11 +15,11 @@
 //! |    |          | list, cached violations                               |
 //! | 5  | `META`   | snapshot generation + last delta-log sequence covered |
 //!
-//! Sections carry independent checksums and decode independently: `load`
-//! decodes `ROWS` (the bulk of the bytes) on a second thread while the main
-//! thread decodes `GROUPS`. Group exports are sorted by LHS key, so
-//! `save ∘ load ∘ save` is byte-stable and equality with a cold
-//! build-from-CSV engine is a meaningful test assertion.
+//! Sections carry independent checksums and decode independently:
+//! [`load_from_bytes_with`] decodes `ROWS` (the bulk of the bytes) on a
+//! second thread while the main thread decodes `GROUPS`. Group exports are
+//! sorted by LHS key, so `save ∘ load ∘ save` is byte-stable and equality
+//! with a cold build-from-CSV engine is a meaningful test assertion.
 //!
 //! # Durability model
 //!
@@ -51,7 +51,7 @@ use pfd_relation::binary::{
     decode_postings, decode_string_table, encode_postings, encode_string_table, put_string,
     put_varint, BinaryError, Cursor, SectionReader, SectionWriter,
 };
-use pfd_relation::io::{Io, StdIo};
+use pfd_relation::io::Io;
 use pfd_relation::wal::{read_wal_bytes, WalTail};
 use pfd_relation::{AttrId, Relation, RowId, Schema};
 
@@ -339,22 +339,6 @@ pub fn save_to_bytes_with(engine: &DeltaEngine, meta: SnapshotMeta) -> Vec<u8> {
     writer.finish()
 }
 
-/// Serialize the engine and write it to `path` atomically (write to a
-/// `.tmp` sibling, fsync, then rename) with default metadata. For the full
-/// checkpoint protocol — generations, `.prev` fallback, log truncation —
-/// use [`SnapshotStore::checkpoint`].
-pub fn save(engine: &DeltaEngine, path: &Path) -> Result<(), SnapshotError> {
-    let bytes = save_to_bytes(engine);
-    let io = StdIo;
-    let tmp = path.with_extension("tmp");
-    io.write(&tmp, &bytes)
-        .map_err(|e| io_err("write", &tmp, e))?;
-    io.sync(&tmp).map_err(|e| io_err("sync", &tmp, e))?;
-    io.rename(&tmp, path)
-        .map_err(|e| io_err("rename", path, e))?;
-    Ok(())
-}
-
 fn encode_violation(out: &mut Vec<u8>, v: &Violation) {
     put_varint(out, v.tableau_row as u64);
     put_varint(
@@ -430,12 +414,6 @@ pub fn load_from_bytes_with(data: &[u8]) -> Result<(DeltaEngine, SnapshotMeta), 
 
     validate_groups(&rel, &pfds, &groups)?;
     Ok((DeltaEngine::from_parts(rel, pfds, groups), meta))
-}
-
-/// Read and rebuild an engine from the snapshot file at `path`.
-pub fn load(path: &Path) -> Result<DeltaEngine, SnapshotError> {
-    let data = std::fs::read(path).map_err(|e| io_err("read", path, e))?;
-    load_from_bytes(&data).map_err(|e| e.with_file(path))
 }
 
 fn decode_meta(payload: &[u8]) -> Result<SnapshotMeta, SnapshotError> {
@@ -871,21 +849,7 @@ impl<'io> SnapshotStore<'io> {
         engine: &DeltaEngine,
         meta: SnapshotMeta,
     ) -> Result<(), SnapshotError> {
-        let bytes = save_to_bytes_with(engine, meta);
-        let tmp = self.tmp_path();
-        self.io
-            .write(&tmp, &bytes)
-            .map_err(|e| io_err("write", &tmp, e))?;
-        self.io.sync(&tmp).map_err(|e| io_err("sync", &tmp, e))?;
-        if self.io.exists(&self.path) {
-            let prev = self.prev_path();
-            self.io
-                .rename(&self.path, &prev)
-                .map_err(|e| io_err("rename", &prev, e))?;
-        }
-        self.io
-            .rename(&tmp, &self.path)
-            .map_err(|e| io_err("rename", &self.path, e))?;
+        self.install(&save_to_bytes_with(engine, meta))?;
         let log = self.log_path();
         if self.io.exists(&log) {
             self.io
@@ -901,6 +865,34 @@ impl<'io> SnapshotStore<'io> {
             let _ = self.io.remove(&index);
         }
         Ok(())
+    }
+
+    /// Writes `engine` as the first snapshot of a store that has none,
+    /// with default (zero) metadata: stage to `.tmp`, fsync, rename into
+    /// place. Unlike [`checkpoint`](SnapshotStore::checkpoint) it leaves
+    /// the `.pfdi` alone, so an index just keyed to generation 0 stays
+    /// warm.
+    pub fn save_fresh(&self, engine: &DeltaEngine) -> Result<(), SnapshotError> {
+        self.install(&save_to_bytes(engine))
+    }
+
+    /// Stages `bytes` to `.tmp` and fsyncs them, demotes the current
+    /// snapshot (if any) to `.prev`, then renames `.tmp` into place.
+    fn install(&self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let tmp = self.tmp_path();
+        self.io
+            .write(&tmp, bytes)
+            .map_err(|e| io_err("write", &tmp, e))?;
+        self.io.sync(&tmp).map_err(|e| io_err("sync", &tmp, e))?;
+        if self.io.exists(&self.path) {
+            let prev = self.prev_path();
+            self.io
+                .rename(&self.path, &prev)
+                .map_err(|e| io_err("rename", &prev, e))?;
+        }
+        self.io
+            .rename(&tmp, &self.path)
+            .map_err(|e| io_err("rename", &self.path, e))
     }
 
     fn load_file(&self, path: &Path) -> Result<(DeltaEngine, SnapshotMeta), SnapshotError> {
@@ -1085,7 +1077,7 @@ impl<'io> SnapshotStore<'io> {
 mod tests {
     use super::*;
     use crate::pfd::Pfd;
-    use pfd_relation::io::MemIo;
+    use pfd_relation::io::{MemIo, StdIo};
     use pfd_relation::wal::{SyncPolicy, WalWriter};
 
     fn sample_engine() -> DeltaEngine {
@@ -1261,13 +1253,20 @@ mod tests {
     #[test]
     fn save_and_load_files_round_trip() {
         let engine = sample_engine();
-        let dir = std::env::temp_dir().join("pfd_snapshot_test");
+        let dir = std::env::temp_dir().join(format!("pfd_snapshot_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("zip.pfds");
-        save(&engine, &path).unwrap();
-        let loaded = load(&path).unwrap();
+        let store = SnapshotStore::new(&StdIo, &path);
+        std::fs::write(store.index_path(), b"index").unwrap();
+        store.save_fresh(&engine).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, save_to_bytes(&engine), "zero metadata, same bytes");
+        let (loaded, meta) = load_from_bytes_with(&bytes).unwrap();
         assert_engines_equal(&engine, &loaded);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(meta, SnapshotMeta::default());
+        assert!(!store.tmp_path().exists(), "the staging file is renamed");
+        assert!(store.index_path().exists(), "a fresh save keeps the index");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! values contribute their genuinely recurring fragments without ever
 //! paying the `L(L+1)/2` enumeration.
 
-use pfd_pattern::{simd, CountScratch, SuffixAutomaton};
+use pfd_pattern::{CountScratch, SuffixAutomaton};
 
 /// A maximal run of token or separator characters in a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -435,7 +435,7 @@ impl FragmentExtractor {
                     continue;
                 }
                 let frag = &bytes[st.start_b as usize..st.end_b as usize];
-                if !simd::is_prefix(&bytes[i..], frag) {
+                if !bytes[i..].starts_with(frag) {
                     continue;
                 }
                 let st = &mut needles[idx];

@@ -368,9 +368,7 @@ fn prune_substrings(entries: Vec<IndexEntry>, dict: &FragmentDict) -> Vec<IndexE
             for &b in &by_len[a_rank + 1..] {
                 if keep[b] {
                     let b_str = dict.resolve(entries[b].pattern);
-                    if b_str.len() < a_str.len()
-                        && pfd_pattern::simd::contains_bytes(a_str.as_bytes(), b_str.as_bytes())
-                    {
+                    if b_str.len() < a_str.len() && a_str.contains(b_str) {
                         keep[b] = false;
                     }
                 }

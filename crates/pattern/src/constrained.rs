@@ -159,7 +159,7 @@ impl ConstrainedPattern {
     pub fn matches(&self, s: &str) -> bool {
         let segs = self.compiled();
         match &segs.full_const {
-            Some((value, _, _)) => crate::simd::eq_bytes(s.as_bytes(), value.as_bytes()),
+            Some((value, _, _)) => s == value,
             None => segs.full.matches(s),
         }
     }
@@ -193,8 +193,7 @@ impl ConstrainedPattern {
         let segs = self.compiled();
         // All-constant cells: equality plus a fixed slice.
         if let Some((value, pre_len, q_len)) = &segs.full_const {
-            return crate::simd::eq_bytes(s.as_bytes(), value.as_bytes())
-                .then(|| &s[*pre_len..*pre_len + *q_len]);
+            return (s == value).then(|| &s[*pre_len..*pre_len + *q_len]);
         }
         // Fixed-length Q and post with an empty pre (the dominant discovered
         // shape, e.g. `[\D{3}]\D{2}`): the decomposition is forced, so run

@@ -41,7 +41,6 @@ pub mod infer;
 pub mod nfa;
 pub mod normalize;
 pub mod parse;
-pub mod simd;
 pub mod suffix;
 
 pub use ast::{Atom, Element, Pattern, PatternError, Quant};

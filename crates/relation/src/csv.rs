@@ -121,6 +121,11 @@ impl<R: BufRead> Records<R> {
             return Ok(None);
         }
         self.line += 1;
+        // A UTF-8 byte-order mark at the very start of the input is
+        // encoding metadata, not part of the first header name.
+        if self.line == 1 && self.buf.starts_with('\u{FEFF}') {
+            self.buf.drain(..'\u{FEFF}'.len_utf8());
+        }
 
         let mut fields: Vec<String> = Vec::new();
         let mut field = String::new();
@@ -196,7 +201,8 @@ impl<R: BufRead> Records<R> {
 }
 
 /// Read a relation from CSV. The first record is the header; `relation` is
-/// the logical relation name.
+/// the logical relation name. One UTF-8 byte-order mark at the very start
+/// of the input is dropped; a U+FEFF anywhere else is data.
 pub fn read_csv<R: BufRead>(relation: &str, input: R) -> Result<Relation, CsvError> {
     let mut records = Records::new(input);
     let header = records.next_record()?.ok_or(CsvError::EmptyInput)?;
@@ -446,6 +452,19 @@ mod tests {
         match read_csv_str("T", csv) {
             Err(CsvError::TrailingAfterQuote { line }) => assert_eq!(line, 2),
             other => panic!("expected TrailingAfterQuote, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_dropped() {
+        for csv in [
+            "\u{FEFF}zip,city\n90001,\u{FEFF}LA\n",
+            "\u{FEFF}\"zip\",city\n90001,\u{FEFF}LA\n",
+        ] {
+            let rel = read_csv_str("Zip", csv).unwrap();
+            assert_eq!(rel.schema().attribute_names(), ["zip", "city"], "{csv:?}");
+            let city = rel.schema().attr("city").unwrap();
+            assert_eq!(rel.cell(0, city), "\u{FEFF}LA", "a later U+FEFF is data");
         }
     }
 

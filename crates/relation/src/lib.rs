@@ -20,15 +20,12 @@
 //! ```
 
 #![warn(missing_docs)]
-// The SIMD intersection kernels are the crate's only unsafe code; any new
-// unsafe code needs an explicit allow in the diff, like the one below.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod binary;
 pub mod csv;
 pub mod fxhash;
 pub mod io;
-#[allow(unsafe_code)]
 pub mod kernels;
 pub mod postings;
 pub mod profile;

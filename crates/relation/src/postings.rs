@@ -13,8 +13,7 @@
 //!
 //! Sorted × sorted intersections gallop when the lengths are lopsided —
 //! the common shape when probing a rare pattern against a frequent one —
-//! and use the [`crate::kernels`] merge (SSE2 on `x86_64`, scalar twin
-//! elsewhere) when they are balanced.
+//! and run one scalar merge when they are balanced.
 //!
 //! Equality and hashing are canonical over the *element sequence*, not the
 //! representation, so row sets group identically regardless of which tier
@@ -352,8 +351,7 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Sorted intersection into a caller-owned buffer (not cleared): gallop on
-/// lopsided lengths, otherwise the [`crate::kernels`] merge (SIMD where it
-/// wins, scalar twin elsewhere).
+/// lopsided lengths, otherwise a linear merge.
 fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
@@ -376,7 +374,21 @@ fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
             }
         }
     } else {
-        crate::kernels::intersect_merge(small, large, out);
+        // Branch-free merge: write every candidate, keep it only on a
+        // match, and advance each cursor by a comparison result, so the
+        // loop has no data-dependent branch to mispredict.
+        let start = out.len();
+        out.resize(start + small.len(), 0);
+        let buf = &mut out[start..];
+        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+        while i < small.len() && j < large.len() {
+            let (x, y) = (small[i], large[j]);
+            buf[k] = x;
+            k += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        out.truncate(start + k);
     }
 }
 
@@ -987,8 +999,8 @@ mod tests {
 
     #[test]
     fn merge_and_gallop_agree() {
-        // The kernel-backed merge and the gallop path must produce the same
-        // sequence; force each by shaping lengths around GALLOP_RATIO.
+        // The merge and the gallop path must produce the same sequence;
+        // force each by shaping lengths around GALLOP_RATIO.
         let a: Vec<u32> = (0..64).map(|i| i * 5).collect();
         let balanced: Vec<u32> = (0..64).map(|i| i * 3).collect();
         let lopsided: Vec<u32> = (0..1024).map(|i| i * 3).collect();
@@ -1000,6 +1012,43 @@ mod tests {
         };
         assert_eq!(intersect_sorted(&a, &balanced), expect(&balanced));
         assert_eq!(intersect_sorted(&a, &lopsided), expect(&lopsided));
+    }
+
+    /// Balanced and lopsided shapes, short lengths, and each side first,
+    /// against a naive filter.
+    #[test]
+    fn merge_matches_naive_on_fixed_shapes() {
+        let naive = |a: &[u32], b: &[u32]| -> Vec<u32> {
+            a.iter().copied().filter(|x| b.contains(x)).collect()
+        };
+        let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![], vec![1, 2, 3]),
+            ((0..16).collect(), (0..16).collect()),
+            (
+                (0..64).map(|i| i * 2).collect(),
+                (0..64).map(|i| i * 3).collect(),
+            ),
+            ((0..5).collect(), (3..40).collect()),
+            (vec![7], vec![7]),
+            (vec![0, 4, 8, 12, 16], vec![1, 4, 9, 12, 17, 20, 33, 34]),
+        ];
+        for la in 0..10u32 {
+            for lb in 0..10u32 {
+                cases.push(((0..la).map(|i| i * 3).collect(), (0..lb).collect()));
+            }
+        }
+        for (a, b) in &cases {
+            let expected = naive(a, b);
+            assert_eq!(intersect_sorted(a, b), expected, "a={a:?} b={b:?}");
+            assert_eq!(intersect_sorted(b, a), expected, "commuted a={a:?} b={b:?}");
+        }
+    }
+
+    #[test]
+    fn merge_appends_without_clearing() {
+        let mut out = vec![999];
+        intersect_sorted_into(&[1, 2, 3], &[2, 3, 4], &mut out);
+        assert_eq!(out, vec![999, 2, 3]);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use pfd_relation::io::StdIo;
 use pfd_relation::{profile_relation, read_csv, write_csv_string, Relation};
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::path::Path;
 use std::sync::{mpsc, Arc};
 
 /// CLI errors, each mapping to a non-zero exit code and a message.
@@ -701,10 +700,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                 std::fs::write(&path, to_rules_string(&pfds, rel.schema()))?;
                 writeln!(out, "rules written to {path}")?;
             }
-            if let (Some(path), false) = (&snapshot, loaded_snapshot) {
+            if let (Some(store), false) = (&store, loaded_snapshot) {
                 let pfds: Vec<Pfd> = result.dependencies.iter().map(|d| d.pfd.clone()).collect();
-                pfd_core::save(&DeltaEngine::new(rel, pfds), Path::new(path))?;
-                writeln!(out, "snapshot written to {path}")?;
+                store.save_fresh(&DeltaEngine::new(rel, pfds))?;
+                writeln!(out, "snapshot written to {}", store.path().display())?;
             }
             Ok(0)
         }
@@ -948,6 +947,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn tmp(name: &str, content: impl AsRef<[u8]>) -> String {
         let dir = std::env::temp_dir().join("pfd-cli-tests");
@@ -1338,6 +1338,47 @@ mod tests {
         let (code, output) = run_capture(&["check", &data, "--snapshot", &snap]);
         assert_eq!(code, 1, "the seeded typo is still found: {output}");
         assert!(output.contains("New York"), "{output}");
+    }
+
+    #[test]
+    fn byte_order_marked_csv_and_rules_check_like_plain_ones() {
+        let rules = "# PFD rules\nZip([zip = [\\D{3}]\\D{2}] -> [city = _])\n";
+        let plain = run_capture(&[
+            "check",
+            &tmp("bom-plain.csv", ZIP_CSV),
+            "--rules",
+            &tmp("bom-plain.pfd", rules),
+        ]);
+        let marked = run_capture(&[
+            "check",
+            &tmp("bom-marked.csv", format!("\u{FEFF}{ZIP_CSV}")),
+            "--rules",
+            &tmp("bom-marked.pfd", format!("\u{FEFF}{rules}")),
+        ]);
+        assert_eq!(plain.0, 1, "{}", plain.1);
+        assert_eq!(marked, plain);
+    }
+
+    #[test]
+    fn fresh_discover_snapshot_stages_beside_the_snapshot() {
+        // `s.tmp` is not the store's staging file (`s.pfds.tmp`), so a
+        // directory there must not stop the snapshot being written.
+        let data = tmp("snap-stage.csv", ZIP_CSV);
+        let snap = tmp_path("snap-stage.pfds");
+        let other_tmp = Path::new(&snap).with_extension("tmp");
+        std::fs::create_dir_all(&other_tmp).unwrap();
+        let args = ["discover", &data, "--min-support", "3", "--snapshot", &snap];
+        let (code, output) = run_capture(&args);
+        assert_eq!(code, 0, "{output}");
+        assert!(output.contains("snapshot written to"), "{output}");
+        assert!(
+            !Path::new(&format!("{snap}.tmp")).exists(),
+            "staging file renamed"
+        );
+        let (code, output) = run_capture(&args);
+        assert_eq!(code, 0, "{output}");
+        assert!(output.contains("index: warm start"), "{output}");
+        std::fs::remove_dir(&other_tmp).unwrap();
     }
 
     #[test]
