@@ -1014,14 +1014,18 @@ mod tests {
         assert_eq!(intersect_sorted(&a, &lopsided), expect(&lopsided));
     }
 
-    /// Balanced and lopsided shapes, short lengths, and each side first,
-    /// against a naive filter.
+    /// `intersect_sorted(a, b)` and `intersect_sorted(b, a)` both equal a
+    /// naive filter of `a` by membership in `b`.
+    fn assert_merge_matches_naive(a: &[u32], b: &[u32]) {
+        let expected: Vec<u32> = a.iter().copied().filter(|x| b.contains(x)).collect();
+        assert_eq!(intersect_sorted(a, b), expected, "a={a:?} b={b:?}");
+        assert_eq!(intersect_sorted(b, a), expected, "commuted a={a:?} b={b:?}");
+    }
+
+    /// Balanced and lopsided shapes, each side first, against a naive filter.
     #[test]
     fn merge_matches_naive_on_fixed_shapes() {
-        let naive = |a: &[u32], b: &[u32]| -> Vec<u32> {
-            a.iter().copied().filter(|x| b.contains(x)).collect()
-        };
-        let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
             (vec![], vec![1, 2, 3]),
             ((0..16).collect(), (0..16).collect()),
             (
@@ -1032,15 +1036,21 @@ mod tests {
             (vec![7], vec![7]),
             (vec![0, 4, 8, 12, 16], vec![1, 4, 9, 12, 17, 20, 33, 34]),
         ];
+        for (a, b) in &cases {
+            assert_merge_matches_naive(a, b);
+        }
+    }
+
+    /// Every pair of lengths in 0..10, so the merge's last steps run with
+    /// either side exhausted first.
+    #[test]
+    fn merge_handles_short_tails() {
         for la in 0..10u32 {
             for lb in 0..10u32 {
-                cases.push(((0..la).map(|i| i * 3).collect(), (0..lb).collect()));
+                let a: Vec<u32> = (0..la).map(|i| i * 3).collect();
+                let b: Vec<u32> = (0..lb).map(|i| i * 2 + 1).collect();
+                assert_merge_matches_naive(&a, &b);
             }
-        }
-        for (a, b) in &cases {
-            let expected = naive(a, b);
-            assert_eq!(intersect_sorted(a, b), expected, "a={a:?} b={b:?}");
-            assert_eq!(intersect_sorted(b, a), expected, "commuted a={a:?} b={b:?}");
         }
     }
 
