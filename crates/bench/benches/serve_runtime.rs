@@ -1,6 +1,6 @@
 //! Criterion bench for the multi-tenant session server: sustained edit
 //! throughput as a function of tenant count, with and without batch
-//! coalescing.
+//! coalescing, in memory and durable.
 //!
 //! Each case opens N in-memory tenants over the same geo-cascade
 //! workload, submits a fixed number of `set` commands per tenant from a
@@ -11,6 +11,11 @@
 //! additionally folds each tenant's queue backlog into single
 //! `apply_batch` calls.
 //!
+//! The durable pass runs the same feed through `Server::durable` over the
+//! real filesystem (`StdIo` in a temp directory) at 1 and 4 tenants, and
+//! counts WAL syncs per edit: group commit syncs once per drained run of a
+//! tenant's commands, coalescing once per merged `apply_batch`.
+//!
 //! Besides the criterion output, the run writes `BENCH_serve.json`.
 //! `PFD_BENCH_SMOKE=1` skips criterion sampling and emits the JSON from a
 //! tiny-scale pass — the CI smoke-bench mode. `PFD_BENCH_JSON` overrides
@@ -20,13 +25,18 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_core::server::NoProtocolOpens;
 use pfd_core::{DeltaEngine, EventSink, Pfd, Server, ServerOptions};
 use pfd_datagen::{dirty_clean_pair, geo_cascade_table, ErrorProfile};
+use pfd_relation::io::{Io, StdIo};
 use pfd_relation::Relation;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Tenant counts every measurement sweeps.
 const TENANT_COUNTS: [usize; 3] = [1, 4, 8];
+/// Tenant counts of the durable pass.
+const DURABLE_TENANT_COUNTS: [usize; 2] = [1, 4];
 /// Rate of correlated errors injected into city/county/state/region.
 const ERROR_RATE: f64 = 0.005;
 
@@ -75,20 +85,80 @@ fn tenant_lines(tenants: usize, edits: usize, num_rows: usize) -> Vec<Vec<String
 
 struct RunResult {
     edits_per_sec: f64,
+    /// WAL syncs per edit over the timed feed (0 in memory).
+    syncs_per_edit: f64,
 }
 
-/// One measured run: open `tenants` clones of `base`, feed every tenant
-/// `edits` commands round-robin, time submit-to-drain.
-fn run_case(base: &DeltaEngine, tenants: usize, edits: usize, coalesce: bool) -> RunResult {
-    let server = Server::new(
-        ServerOptions {
-            workers: 0, // the machine's parallelism, as `pfd serve` defaults
-            coalesce,
-            ..ServerOptions::default()
-        },
-        Arc::new(NoProtocolOpens),
-        Arc::new(NullSink),
-    );
+/// The real filesystem, counting syncs.
+#[derive(Default)]
+struct CountingIo {
+    syncs: AtomicU64,
+}
+
+impl Io for CountingIo {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        StdIo.read(path)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        StdIo.write(path, data)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        StdIo.append(path, data)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        StdIo.truncate(path, len)
+    }
+    fn sync(&self, path: &Path) -> std::io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        StdIo.sync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        StdIo.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        StdIo.remove(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        StdIo.exists(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        StdIo.create_dir_all(path)
+    }
+}
+
+/// One measured run: open `tenants` clones of `base` (durable under a
+/// fresh temp directory when `durable`), feed every tenant `edits`
+/// commands round-robin, time submit-to-drain.
+fn run_case(
+    base: &DeltaEngine,
+    tenants: usize,
+    edits: usize,
+    coalesce: bool,
+    durable: bool,
+) -> RunResult {
+    let options = ServerOptions {
+        workers: 0, // the machine's parallelism, as `pfd serve` defaults
+        coalesce,
+        ..ServerOptions::default()
+    };
+    let io = Arc::new(CountingIo::default());
+    let root = std::env::temp_dir().join(format!(
+        "pfd-serve-bench-{}-{tenants}-{coalesce}",
+        std::process::id()
+    ));
+    let server = if durable {
+        let _ = std::fs::remove_dir_all(&root);
+        let io: Arc<dyn Io + Send + Sync> = io.clone();
+        Server::durable(
+            io,
+            &root,
+            options,
+            Arc::new(NoProtocolOpens),
+            Arc::new(NullSink),
+        )
+    } else {
+        Server::new(options, Arc::new(NoProtocolOpens), Arc::new(NullSink))
+    };
     for t in 0..tenants {
         let engine = base.clone();
         server
@@ -97,6 +167,7 @@ fn run_case(base: &DeltaEngine, tenants: usize, edits: usize, coalesce: bool) ->
     }
     server.drain();
     let lines = tenant_lines(tenants, edits, base.relation().num_rows());
+    let syncs_before = io.syncs.load(Ordering::Relaxed);
     let t0 = Instant::now();
     for step in 0..edits {
         for tenant_lines in &lines {
@@ -105,9 +176,14 @@ fn run_case(base: &DeltaEngine, tenants: usize, edits: usize, coalesce: bool) ->
     }
     server.drain();
     let secs = t0.elapsed().as_secs_f64();
+    let syncs = io.syncs.load(Ordering::Relaxed) - syncs_before;
     black_box(server.shutdown());
+    if durable {
+        let _ = std::fs::remove_dir_all(&root);
+    }
     RunResult {
         edits_per_sec: (tenants * edits) as f64 / secs.max(1e-9),
+        syncs_per_edit: syncs as f64 / (tenants * edits) as f64,
     }
 }
 
@@ -119,11 +195,11 @@ fn bench_serve(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("edits_round_robin", tenants),
             &tenants,
-            |b, &tenants| b.iter(|| black_box(run_case(&base, tenants, 200, false))),
+            |b, &tenants| b.iter(|| black_box(run_case(&base, tenants, 200, false, false))),
         );
     }
     group.bench_function("edits_coalesced_8_tenants", |b| {
-        b.iter(|| black_box(run_case(&base, 8, 200, true)))
+        b.iter(|| black_box(run_case(&base, 8, 200, true, false)))
     });
     group.finish();
 }
@@ -141,17 +217,20 @@ fn write_bench_json(smoke: bool) {
         plain: RunResult,
         coalesced: RunResult,
     }
-    let cases: Vec<Case> = TENANT_COUNTS
-        .iter()
-        .map(|&tenants| Case {
-            tenants,
-            plain: run_case(&base, tenants, edits, false),
-            coalesced: run_case(&base, tenants, edits, true),
-        })
-        .collect();
+    let sweep = |counts: &[usize], durable: bool| -> Vec<Case> {
+        (counts.iter())
+            .map(|&tenants| Case {
+                tenants,
+                plain: run_case(&base, tenants, edits, false, durable),
+                coalesced: run_case(&base, tenants, edits, true, durable),
+            })
+            .collect()
+    };
+    let cases = sweep(&TENANT_COUNTS, false);
+    let durable_cases = sweep(&DURABLE_TENANT_COUNTS, true);
     let solo = cases[0].plain.edits_per_sec;
 
-    let mut json = String::from("{\n  \"schema_version\": 2,\n");
+    let mut json = String::from("{\n  \"schema_version\": 3,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -181,6 +260,24 @@ fn write_bench_json(smoke: bool) {
         );
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
+    json.push_str("  ],\n  \"durable_cases\": [\n");
+    for (i, c) in durable_cases.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"tenants\": {}, \"edits_per_sec\": {:.0}, \"syncs_per_edit\": {:.3}, \
+             \"coalesced_edits_per_sec\": {:.0}, \"coalesced_syncs_per_edit\": {:.3}}}",
+            c.tenants,
+            c.plain.edits_per_sec,
+            c.plain.syncs_per_edit,
+            c.coalesced.edits_per_sec,
+            c.coalesced.syncs_per_edit,
+        );
+        json.push_str(if i + 1 < durable_cases.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
     json.push_str("  ]\n}\n");
 
     let path = std::env::var("PFD_BENCH_JSON")
@@ -196,6 +293,17 @@ fn write_bench_json(smoke: bool) {
             c.plain.edits_per_sec,
             c.coalesced.edits_per_sec,
             c.plain.edits_per_sec / solo.max(1e-9),
+        );
+    }
+    for c in &durable_cases {
+        println!(
+            "durable tenants {}: {:>9.0} edits/s plain ({:.3} syncs/edit), \
+             {:>9.0} edits/s coalesced ({:.3} syncs/edit)",
+            c.tenants,
+            c.plain.edits_per_sec,
+            c.plain.syncs_per_edit,
+            c.coalesced.edits_per_sec,
+            c.coalesced.syncs_per_edit,
         );
     }
 }

@@ -45,6 +45,7 @@ use crate::snapshot::{
 use pfd_relation::io::Io;
 use pfd_relation::wal::{SyncPolicy, WalWriter};
 use pfd_relation::{AttrId, Relation, RelationError, RowId, Schema};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -331,60 +332,83 @@ use json::Value;
 /// Serialize a violation with attribute names resolved against the schema.
 pub fn violation_json(pfd_index: usize, v: &Violation, schema: &Schema) -> String {
     let mut out = String::new();
+    write_violation(&mut out, pfd_index, v, schema);
+    out
+}
+
+/// Append [`violation_json`]'s object to `out`.
+fn write_violation(out: &mut String, pfd_index: usize, v: &Violation, schema: &Schema) {
     let kind = match v.kind {
         ViolationKind::SingleTuple => "single_tuple",
         ViolationKind::TuplePair => "tuple_pair",
     };
-    let attr = schema.name_of(v.attr).unwrap_or("?");
-    out.push_str(&format!(
-        "{{\"pfd\":{pfd_index},\"tableau_row\":{},\"kind\":\"{kind}\",\"attr\":{},\
-         \"group_size\":{},\"majority_size\":{},\"rows\":[",
-        v.tableau_row,
-        json::escaped(attr),
+    let _ = write!(
+        out,
+        "{{\"pfd\":{pfd_index},\"tableau_row\":{},\"kind\":\"{kind}\",\"attr\":",
+        v.tableau_row
+    );
+    json::write_escaped(out, schema.name_of(v.attr).unwrap_or("?"));
+    let _ = write!(
+        out,
+        ",\"group_size\":{},\"majority_size\":{},\"rows\":[",
         v.group_size(),
         v.majority_size()
-    ));
+    );
     for (i, r) in v.rows().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&r.to_string());
+        let _ = write!(out, "{r}");
     }
     out.push_str("],\"cells\":[");
     for (i, (r, a)) in v.cells().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"row\":{r},\"attr\":{}}}",
-            json::escaped(schema.name_of(*a).unwrap_or("?"))
-        ));
+        let _ = write!(out, "{{\"row\":{r},\"attr\":");
+        json::write_escaped(out, schema.name_of(*a).unwrap_or("?"));
+        out.push('}');
     }
     out.push_str("]}");
-    out
 }
 
-fn entries_json(entries: &[DeltaEntry], schema: &Schema) -> String {
-    let mut out = String::from("[");
+/// Append a JSON array of delta entries to `out`.
+fn write_entries(out: &mut String, entries: &[DeltaEntry], schema: &Schema) {
+    out.push('[');
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&violation_json(e.pfd_index, &e.violation, schema));
+        write_violation(out, e.pfd_index, &e.violation, schema);
     }
     out.push(']');
-    out
 }
 
 /// Serialize one delta event line (without trailing newline).
 pub fn delta_json(delta: &ViolationDelta, violations_now: usize, schema: &Schema) -> String {
-    format!(
-        "{{\"event\":\"delta\",\"version\":{},\"violations\":{},\"introduced\":{},\"resolved\":{}}}",
-        delta.version,
-        violations_now,
-        entries_json(&delta.introduced, schema),
-        entries_json(&delta.resolved, schema),
-    )
+    let mut out = String::new();
+    write_delta(&mut out, "", delta, violations_now, schema);
+    out
+}
+
+/// Append [`delta_json`]'s line to `out`, with `tag` (zero or more
+/// `"key":value,` members) injected after the opening brace.
+fn write_delta(
+    out: &mut String,
+    tag: &str,
+    delta: &ViolationDelta,
+    violations_now: usize,
+    schema: &Schema,
+) {
+    let _ = write!(
+        out,
+        "{{{tag}\"event\":\"delta\",\"version\":{},\"violations\":{violations_now},\"introduced\":",
+        delta.version
+    );
+    write_entries(out, &delta.introduced, schema);
+    out.push_str(",\"resolved\":");
+    write_entries(out, &delta.resolved, schema);
+    out.push('}');
 }
 
 /// Serialize a `pfd check` detection report (the batch analogue of the
@@ -647,20 +671,25 @@ pub fn run_session_with(
 /// state. The multi-tenant server reuses this as the per-tenant `open`
 /// acknowledgement so both surfaces stay byte-identical.
 pub fn ready_json(repairer: &RepairEngine) -> String {
-    state_event_json("ready", repairer)
+    let mut out = String::new();
+    write_state_event(&mut out, "ready", repairer);
+    out
 }
 
-fn state_event_json(event: &str, repairer: &RepairEngine) -> String {
-    let schema = repairer.relation().schema();
+/// Append a `ready`-shaped event named `event` for the engine's current
+/// state to `out`.
+fn write_state_event(out: &mut String, event: &str, repairer: &RepairEngine) {
     let violations = repairer.engine().sorted_violations();
-    format!(
-        "{{\"event\":\"{event}\",\"version\":{},\"rows\":{},\"pfds\":{},\"violations\":{},\"state\":{}}}",
+    let _ = write!(
+        out,
+        "{{\"event\":\"{event}\",\"version\":{},\"rows\":{},\"pfds\":{},\"violations\":{},\"state\":",
         repairer.relation().version(),
         repairer.relation().num_rows(),
         repairer.engine().pfds().len(),
         violations.len(),
-        entries_json(&violations, schema)
-    )
+    );
+    write_entries(out, &violations, repairer.relation().schema());
+    out.push('}');
 }
 
 /// Serialize a [`RecoveryReport`] as a session `recovered` event line.
@@ -751,25 +780,38 @@ struct Durable {
     /// Sequence number of the next WAL record; `None` scans the log (and
     /// truncates any invalid tail) on the next append.
     next_seq: Option<u64>,
+    /// True once a record was appended that no sync has covered yet.
+    unsynced: bool,
 }
 
 impl Durable {
-    /// Append one record and sync it. The writer lives for this call only:
-    /// it resumes at the cached sequence number, or scans the log once
-    /// after an open or a checkpoint.
+    /// Append one record without syncing it. The writer lives for this
+    /// call only: it resumes at the cached sequence number, or scans the
+    /// log once after an open or a checkpoint.
     fn append(&mut self, record: &[u8]) -> io::Result<()> {
         let io: &dyn Io = &*self.store.io;
         let log = SnapshotStore::new(io, &self.store.path).log_path();
         let mut wal = match self.next_seq.take() {
-            Some(next) => WalWriter::continue_at(io, &log, next, SyncPolicy::Always),
+            Some(next) => WalWriter::continue_at(io, &log, next, SyncPolicy::Never),
             None => {
-                WalWriter::open(io, &log, self.meta.last_seq, SyncPolicy::Always)
+                WalWriter::open(io, &log, self.meta.last_seq, SyncPolicy::Never)
                     .map_err(|e| io::Error::new(e.kind(), format!("wal open failed: {e}")))?
                     .0
             }
         };
         wal.append(record)?;
         self.next_seq = Some(wal.last_seq() + 1);
+        self.unsynced = true;
+        Ok(())
+    }
+
+    /// Sync the log once if a record was appended since the last sync.
+    fn sync(&mut self) -> io::Result<()> {
+        if self.unsynced {
+            let io: &dyn Io = &*self.store.io;
+            io.sync(&SnapshotStore::new(io, &self.store.path).log_path())?;
+            self.unsynced = false;
+        }
         Ok(())
     }
 }
@@ -784,15 +826,25 @@ impl Durable {
 /// 1. [`Session::open`] recovers the snapshot family (or cold-builds), emits
 ///    a `recovered` event when recovery was degraded or replayed records,
 ///    and checkpoints when recovery says so;
-/// 2. [`Session::handle_line`] parses, applies, appends the command to the
-///    WAL (fsynced), and only then writes its answer — an acknowledged
-///    command survives any crash;
+/// 2. `Session::stage_line` parses and applies a command, appends it to
+///    the WAL without a sync, and holds its answer; `Session::commit`
+///    then fsyncs the log once for every command staged since the last
+///    commit, and only after that writes their answers in order — an
+///    acknowledged command survives any crash. [`Session::handle_line`] is
+///    one stage and one commit; a server drain job stages each command it
+///    claimed and commits the run;
 /// 3. [`Session::checkpoint`] writes the next snapshot generation, covering
 ///    every appended record, and retires the log.
 pub struct Session {
     repairer: RepairEngine,
     summary: SessionSummary,
     durable: Option<Durable>,
+    /// The answers of the commands staged since the last commit, each line
+    /// ending in `\n`.
+    held: String,
+    /// Staged commands that applied (or, for `check`, read) cleanly. They
+    /// count as applied only once their run commits.
+    staged_applied: usize,
 }
 
 impl Session {
@@ -802,6 +854,8 @@ impl Session {
             repairer,
             summary: SessionSummary::default(),
             durable: None,
+            held: String::new(),
+            staged_applied: 0,
         }
     }
 
@@ -836,6 +890,7 @@ impl Session {
                 last_seq: recovered.seq_floor,
             },
             next_seq: None,
+            unsynced: false,
         });
         if recovered.needs_checkpoint {
             session.checkpoint().map_err(RecoverFailure::Snapshot)?;
@@ -853,19 +908,33 @@ impl Session {
             match line {
                 Ok(line) if line.trim().is_empty() => {}
                 Ok(line) => self.handle_line(line, out)?,
-                Err(unreadable) => self.reject(&unreadable, out)?,
+                Err(unreadable) => {
+                    self.reject(&unreadable);
+                    self.commit(out)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Answer one command line: parse it, apply it, append it to the WAL
-    /// (durable sessions), then write its events. A command that does not
-    /// parse or apply gets one `error` event and the session goes on. An
+    /// Answer one command line: `Session::stage_line`, then
+    /// `Session::commit` — one WAL append, one sync, then its events. An
     /// `Err` means the WAL or `out` failed: the engine may then hold an
     /// edit that was never acknowledged, so the caller must drop the
     /// session (a durable one reopens from its snapshot family).
     pub fn handle_line(&mut self, line: &str, out: &mut dyn Write) -> io::Result<()> {
+        self.stage_line(line)?;
+        self.commit(out)
+    }
+
+    /// Stage one command line: parse it, apply it, append its record to
+    /// the WAL without a sync (durable sessions), and hold its answer for
+    /// [`Session::commit`]. A command that does not parse or apply holds
+    /// one `error` answer and the session goes on. An `Err` means the WAL
+    /// append failed: this command holds no answer and the engine may hold
+    /// its edit, so the caller commits the run staged before it, answers
+    /// this command with an `error`, and drops the session.
+    pub(crate) fn stage_line(&mut self, line: &str) -> io::Result<()> {
         match parse_command(line, self.repairer.relation().schema()) {
             Ok(SessionCommand::Repair { max_passes }) => {
                 // The override applies to this chase only (clamped to ≥ 1
@@ -890,83 +959,79 @@ impl Session {
                         edits_as_batch_json(&edits, schema)
                     })?;
                 }
-                self.summary.applied += 1;
+                self.staged_applied += 1;
                 let (engine, schema) = (self.repairer.engine(), self.repairer.relation().schema());
-                write_repair_events(out, &outcome, passes, engine, schema)
+                write_repair_events(&mut self.held, &outcome, passes, engine, schema);
             }
             Ok(SessionCommand::Check) => {
                 // Read-only: answer with the current state, log nothing.
-                self.summary.applied += 1;
-                writeln!(out, "{}", state_event_json("state", &self.repairer))
+                self.staged_applied += 1;
+                write_state_event(&mut self.held, "state", &self.repairer);
+                self.held.push('\n');
             }
             Ok(SessionCommand::Single(edit)) => {
                 let applied = self.repairer.engine_mut().apply(edit);
-                self.answer_edits(applied, None, |_| line.trim().to_string(), out)
+                self.stage_edits(applied, None, |_| line.trim().to_string())?;
             }
             Ok(SessionCommand::Batch(edits)) => {
                 let applied = self.repairer.engine_mut().apply_batch(&edits);
-                self.answer_edits(applied, None, |_| line.trim().to_string(), out)
+                self.stage_edits(applied, None, |_| line.trim().to_string())?;
             }
-            Err(message) => self.reject(&message, out),
+            Err(message) => self.reject(&message),
         }
+        Ok(())
     }
 
-    /// Apply the edits of `commands` queued commands as one `apply_batch`,
+    /// Stage the edits of `commands` queued commands as one `apply_batch`,
     /// logged as one `batch` record and answered by one `delta` event
     /// tagged `"coalesced":k` — or rejected as a whole by one `error` event.
     /// The multi-tenant server's coalescing path; errors as
-    /// [`Session::handle_line`].
-    pub(crate) fn handle_coalesced(
-        &mut self,
-        edits: &[Edit],
-        commands: usize,
-        out: &mut dyn Write,
-    ) -> io::Result<()> {
+    /// [`Session::stage_line`].
+    pub(crate) fn stage_coalesced(&mut self, edits: &[Edit], commands: usize) -> io::Result<()> {
         let applied = self.repairer.engine_mut().apply_batch(edits);
         let record = |schema: &Schema| edits_as_batch_json(edits, schema);
-        self.answer_edits(applied, Some(commands), record, out)
+        self.stage_edits(applied, Some(commands), record)
     }
 
-    /// Acknowledge applied edits once their record is in the WAL, or reject
-    /// them. `coalesced` counts the commands merged into one answer.
-    fn answer_edits(
+    /// Append applied edits' record to the WAL and hold their `delta`
+    /// answer, or hold their rejection. `coalesced` counts the commands
+    /// merged into one answer.
+    fn stage_edits(
         &mut self,
         applied: Result<ViolationDelta, RelationError>,
         coalesced: Option<usize>,
         record: impl FnOnce(&Schema) -> String,
-        out: &mut dyn Write,
     ) -> io::Result<()> {
         let commands = coalesced.unwrap_or(1);
         let tag = coalesced.map_or(String::new(), |k| format!("\"coalesced\":{k},"));
         match applied {
             Ok(delta) => {
                 self.log(record)?;
-                // Counted only now: a command whose append failed was never
-                // acknowledged and must not show up as applied.
-                self.summary.applied += commands;
+                self.staged_applied += commands;
                 let violations = self.repairer.engine().violation_count();
-                let line = delta_json(&delta, violations, self.repairer.relation().schema());
-                writeln!(out, "{{{tag}{}", &line[1..])
+                let schema = self.repairer.relation().schema();
+                write_delta(&mut self.held, &tag, &delta, violations, schema);
+                self.held.push('\n');
             }
             Err(e) => {
                 self.summary.rejected += commands;
-                writeln!(
-                    out,
-                    "{{\"event\":\"error\",{tag}\"message\":{}}}",
-                    json::escaped(&e.to_string())
-                )
+                self.hold_error(&tag, &e.to_string());
             }
         }
+        Ok(())
     }
 
-    /// Answer an unusable line with one `error` event.
-    fn reject(&mut self, message: &str, out: &mut dyn Write) -> io::Result<()> {
+    /// Hold one `error` answer for an unusable line.
+    fn reject(&mut self, message: &str) {
         self.summary.rejected += 1;
-        writeln!(
-            out,
-            "{{\"event\":\"error\",\"message\":{}}}",
-            json::escaped(message)
-        )
+        self.hold_error("", message);
+    }
+
+    /// Hold one `error` event, with `tag` injected as in [`write_delta`].
+    fn hold_error(&mut self, tag: &str, message: &str) {
+        let _ = write!(self.held, "{{\"event\":\"error\",{tag}\"message\":");
+        json::write_escaped(&mut self.held, message);
+        self.held.push_str("}\n");
     }
 
     /// Append a command's replayable record to the WAL (durable sessions
@@ -976,6 +1041,27 @@ impl Session {
             Some(durable) => durable.append(record(self.repairer.relation().schema()).as_bytes()),
             None => Ok(()),
         }
+    }
+
+    /// Commit the run staged since the last commit: sync the WAL once if
+    /// anything was appended, then write every held answer to `out` in
+    /// order and count the run's commands applied. When the sync fails,
+    /// nothing is written and no staged command was acknowledged or counts
+    /// as applied: the caller answers each with an `error` and drops the
+    /// session. A commit with nothing staged does nothing.
+    pub(crate) fn commit(&mut self, out: &mut dyn Write) -> io::Result<()> {
+        let held = std::mem::take(&mut self.held);
+        let applied = std::mem::take(&mut self.staged_applied);
+        if let Some(durable) = self.durable.as_mut() {
+            durable.sync()?;
+        }
+        self.summary.applied += applied;
+        out.write_all(held.as_bytes())
+    }
+
+    /// Bytes of answers held for the commands staged since the last commit.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.held.len()
     }
 
     /// Persist the live state as the next snapshot generation, covering
@@ -995,8 +1081,10 @@ impl Session {
         SnapshotStore::new(&*durable.store.io, &durable.store.path)
             .checkpoint(self.repairer.engine(), meta)?;
         durable.meta = meta;
-        // The log is gone; the next append starts a fresh one after `meta`.
+        // The log is gone, and the synced snapshot covers every record it
+        // held; the next append starts a fresh log after `meta`.
         durable.next_seq = None;
+        durable.unsynced = false;
         Ok(())
     }
 
@@ -1063,19 +1151,20 @@ pub(crate) fn edits_as_batch_json(edits: &[Edit], schema: &Schema) -> String {
     line
 }
 
-/// Stream one repair chase's events: a `conflict` line per contested cell,
-/// a `fix` line per applied fix, an `unrepaired` line per suggestion-less
-/// flag, then one `repaired` summary line.
+/// Render one repair chase's events into `out`: a `conflict` line per
+/// contested cell, a `fix` line per applied fix, an `unrepaired` line per
+/// suggestion-less flag, then one `repaired` summary line.
 fn write_repair_events(
-    out: &mut dyn Write,
+    out: &mut String,
     outcome: &RepairOutcome,
     passes: usize,
     engine: &DeltaEngine,
     schema: &Schema,
-) -> io::Result<()> {
+) {
     for fix in &outcome.fixes {
         if !fix.competitors.is_empty() {
-            let mut line = format!(
+            let _ = write!(
+                out,
                 "{{\"event\":\"conflict\",\"row\":{},\"attr\":{},\"chosen_pfd\":{},\"candidates\":[",
                 fix.row,
                 json::escaped(schema.name_of(fix.attr).unwrap_or("?")),
@@ -1083,32 +1172,31 @@ fn write_repair_events(
             );
             for (i, c) in fix.competitors.iter().enumerate() {
                 if i > 0 {
-                    line.push(',');
+                    out.push(',');
                 }
-                line.push_str(&candidate_json(c));
+                out.push_str(&candidate_json(c));
             }
-            line.push_str("]}");
-            writeln!(out, "{line}")?;
+            out.push_str("]}\n");
         }
-        writeln!(out, "{{\"event\":\"fix\",{}", &fix_json(fix, schema)[1..])?;
+        let _ = writeln!(out, "{{\"event\":\"fix\",{}", &fix_json(fix, schema)[1..]);
     }
     for flag in &outcome.unrepaired {
-        writeln!(
+        let _ = writeln!(
             out,
             "{{\"event\":\"unrepaired\",\"row\":{},\"attr\":{},\"pfd\":{},\"current\":{}}}",
             flag.row,
             json::escaped(schema.name_of(flag.attr).unwrap_or("?")),
             flag.pfd_index,
             json::escaped(&flag.current)
-        )?;
+        );
     }
-    writeln!(
+    let _ = writeln!(
         out,
         "{{\"event\":\"repaired\",\"passes\":{passes},\"fixes\":{},\"unrepaired\":{},\"violations\":{}}}",
         outcome.fixes.len(),
         outcome.unrepaired.len(),
         engine.violation_count()
-    )
+    );
 }
 
 #[cfg(test)]

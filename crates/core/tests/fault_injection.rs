@@ -13,8 +13,8 @@
 //! * restore a state equal to the base engine plus a *prefix* of the
 //!   edit script;
 //! * restore a prefix at least as long as what the session acknowledged
-//!   (an edit's `delta` event is only written after its WAL append
-//!   returned `Ok`).
+//!   (an edit's `delta` event is only written after the sync covering its
+//!   WAL append returned `Ok`).
 //!
 //! The sweep samples ~100 crash points by default; set
 //! `PFD_FAULT_EXHAUSTIVE=1` to test every single fuel value (CI does this
@@ -22,7 +22,7 @@
 //! fractions on top of the fixed script.
 
 use std::convert::Infallible;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use pfd_core::server::NoProtocolOpens;
 use pfd_core::{
@@ -311,9 +311,20 @@ fn with_tenant(line: &str) -> String {
 /// checkpoint), apply half the edits, **evict it mid-run** (checkpoint +
 /// drop), touch it back with the remaining edits (rebuild from the family),
 /// shut down (final checkpoint). Returns how many edits were *acknowledged*
-/// — a delta event is only emitted after the WAL append returned `Ok`, so
-/// counting delta events counts acknowledgements.
+/// — a delta event is only emitted after the sync covering its WAL append
+/// returned `Ok`, so counting delta events counts acknowledgements.
 fn server_scripted_run(faulty: Arc<FailpointIo<MemIo>>, lines: &[String]) -> usize {
+    server_run(faulty, lines, false)
+}
+
+/// [`server_scripted_run`] with the head edits queued while the lone worker
+/// is parked, so one drain job claims them all and commits them as one run:
+/// appended one by one, synced once, and only then answered.
+fn grouped_server_scripted_run(faulty: Arc<FailpointIo<MemIo>>, lines: &[String]) -> usize {
+    server_run(faulty, lines, true)
+}
+
+fn server_run(faulty: Arc<FailpointIo<MemIo>>, lines: &[String], grouped: bool) -> usize {
     let sink = Arc::new(CollectSink::new());
     let server = Server::durable(
         faulty,
@@ -330,8 +341,23 @@ fn server_scripted_run(faulty: Arc<FailpointIo<MemIo>>, lines: &[String]) -> usi
         .open_with(SRV_TENANT, || Ok(base_engine()))
         .expect("fresh tenant name is valid");
     let (head, tail) = lines.split_at(lines.len() / 2);
+    // The lone worker blocks in the cold build of a second tenant until
+    // every head edit is queued behind it.
+    let release = grouped.then(|| {
+        let (release, parked) = mpsc::channel::<()>();
+        server
+            .open_with("parker", move || {
+                let _ = parked.recv();
+                Ok(base_engine())
+            })
+            .expect("fresh tenant name is valid");
+        release
+    });
     for line in head {
         server.submit(&with_tenant(line));
+    }
+    if let Some(release) = release {
+        let _ = release.send(()); // the parker's open may have crashed first
     }
     server.drain();
     let _ = server.evict(SRV_TENANT); // the crash window this test is about
@@ -382,6 +408,46 @@ fn tenant_eviction_survives_a_crash_at_every_fuel_point() {
             &expected[m],
             &recovered.engine,
             &format!("server fuel {fuel}"),
+        );
+    }
+}
+
+/// The twin of [`tenant_eviction_survives_a_crash_at_every_fuel_point`]
+/// with the head edits committed as one run: a crash anywhere in it, the
+/// one sync included, must still recover the base plus a prefix that
+/// holds every acknowledged edit.
+#[test]
+fn grouped_tenant_run_survives_a_crash_at_every_fuel_point() {
+    let base = base_engine();
+    let lines = edit_lines();
+    let expected = prefix_states(&base, &lines);
+
+    let total = {
+        let probe = Arc::new(FailpointIo::unlimited(MemIo::new()));
+        let acked = grouped_server_scripted_run(probe.clone(), &lines);
+        assert_eq!(acked, lines.len(), "unlimited run acknowledges everything");
+        probe.consumed()
+    };
+
+    for fuel in fuel_points(total) {
+        let disk = MemIo::new();
+        let faulty = Arc::new(FailpointIo::with_fuel(disk.clone(), fuel));
+        let acked = grouped_server_scripted_run(faulty, &lines);
+        let recovered = SnapshotStore::new(&disk, srv_snap())
+            .recover(RecoveryPolicy::Salvage, || {
+                Ok::<_, Infallible>(base.clone())
+            })
+            .unwrap_or_else(|e| panic!("fuel {fuel}: salvage recovery failed: {e}"));
+        let m = recovered.seq_floor as usize;
+        assert!(
+            m >= acked,
+            "fuel {fuel}: {acked} edits acknowledged but only {m} recovered"
+        );
+        assert!(m <= lines.len(), "fuel {fuel}: recovered beyond the script");
+        assert_engines_equal(
+            &expected[m],
+            &recovered.engine,
+            &format!("grouped server fuel {fuel}"),
         );
     }
 }

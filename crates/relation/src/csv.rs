@@ -27,8 +27,11 @@ pub enum CsvError {
         /// quoted field may close several lines later).
         line: usize,
     },
-    /// Header missing or empty.
+    /// No header: the input holds no line at all.
     EmptyInput,
+    /// A header line with nothing on it (after any byte-order mark), which
+    /// would name one column "" that no rule can refer to.
+    EmptyHeader,
     /// The parsed rows do not form a valid relation.
     Relation(RelationError),
 }
@@ -47,6 +50,7 @@ impl fmt::Display for CsvError {
                 )
             }
             CsvError::EmptyInput => write!(f, "empty CSV input (missing header)"),
+            CsvError::EmptyHeader => write!(f, "empty CSV header: the first line names no columns"),
             CsvError::Relation(e) => write!(f, "{e}"),
         }
     }
@@ -206,6 +210,9 @@ impl<R: BufRead> Records<R> {
 pub fn read_csv<R: BufRead>(relation: &str, input: R) -> Result<Relation, CsvError> {
     let mut records = Records::new(input);
     let header = records.next_record()?.ok_or(CsvError::EmptyInput)?;
+    if header.blank {
+        return Err(CsvError::EmptyHeader);
+    }
     let schema = Schema::new(relation, header.fields)
         .map_err(|e| CsvError::Relation(RelationError::Schema(e)))?;
     let mut rel = Relation::empty(schema);
@@ -471,6 +478,16 @@ mod tests {
     #[test]
     fn empty_input_is_error() {
         assert!(matches!(read_csv_str("T", ""), Err(CsvError::EmptyInput)));
+    }
+
+    #[test]
+    fn empty_header_is_error() {
+        for csv in ["\n", "\r\n", "\u{FEFF}", "\u{FEFF}\n", "\n90001,LA\n"] {
+            assert!(
+                matches!(read_csv_str("T", csv), Err(CsvError::EmptyHeader)),
+                "{csv:?}"
+            );
+        }
     }
 
     #[test]

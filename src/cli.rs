@@ -502,11 +502,17 @@ fn open_script(script: Option<&str>) -> Result<Box<dyn BufRead + Send>, CliError
     })
 }
 
-/// Write each event line as it arrives until every sender is gone. On a
+/// Write event lines as they arrive until every sender is gone: each burst
+/// of events already queued goes out through one buffer, flushed as soon
+/// as the channel is empty, so no answer waits for a later one. On a
 /// failed write the receiver is dropped, so later events are discarded.
 fn write_events(events: mpsc::Receiver<String>, out: &mut dyn Write) -> std::io::Result<()> {
-    for event in events {
+    let mut out = std::io::BufWriter::with_capacity(64 << 10, out);
+    while let Ok(event) = events.recv() {
         writeln!(out, "{event}")?;
+        while let Ok(event) = events.try_recv() {
+            writeln!(out, "{event}")?;
+        }
         out.flush()?;
     }
     Ok(())
@@ -949,12 +955,42 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    fn tmp(name: &str, content: impl AsRef<[u8]>) -> String {
-        let dir = std::env::temp_dir().join("pfd-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-{name}", std::process::id()));
-        std::fs::write(&path, content).unwrap();
-        path.to_string_lossy().into_owned()
+    /// One test's directory, `$TMPDIR/pfd-cli-tests/<pid>-<test>`, removed
+    /// when the test passes and kept for inspection when it fails.
+    struct TestDir(std::path::PathBuf);
+
+    impl TestDir {
+        fn new(test: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join("pfd-cli-tests")
+                .join(format!("{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+
+        /// Write `content` to the file `name` in the directory; its path.
+        fn file(&self, name: &str, content: impl AsRef<[u8]>) -> String {
+            let path = self.path(name);
+            std::fs::write(&path, content).unwrap();
+            path
+        }
+
+        /// The path of `name` in the directory, with no file there (for
+        /// snapshot creation).
+        fn path(&self, name: &str) -> String {
+            let path = self.0.join(name);
+            let _ = std::fs::remove_file(&path);
+            path.to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
     }
 
     fn run_capture(args: &[&str]) -> (i32, String) {
@@ -968,7 +1004,8 @@ mod tests {
 
     #[test]
     fn profile_command() {
-        let data = tmp("profile.csv", ZIP_CSV);
+        let dir = TestDir::new("profile_command");
+        let data = dir.file("profile.csv", ZIP_CSV);
         let (code, output) = run_capture(&["profile", &data]);
         assert_eq!(code, 0);
         assert!(output.contains("zip"), "{output}");
@@ -977,8 +1014,9 @@ mod tests {
 
     #[test]
     fn discover_writes_rules_and_check_finds_the_error() {
-        let data = tmp("discover.csv", ZIP_CSV);
-        let rules = tmp("rules.pfd", "");
+        let dir = TestDir::new("discover_writes_rules_and_check_finds_the_error");
+        let data = dir.file("discover.csv", ZIP_CSV);
+        let rules = dir.file("rules.pfd", "");
         let (code, output) = run_capture(&[
             "discover",
             &data,
@@ -999,15 +1037,16 @@ mod tests {
 
     #[test]
     fn repair_fixes_the_typo() {
-        let data = tmp("repair.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("repair_fixes_the_typo");
+        let data = dir.file("repair.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "repair-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
         // The rule file uses relation name "Zip" but the loaded relation is
         // named after the file; relation names are informational, schemas
         // bind by attribute name.
-        let cleaned = tmp("cleaned.csv", "");
+        let cleaned = dir.file("cleaned.csv", "");
         let (code, output) =
             run_capture(&["repair", &data, "--rules", &rules_path, "--out", &cleaned]);
         assert_eq!(code, 0);
@@ -1018,8 +1057,9 @@ mod tests {
 
     #[test]
     fn repair_engines_agree_and_explain_shows_scores() {
-        let data = tmp("repair-engines.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("repair_engines_agree_and_explain_shows_scores");
+        let data = dir.file("repair-engines.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "repair-engines-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
@@ -1032,7 +1072,7 @@ mod tests {
             &rules_path,
             "--explain",
             "--out",
-            &tmp("repair-engines-e.csv", ""),
+            &dir.file("repair-engines-e.csv", ""),
         ]);
         assert_eq!(code, 0);
         assert!(out.contains("passes"), "{out}");
@@ -1042,7 +1082,8 @@ mod tests {
 
     #[test]
     fn review_flag_prints_queue() {
-        let data = tmp("review.csv", ZIP_CSV);
+        let dir = TestDir::new("review_flag_prints_queue");
+        let data = dir.file("review.csv", ZIP_CSV);
         let (code, output) = run_capture(&[
             "discover",
             &data,
@@ -1058,9 +1099,10 @@ mod tests {
 
     #[test]
     fn check_json_report_is_machine_readable() {
+        let dir = TestDir::new("check_json_report_is_machine_readable");
         use pfd_core::session::json::{parse, Value};
-        let data = tmp("check-json.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let data = dir.file("check-json.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "check-json-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
@@ -1084,13 +1126,14 @@ mod tests {
 
     #[test]
     fn repair_json_report_lists_fixes() {
+        let dir = TestDir::new("repair_json_report_lists_fixes");
         use pfd_core::session::json::{parse, Value};
-        let data = tmp("repair-json.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let data = dir.file("repair-json.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "repair-json-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let cleaned = tmp("repair-json-cleaned.csv", "");
+        let cleaned = dir.file("repair-json-cleaned.csv", "");
         let (code, output) = run_capture(&[
             "repair",
             &data,
@@ -1115,13 +1158,14 @@ mod tests {
 
     #[test]
     fn session_deltas_match_batch_ground_truth() {
+        let dir = TestDir::new("session_deltas_match_batch_ground_truth");
         use pfd_core::session::json::{parse, Value};
         use pfd_core::{detect_errors, parse_rules};
         use pfd_relation::read_csv_str;
 
-        let data = tmp("session.csv", ZIP_CSV);
+        let data = dir.file("session.csv", ZIP_CSV);
         let rules_text = "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n";
-        let rules_path = tmp("session-rules.pfd", rules_text);
+        let rules_path = dir.file("session-rules.pfd", rules_text);
         // Fix the typo, then break a fresh cell, then append a conforming
         // row and delete one — a steward's round trip.
         let script = concat!(
@@ -1131,7 +1175,7 @@ mod tests {
             "{\"op\":\"insert\",\"cells\":[\"60606\",\"Chicago\"]},",
             "{\"op\":\"delete\",\"row\":0}]}\n",
         );
-        let script_path = tmp("session-script.jsonl", script);
+        let script_path = dir.file("session-script.jsonl", script);
         let (code, output) = run_capture(&[
             "session",
             &data,
@@ -1219,12 +1263,13 @@ mod tests {
 
     #[test]
     fn session_dirty_end_state_exits_one() {
-        let data = tmp("session-dirty.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("session_dirty_end_state_exits_one");
+        let data = dir.file("session-dirty.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "session-dirty-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let script_path = tmp(
+        let script_path = dir.file(
             "session-dirty-script.jsonl",
             "{\"op\":\"set\",\"row\":0,\"attr\":\"city\",\"value\":\"Anaheim\"}\n",
         );
@@ -1238,15 +1283,6 @@ mod tests {
         ]);
         assert_eq!(code, 1, "{output}");
         assert!(output.contains("\"introduced\":[{"), "{output}");
-    }
-
-    /// Temp-file path that does not exist yet (for snapshot creation).
-    fn tmp_path(name: &str) -> String {
-        let dir = std::env::temp_dir().join("pfd-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-{name}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        path.to_string_lossy().into_owned()
     }
 
     /// A cold `check` detects straight from the CSV and rules, while `check
@@ -1272,25 +1308,27 @@ mod tests {
 
     #[test]
     fn check_from_snapshot_is_byte_identical_to_cold_build() {
-        let data = tmp("snap-check.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("check_from_snapshot_is_byte_identical_to_cold_build");
+        let data = dir.file("snap-check.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "snap-check-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let snap = tmp_path("snap-check.pfds");
+        let snap = dir.path("snap-check.pfds");
         assert_snapshot_check_matches_cold(&data, &rules_path, &snap);
     }
 
     #[test]
     fn check_from_snapshot_matches_cold_on_discovered_tableaux() {
+        let dir = TestDir::new("check_from_snapshot_matches_cold_on_discovered_tableaux");
         use pfd_datagen::{dirty_clean_pair, geo_cascade_table, ErrorProfile};
         let clean = geo_cascade_table(600, 3);
         let targets =
             ["city", "county", "state", "region"].map(|a| clean.schema().attr(a).unwrap());
         let profile = ErrorProfile::correlated(&targets, 0.02);
         let (dirty, _) = dirty_clean_pair(&clean, &profile, 3);
-        let data = tmp("snap-geo.csv", pfd_relation::write_csv_string(&dirty));
-        let rules = tmp_path("snap-geo-rules.pfd");
+        let data = dir.file("snap-geo.csv", pfd_relation::write_csv_string(&dirty));
+        let rules = dir.path("snap-geo-rules.pfd");
         let (code, output) = run_capture(&["discover", &data, "--rules", &rules]);
         assert_eq!(code, 0, "{output}");
         let text = std::fs::read_to_string(&rules).unwrap();
@@ -1298,15 +1336,19 @@ mod tests {
             text.lines().any(|line| line.contains("; [")),
             "discovery yields multi-row tableaux: {text}"
         );
-        let snap = tmp_path("snap-geo.pfds");
+        let snap = dir.path("snap-geo.pfds");
         let code = assert_snapshot_check_matches_cold(&data, &rules, &snap);
         assert_eq!(code, 1, "the injected errors are flagged");
     }
 
     #[test]
     fn check_without_rules_or_snapshot_is_a_usage_error() {
+        let dir = TestDir::new("check_without_rules_or_snapshot_is_a_usage_error");
         // The usage error comes before any input is read.
-        for data in [tmp("check-usage.csv", ZIP_CSV), "/nonexistent.csv".into()] {
+        for data in [
+            dir.file("check-usage.csv", ZIP_CSV),
+            "/nonexistent.csv".into(),
+        ] {
             let mut buf = Vec::new();
             let err = run(&["check".into(), data], &mut buf).unwrap_err();
             assert!(
@@ -1320,8 +1362,9 @@ mod tests {
 
     #[test]
     fn discover_writes_a_snapshot_check_consumes_it() {
-        let data = tmp("snap-discover.csv", ZIP_CSV);
-        let snap = tmp_path("snap-discover.pfds");
+        let dir = TestDir::new("discover_writes_a_snapshot_check_consumes_it");
+        let data = dir.file("snap-discover.csv", ZIP_CSV);
+        let snap = dir.path("snap-discover.pfds");
         let (code, output) = run_capture(&[
             "discover",
             &data,
@@ -1342,18 +1385,19 @@ mod tests {
 
     #[test]
     fn byte_order_marked_csv_and_rules_check_like_plain_ones() {
+        let dir = TestDir::new("byte_order_marked_csv_and_rules_check_like_plain_ones");
         let rules = "# PFD rules\nZip([zip = [\\D{3}]\\D{2}] -> [city = _])\n";
         let plain = run_capture(&[
             "check",
-            &tmp("bom-plain.csv", ZIP_CSV),
+            &dir.file("bom-plain.csv", ZIP_CSV),
             "--rules",
-            &tmp("bom-plain.pfd", rules),
+            &dir.file("bom-plain.pfd", rules),
         ]);
         let marked = run_capture(&[
             "check",
-            &tmp("bom-marked.csv", format!("\u{FEFF}{ZIP_CSV}")),
+            &dir.file("bom-marked.csv", format!("\u{FEFF}{ZIP_CSV}")),
             "--rules",
-            &tmp("bom-marked.pfd", format!("\u{FEFF}{rules}")),
+            &dir.file("bom-marked.pfd", format!("\u{FEFF}{rules}")),
         ]);
         assert_eq!(plain.0, 1, "{}", plain.1);
         assert_eq!(marked, plain);
@@ -1361,10 +1405,11 @@ mod tests {
 
     #[test]
     fn fresh_discover_snapshot_stages_beside_the_snapshot() {
+        let dir = TestDir::new("fresh_discover_snapshot_stages_beside_the_snapshot");
         // `s.tmp` is not the store's staging file (`s.pfds.tmp`), so a
         // directory there must not stop the snapshot being written.
-        let data = tmp("snap-stage.csv", ZIP_CSV);
-        let snap = tmp_path("snap-stage.pfds");
+        let data = dir.file("snap-stage.csv", ZIP_CSV);
+        let snap = dir.path("snap-stage.pfds");
         let other_tmp = Path::new(&snap).with_extension("tmp");
         std::fs::create_dir_all(&other_tmp).unwrap();
         let args = ["discover", &data, "--min-support", "3", "--snapshot", &snap];
@@ -1383,13 +1428,14 @@ mod tests {
 
     #[test]
     fn session_snapshot_resumes_where_the_last_session_ended() {
-        let data = tmp("snap-session.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("session_snapshot_resumes_where_the_last_session_ended");
+        let data = dir.file("snap-session.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "snap-session-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let snap = tmp_path("snap-session.pfds");
-        let script1 = tmp(
+        let snap = dir.path("snap-session.pfds");
+        let script1 = dir.file(
             "snap-session-s1.jsonl",
             "{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}\n",
         );
@@ -1421,7 +1467,7 @@ mod tests {
         );
         // Session 2 resumes from the snapshot: the fix persisted (0
         // violations in ready) and the mutation version kept counting.
-        let script2 = tmp("snap-session-s2.jsonl", "");
+        let script2 = dir.file("snap-session-s2.jsonl", "");
         let (code2, output) =
             run_capture(&["session", &data, "--script", &script2, "--snapshot", &snap]);
         assert_eq!(code2, 0);
@@ -1435,12 +1481,13 @@ mod tests {
 
     #[test]
     fn session_replays_the_delta_log_after_a_crash() {
-        let data = tmp("snap-crash.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("session_replays_the_delta_log_after_a_crash");
+        let data = dir.file("snap-crash.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "snap-crash-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let snap = tmp_path("snap-crash.pfds");
+        let snap = dir.path("snap-crash.pfds");
         // Seed the snapshot (pre-edit state, 1 violation).
         let (_, _) = run_capture(&["check", &data, "--rules", &rules_path, "--snapshot", &snap]);
         // Simulate a crashed session: the fix reached the framed delta log
@@ -1449,7 +1496,7 @@ mod tests {
             &snap,
             &[r#"{"op":"set","row":9,"attr":"city","value":"Chicago"}"#],
         );
-        let script = tmp("snap-crash-script.jsonl", "");
+        let script = dir.file("snap-crash-script.jsonl", "");
         let (code, output) =
             run_capture(&["session", &data, "--script", &script, "--snapshot", &snap]);
         assert_eq!(code, 0, "replayed state is clean: {output}");
@@ -1495,8 +1542,9 @@ mod tests {
 
     #[test]
     fn discover_from_snapshot_replays_a_crashed_session_log() {
-        let data = tmp("snap-discover-crash.csv", ZIP_CSV);
-        let snap = tmp_path("snap-discover-crash.pfds");
+        let dir = TestDir::new("discover_from_snapshot_replays_a_crashed_session_log");
+        let data = dir.file("snap-discover-crash.csv", ZIP_CSV);
+        let snap = dir.path("snap-discover-crash.pfds");
         let discover = [
             "discover",
             &data,
@@ -1539,10 +1587,11 @@ mod tests {
 
     #[test]
     fn discover_from_snapshot_finishes_an_interrupted_checkpoint() {
-        let data = tmp("snap-discover-prev.csv", ZIP_CSV);
+        let dir = TestDir::new("discover_from_snapshot_finishes_an_interrupted_checkpoint");
+        let data = dir.file("snap-discover-prev.csv", ZIP_CSV);
         let rules = "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n";
-        let rules_path = tmp("snap-discover-prev-rules.pfd", rules);
-        let snap = tmp_path("snap-discover-prev.pfds");
+        let rules_path = dir.file("snap-discover-prev-rules.pfd", rules);
+        let snap = dir.path("snap-discover-prev.pfds");
         let (_, _) = run_capture(&["check", &data, "--rules", &rules_path, "--snapshot", &snap]);
         let (engine, meta) =
             pfd_core::load_from_bytes_with(&std::fs::read(&snap).unwrap()).unwrap();
@@ -1587,8 +1636,9 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_is_a_graceful_error() {
-        let data = tmp("snap-corrupt.csv", ZIP_CSV);
-        let snap = tmp("snap-corrupt.pfds", "this is not a snapshot");
+        let dir = TestDir::new("corrupt_snapshot_is_a_graceful_error");
+        let data = dir.file("snap-corrupt.csv", ZIP_CSV);
+        let snap = dir.file("snap-corrupt.pfds", "this is not a snapshot");
         let mut buf = Vec::new();
         assert!(matches!(
             run(&["check".into(), data, "--snapshot".into(), snap], &mut buf),
@@ -1670,12 +1720,13 @@ mod tests {
 
     #[test]
     fn serve_default_tenant_matches_session_byte_for_byte() {
-        let data = tmp("serve-compat.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("serve_default_tenant_matches_session_byte_for_byte");
+        let data = dir.file("serve-compat.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "serve-compat-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let script = tmp(
+        let script = dir.file(
             "serve-compat-script.jsonl",
             "{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}\n{\"op\":\"check\"}\n",
         );
@@ -1708,7 +1759,7 @@ mod tests {
         // Durable, both front ends run one session loop: the same events,
         // and the same snapshot family — from a clean start, then resuming
         // it after a crash left one acknowledged record in each WAL.
-        let script = tmp(
+        let script = dir.file(
             "serve-compat-durable.jsonl",
             concat!(
                 "{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}\n",
@@ -1718,11 +1769,11 @@ mod tests {
                 "{\"op\":\"check\"}\n",
             ),
         );
-        let snap = tmp_path("serve-compat.pfds");
+        let snap = dir.path("serve-compat.pfds");
         for suffix in [".prev", ".log"] {
             let _ = std::fs::remove_file(format!("{snap}{suffix}"));
         }
-        let root = tmp_path("serve-compat-root");
+        let root = dir.path("serve-compat-root");
         let _ = std::fs::remove_dir_all(&root);
         let family = format!("{root}/default/state.pfds");
         for leftover in [false, true] {
@@ -1785,13 +1836,14 @@ mod tests {
 
     #[test]
     fn serve_multi_tenant_round_trip() {
-        let clean = tmp("serve-a.csv", ZIP_CSV);
-        let dirty = tmp("serve-b.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("serve_multi_tenant_round_trip");
+        let clean = dir.file("serve-a.csv", ZIP_CSV);
+        let dirty = dir.file("serve-b.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "serve-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let script = tmp(
+        let script = dir.file(
             "serve-multi-script.jsonl",
             format!(
                 concat!(
@@ -1839,8 +1891,9 @@ mod tests {
 
     #[test]
     fn serve_protocol_negative_paths() {
-        let data = tmp("serve-neg.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let dir = TestDir::new("serve_protocol_negative_paths");
+        let data = dir.file("serve-neg.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "serve-neg-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
@@ -1873,7 +1926,7 @@ mod tests {
         .into_bytes();
         // Bytes that are not UTF-8; the check after them is still answered.
         script.extend_from_slice(b"\xff\xfe\n{\"op\":\"check\"}\n");
-        let script = tmp("serve-neg-script.jsonl", script);
+        let script = dir.file("serve-neg-script.jsonl", script);
         let (code, output) = run_capture(&[
             "serve",
             &data,
@@ -1936,15 +1989,16 @@ mod tests {
 
     #[test]
     fn serve_durable_root_survives_restart() {
+        let dir = TestDir::new("serve_durable_root_survives_restart");
         let root = std::env::temp_dir().join(format!("pfd-serve-root-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let root = root.to_string_lossy().into_owned();
-        let data = tmp("serve-durable.csv", ZIP_CSV);
-        let rules_path = tmp(
+        let data = dir.file("serve-durable.csv", ZIP_CSV);
+        let rules_path = dir.file(
             "serve-durable-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let script1 = tmp(
+        let script1 = dir.file(
             "serve-durable-s1.jsonl",
             "{\"op\":\"set\",\"row\":9,\"attr\":\"city\",\"value\":\"Chicago\"}\n",
         );
@@ -1967,7 +2021,7 @@ mod tests {
             "per-tenant snapshot family under the root"
         );
         // Restart without any CSV: the open recovers from the snapshot.
-        let script2 = tmp(
+        let script2 = dir.file(
             "serve-durable-s2.jsonl",
             "{\"op\":\"open\",\"tenant\":\"default\"}\n",
         );
@@ -1983,7 +2037,7 @@ mod tests {
         // Restart with the positional CSV but no --rules, then with a CSV
         // path that does not exist: the auto-opened default tenant
         // recovers from the root, so neither input is ever read.
-        let script3 = tmp("serve-durable-s3.jsonl", "{\"op\":\"check\"}\n");
+        let script3 = dir.file("serve-durable-s3.jsonl", "{\"op\":\"check\"}\n");
         for csv in [data.as_str(), "/definitely/not/here.csv"] {
             let (code, out) = run_capture(&["serve", csv, "--root", &root, "--script", &script3]);
             assert_eq!(code, 0, "{csv}: {out}");
@@ -1999,16 +2053,17 @@ mod tests {
 
     #[test]
     fn serve_cold_build_failures_keep_their_exit_codes() {
+        let dir = TestDir::new("serve_cold_build_failures_keep_their_exit_codes");
         // A fresh root has no state for the default tenant, so its cold
         // build runs and its error is the command's, before any event.
-        let data = tmp("serve-cold.csv", ZIP_CSV);
-        let rules = tmp(
+        let data = dir.file("serve-cold.csv", ZIP_CSV);
+        let rules = dir.file(
             "serve-cold-rules.pfd",
             "Zip([zip = [\\D{3}]\\D{2}] -> [city = _])\n",
         );
-        let bad_csv = tmp("serve-cold-bad.csv", "zip,city\n90001\n");
-        let bad_rules = tmp("serve-cold-bad-rules.pfd", "this is not a rule(\n");
-        let script = tmp("serve-cold.jsonl", "{\"op\":\"check\"}\n");
+        let bad_csv = dir.file("serve-cold-bad.csv", "zip,city\n90001\n");
+        let bad_rules = dir.file("serve-cold-bad-rules.pfd", "this is not a rule(\n");
+        let script = dir.file("serve-cold.jsonl", "{\"op\":\"check\"}\n");
         let cases: [(&str, &[&str], u8); 4] = [
             (&data, &[], 2),
             ("/nonexistent.csv", &["--rules", &rules], 3),
@@ -2016,7 +2071,7 @@ mod tests {
             (&data, &["--rules", &bad_rules], 5),
         ];
         for (i, (csv, flags, code)) in cases.into_iter().enumerate() {
-            let root = tmp_path(&format!("serve-cold-root-{i}"));
+            let root = dir.path(&format!("serve-cold-root-{i}"));
             let _ = std::fs::remove_dir_all(&root);
             let mut args = vec!["serve", csv, "--root", &root, "--script", &script];
             args.extend_from_slice(flags);
@@ -2030,6 +2085,18 @@ mod tests {
                 String::from_utf8_lossy(&buf)
             );
             let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn empty_csv_header_is_a_csv_error() {
+        let dir = TestDir::new("empty_csv_header_is_a_csv_error");
+        for (name, content) in [("nl.csv", "\n"), ("bom.csv", "\u{FEFF}")] {
+            let args = ["profile".to_string(), dir.file(name, content)];
+            let mut buf = Vec::new();
+            let err = run(&args, &mut buf).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{name}: {err}");
+            assert!(buf.is_empty(), "{name}: nothing is profiled");
         }
     }
 
