@@ -14,16 +14,21 @@
 //!
 //! Besides the human-readable criterion output, the run writes
 //! `BENCH_repair.json` (wall-clock per engine, speedup, passes, fixes/sec,
-//! precision/recall vs the injected ground truth at 1k/10k/50k rows).
+//! precision/recall vs the injected ground truth at 1k/10k/50k rows), and
+//! the same dirty tables under the rules `pfd discover` finds for them —
+//! hundreds to over a thousand tableau rows — at 5k/20k/50k rows: the
+//! medians of `detect_errors`, `DeltaEngine::new` and the chase.
 //! `PFD_BENCH_SMOKE=1` skips the criterion sampling and emits the JSON
 //! from a tiny-scale pass — the CI smoke-bench mode. `PFD_BENCH_JSON`
 //! overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_core::{
-    evaluate_repairs, repair_to_fixpoint, Pfd, RepairEngine, RepairOptions, RepairOutcome,
+    detect_errors, evaluate_repairs, repair_to_fixpoint, DeltaEngine, Pfd, RepairEngine,
+    RepairOptions, RepairOutcome,
 };
 use pfd_datagen::{dirty_clean_pair, geo_cascade_table, ErrorProfile, InjectedError};
+use pfd_discovery::{discover, DiscoveryConfig};
 use pfd_relation::Relation;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -85,6 +90,72 @@ fn bench_fixpoint(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+// ---------------------------------------------------------------------------
+// Discovered rules: the same dirty tables under what `pfd discover` finds
+// ---------------------------------------------------------------------------
+
+/// Timed runs per phase in a discovered-rules case; the median is kept.
+const DISCOVERED_RUNS: usize = 5;
+
+struct DiscoveredCase {
+    rows: usize,
+    dependencies: usize,
+    tableau_rows: usize,
+    detect_ms: f64,
+    build_ms: f64,
+    chase_ms: f64,
+    passes: usize,
+    fixes: usize,
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+fn measure_discovered(rows: usize) -> DiscoveredCase {
+    let (_, dirty, _, _) = workload(rows);
+    let pfds: Vec<Pfd> = discover(&dirty, &DiscoveryConfig::default())
+        .dependencies
+        .into_iter()
+        .map(|d| d.pfd)
+        .collect();
+    let options = RepairOptions {
+        max_passes: MAX_PASSES,
+        ..RepairOptions::default()
+    };
+    let (mut detect, mut build, mut chase) = (Vec::new(), Vec::new(), Vec::new());
+    let mut outcome = None;
+    for _ in 0..DISCOVERED_RUNS {
+        let t0 = Instant::now();
+        black_box(detect_errors(&dirty, &pfds));
+        detect.push(ms_since(t0));
+        let t0 = Instant::now();
+        let engine = DeltaEngine::new(dirty.clone(), pfds.clone());
+        build.push(ms_since(t0));
+        let mut engine = RepairEngine::from_engine(engine, options);
+        let t0 = Instant::now();
+        let (run, passes) = engine.run();
+        chase.push(ms_since(t0));
+        outcome = Some((run.fixes.len(), passes));
+    }
+    let (fixes, passes) = outcome.expect("at least one run");
+    DiscoveredCase {
+        rows,
+        dependencies: pfds.len(),
+        tableau_rows: pfds.iter().map(|p| p.tableau().len()).sum(),
+        detect_ms: median(detect),
+        build_ms: median(build),
+        chase_ms: median(chase),
+        passes,
+        fixes,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,8 +264,16 @@ fn write_bench_json(smoke: bool) {
     } else {
         vec![measure(1_000), measure(10_000), measure(50_000)]
     };
+    let discovered: Vec<DiscoveredCase> = if smoke {
+        vec![measure_discovered(1_000)]
+    } else {
+        [5_000, 20_000, 50_000]
+            .into_iter()
+            .map(measure_discovered)
+            .collect()
+    };
 
-    let mut json = String::from("{\n  \"schema_version\": 1,\n");
+    let mut json = String::from("{\n  \"schema_version\": 2,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -238,6 +317,35 @@ fn write_bench_json(smoke: bool) {
         );
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
+    json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"discovered_workload\": {{\"table\": \"geo_cascade\", \"error_rate\": {ERROR_RATE}, \
+         \"rules\": \"discover, default config\", \"max_passes\": {MAX_PASSES}, \
+         \"phase\": \"median_ms of {DISCOVERED_RUNS} runs\"}},"
+    );
+    json.push_str("  \"discovered_cases\": [\n");
+    for (i, c) in discovered.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"rows\": {}, \"dependencies\": {}, \"tableau_rows\": {}, \
+             \"detect_ms\": {:.2}, \"engine_build_ms\": {:.2}, \"engine_chase_ms\": {:.2}, \
+             \"passes\": {}, \"fixes\": {}}}",
+            c.rows,
+            c.dependencies,
+            c.tableau_rows,
+            c.detect_ms,
+            c.build_ms,
+            c.chase_ms,
+            c.passes,
+            c.fixes
+        );
+        json.push_str(if i + 1 < discovered.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
     json.push_str("  ]\n}\n");
 
     let path = std::env::var("PFD_BENCH_JSON")
@@ -264,6 +372,13 @@ fn write_bench_json(smoke: bool) {
             c.precision,
             c.recall,
             c.residual_errors
+        );
+    }
+    for c in &discovered {
+        println!(
+            "discovered rules, rows {:>6} ({} tableau rows): detect {:.1} ms, engine build \
+             {:.1} ms + chase {:.1} ms ({} passes, {} fixes)",
+            c.rows, c.tableau_rows, c.detect_ms, c.build_ms, c.chase_ms, c.passes, c.fixes
         );
     }
 }

@@ -18,21 +18,257 @@
 //! key?" from one memo: a value matches a constrained pattern exactly when
 //! it has an equivalence key (`pfd_pattern`'s property suite pins
 //! `matches(s) == extract(s).is_some()`).
+//!
+//! A [`TableauRouter`] decides which rows a tableau row's scan visits.
+//! Discovered tableaux hold hundreds of constant rows such as
+//! `[900]\D{2}`, and a row can match one only if the constant sits where
+//! the cell anchors it, so the router looks each distinct column value up
+//! once and hands every tableau row its candidate rows instead of the
+//! whole relation.
 
 use crate::pfd::{Pfd, Violation};
 use crate::tableau::TableauCell;
+use pfd_pattern::Pattern;
 use pfd_relation::{AttrId, FxHashMap, Relation, RowId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// Where an anchored constant sits, in chars, in every value its cell
+/// matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Anchor {
+    /// `k` chars after the start: `pre` matches exactly `k` chars.
+    Start(usize),
+    /// `k` chars before the end: `post` matches exactly `k` chars.
+    End(usize),
+}
+
+/// The anchor rule. A cell `pre[c]post` whose constrained part is a
+/// non-empty constant `c` and whose `pre` has a fixed char length `k` holds
+/// `c` at chars `[k, k + |c|)` of every value it matches; failing that, a
+/// fixed-length `post` pins `c` that far from the end. Wildcards, variable
+/// constrained parts and interior constants (variable `pre` and `post`)
+/// have no anchor.
+fn anchor(cell: &TableauCell) -> Option<(Anchor, String)> {
+    let TableauCell::Pattern(p) = cell else {
+        return None;
+    };
+    let c = p.constant_value().filter(|c| !c.is_empty())?;
+    let fixed = |seg: &Pattern| (seg.max_len() == Some(seg.min_len())).then(|| seg.min_len());
+    let at = match (fixed(p.prefix()), fixed(p.suffix())) {
+        (Some(k), _) => Anchor::Start(k),
+        (None, Some(k)) => Anchor::End(k),
+        (None, None) => return None,
+    };
+    Some((at, c))
+}
+
+/// The `chars`-char window of `value` at `anchor`, or `None` when the value
+/// is too short to hold one. Offsets count chars, not bytes.
+fn window(value: &str, anchor: Anchor, chars: usize) -> Option<&str> {
+    let (start, end) = match anchor {
+        Anchor::Start(k) => {
+            let starts = value.char_indices().map(|(i, _)| i);
+            let mut bounds = starts.chain(std::iter::once(value.len()));
+            let start = bounds.nth(k)?;
+            (start, bounds.nth(chars - 1)?)
+        }
+        Anchor::End(k) => {
+            let starts = value.char_indices().rev().map(|(i, _)| i);
+            let mut bounds = std::iter::once(value.len()).chain(starts);
+            let end = bounds.nth(k)?;
+            (bounds.nth(chars - 1)?, end)
+        }
+    };
+    Some(&value[start..end])
+}
+
+/// The tableau rows whose anchored constants share one LHS attribute,
+/// anchor and char length, by constant.
+#[derive(Debug, Clone)]
+struct Window {
+    attr: AttrId,
+    anchor: Anchor,
+    chars: usize,
+    /// Constant → the tableau rows anchored on it, ascending. Constants
+    /// come from outside the program, so this map keeps SipHash.
+    targets: HashMap<String, Vec<usize>>,
+}
+
+impl Window {
+    /// The tableau rows a value of this window's attribute routes to.
+    fn targets(&self, value: &str) -> &[usize] {
+        window(value, self.anchor, self.chars)
+            .and_then(|fragment| self.targets.get(fragment))
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Routes relation rows to the tableau rows of one PFD they can match.
+///
+/// A tableau row routes on its first LHS cell with an [`anchor`]: a row can
+/// match it only if that window of the row's value is the cell's constant.
+/// A tableau row without one is *unrouted*, and every row is its candidate.
+/// Candidates are a superset of the matching rows and the memos still run
+/// every cell's own `key`, so routing changes no output.
+#[derive(Debug, Clone)]
+pub(crate) struct TableauRouter {
+    windows: Vec<Window>,
+    /// Per tableau row: does it route?
+    routed: Vec<bool>,
+    /// The unrouted tableau rows, ascending.
+    unrouted: Vec<usize>,
+}
+
+impl TableauRouter {
+    /// The router of `pfd`'s tableau.
+    pub(crate) fn new(pfd: &Pfd) -> TableauRouter {
+        let mut router = TableauRouter {
+            windows: Vec::new(),
+            routed: vec![false; pfd.tableau().len()],
+            unrouted: Vec::new(),
+        };
+        for (ti, row) in pfd.tableau().iter().enumerate() {
+            let mut cells = pfd.lhs().iter().zip(&row.lhs);
+            let Some((attr, (at, c))) = cells.find_map(|(a, cell)| Some((*a, anchor(cell)?)))
+            else {
+                router.unrouted.push(ti);
+                continue;
+            };
+            let chars = c.chars().count();
+            let same = |w: &Window| (w.attr, w.anchor, w.chars) == (attr, at, chars);
+            let w = match router.windows.iter().position(same) {
+                Some(w) => w,
+                None => {
+                    router.windows.push(Window {
+                        attr,
+                        anchor: at,
+                        chars,
+                        targets: HashMap::new(),
+                    });
+                    router.windows.len() - 1
+                }
+            };
+            router.windows[w].targets.entry(c).or_default().push(ti);
+            router.routed[ti] = true;
+        }
+        router
+    }
+
+    /// Append to `out` every tableau row a row whose LHS values are
+    /// `value(attr)` can match: those its values route to (ascending per
+    /// window), then the unrouted ones.
+    pub(crate) fn tableau_rows<'v>(&self, value: impl Fn(AttrId) -> &'v str, out: &mut Vec<usize>) {
+        for w in &self.windows {
+            out.extend_from_slice(w.targets(value(w.attr)));
+        }
+        out.extend_from_slice(&self.unrouted);
+    }
+
+    /// Every routed tableau row's candidate rows over `rel`.
+    ///
+    /// Each distinct value of a routed column is windowed and looked up
+    /// once, into a flat symbol → tableau rows table; a counting sort then
+    /// files the rows under their tableau rows in row order, so every
+    /// candidate list comes out ascending.
+    pub(crate) fn route(&self, rel: &Relation) -> Routes {
+        let tableau_len = self.routed.len();
+        let mut starts = vec![0usize; tableau_len + 1];
+        let mut attrs: Vec<AttrId> = self.windows.iter().map(|w| w.attr).collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        let columns: Vec<SymbolTargets<'_>> = attrs
+            .into_iter()
+            .map(|attr| SymbolTargets::new(rel, attr, &self.windows))
+            .collect();
+        for column in &columns {
+            for &sym in column.symbols {
+                for &t in column.targets(sym) {
+                    starts[t as usize + 1] += 1;
+                }
+            }
+        }
+        for t in 0..tableau_len {
+            starts[t + 1] += starts[t];
+        }
+        let mut rows = vec![0u32; starts[tableau_len]];
+        let mut next = starts.clone();
+        for rid in 0..rel.num_rows() {
+            for column in &columns {
+                for &t in column.targets(column.symbols[rid]) {
+                    rows[next[t as usize]] = rid as u32;
+                    next[t as usize] += 1;
+                }
+            }
+        }
+        Routes {
+            routed: self.routed.clone(),
+            starts,
+            rows,
+        }
+    }
+}
+
+/// One routed column's symbols and, flat over its vocabulary, the tableau
+/// rows each symbol routes to: `targets[offsets[s]..offsets[s + 1]]`.
+struct SymbolTargets<'r> {
+    symbols: &'r [u32],
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl<'r> SymbolTargets<'r> {
+    fn new(rel: &'r Relation, attr: AttrId, windows: &[Window]) -> SymbolTargets<'r> {
+        let (vocab, symbols) = rel.column_parts(attr);
+        let mut offsets = Vec::with_capacity(vocab.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for value in vocab {
+            for w in windows.iter().filter(|w| w.attr == attr) {
+                targets.extend(w.targets(value).iter().map(|&t| t as u32));
+            }
+            offsets.push(targets.len() as u32);
+        }
+        SymbolTargets {
+            symbols,
+            offsets,
+            targets,
+        }
+    }
+
+    fn targets(&self, sym: u32) -> &[u32] {
+        let s = sym as usize;
+        &self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+}
+
+/// Every routed tableau row's candidate rows over one relation, in one flat
+/// array.
+pub(crate) struct Routes {
+    /// Per tableau row: does it route?
+    routed: Vec<bool>,
+    /// Routed tableau row `ti`'s candidates are `rows[starts[ti]..starts[ti + 1]]`.
+    starts: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl Routes {
+    /// Tableau row `ti`'s candidate rows, ascending, or `None` when it is
+    /// unrouted and every row is a candidate.
+    pub(crate) fn candidates(&self, ti: usize) -> Option<&[u32]> {
+        self.routed[ti].then(|| &self.rows[self.starts[ti]..self.starts[ti + 1]])
+    }
+}
 
 /// Slot value of a symbol not evaluated yet.
 const UNSEEN: u32 = u32::MAX;
 /// Slot value of a symbol whose value does not match the cell.
 const NO_MATCH: u32 = u32::MAX - 1;
 
-/// Symbol → key-id slots. Whole-relation scans use a dense table over the
-/// vocabulary; the engine's reconcile touches one group, so it memoizes in
-/// a map instead and stays O(group) rather than O(vocabulary).
+/// Symbol → key-id slots. Whole-relation scans (unrouted tableau rows) use
+/// a dense table over the vocabulary; routed scans and the engine's
+/// reconcile visit few rows, so they memoize in a map instead and stay
+/// O(rows visited) rather than O(vocabulary).
 enum Slots {
     Dense(Vec<u32>),
     Sparse(FxHashMap<u32, u32>),
@@ -133,22 +369,40 @@ pub(crate) struct TableauScan<'r> {
     pfd: &'r Pfd,
     ti: usize,
     num_rows: usize,
+    /// The rows [`group_rows`](TableauScan::group_rows) visits, ascending;
+    /// `None` visits every row.
+    candidates: Option<&'r [u32]>,
     lhs: Vec<CellMemo<'r>>,
     rhs: Vec<CellMemo<'r>>,
 }
 
 impl<'r> TableauScan<'r> {
-    /// A scan that will visit the whole relation (dense memos).
-    pub(crate) fn dense(rel: &'r Relation, pfd: &'r Pfd, ti: usize) -> TableauScan<'r> {
-        TableauScan::new(rel, pfd, ti, true)
+    /// A scan of tableau row `ti` that groups its routed candidates. An
+    /// unrouted tableau row scans the whole relation and memoizes densely
+    /// over the vocabulary; a routed one memoizes sparsely, so its cost
+    /// tracks its candidates.
+    pub(crate) fn routed(
+        rel: &'r Relation,
+        pfd: &'r Pfd,
+        ti: usize,
+        routes: &'r Routes,
+    ) -> TableauScan<'r> {
+        let candidates = routes.candidates(ti);
+        TableauScan::new(rel, pfd, ti, candidates, candidates.is_none())
     }
 
     /// A scan that will visit a few groups (sparse memos).
     pub(crate) fn sparse(rel: &'r Relation, pfd: &'r Pfd, ti: usize) -> TableauScan<'r> {
-        TableauScan::new(rel, pfd, ti, false)
+        TableauScan::new(rel, pfd, ti, None, false)
     }
 
-    fn new(rel: &'r Relation, pfd: &'r Pfd, ti: usize, dense: bool) -> TableauScan<'r> {
+    fn new(
+        rel: &'r Relation,
+        pfd: &'r Pfd,
+        ti: usize,
+        candidates: Option<&'r [u32]>,
+        dense: bool,
+    ) -> TableauScan<'r> {
         let row = &pfd.tableau()[ti];
         let memos = |attrs: &[AttrId], cells: &'r [TableauCell]| -> Vec<CellMemo<'r>> {
             attrs
@@ -161,23 +415,26 @@ impl<'r> TableauScan<'r> {
             pfd,
             ti,
             num_rows: rel.num_rows(),
+            candidates,
             lhs: memos(pfd.lhs(), &row.lhs),
             rhs: memos(pfd.rhs(), &row.rhs),
         }
     }
 
-    /// Bucket every row matching the LHS cells by its LHS key-id tuple.
-    /// Groups come back in key-text order, rows ascending within each.
+    /// Bucket every candidate row matching the LHS cells by its LHS key-id
+    /// tuple. Groups come back in key-text order, rows ascending within
+    /// each.
     pub(crate) fn group_rows(&mut self) -> Vec<KeyGroup> {
         let mut groups: Vec<KeyGroup> = Vec::new();
         let mut group_of: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
         let mut key: Vec<u32> = Vec::with_capacity(self.lhs.len());
-        'rows: for rid in 0..self.num_rows {
+        let lhs = &mut self.lhs;
+        let mut visit = |rid: RowId| {
             key.clear();
-            for memo in &mut self.lhs {
+            for memo in lhs.iter_mut() {
                 match memo.key(rid) {
                     Some(id) => key.push(id),
-                    None => continue 'rows,
+                    None => return,
                 }
             }
             let g = match group_of.get(key.as_slice()) {
@@ -192,6 +449,10 @@ impl<'r> TableauScan<'r> {
                 }
             };
             groups[g].rows.push(rid);
+        };
+        match self.candidates {
+            Some(rows) => rows.iter().for_each(|&rid| visit(rid as RowId)),
+            None => (0..self.num_rows).for_each(visit),
         }
         groups.sort_unstable_by(|a, b| cmp_keys(&self.lhs, &a.key, &b.key));
         groups
@@ -312,5 +573,107 @@ impl<'r> TableauScan<'r> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tableau::TableauRow;
+
+    fn cell(src: &str) -> TableauCell {
+        TableauCell::parse(src).unwrap()
+    }
+
+    fn anchored(at: Anchor, c: &str) -> Option<(Anchor, String)> {
+        Some((at, c.to_string()))
+    }
+
+    /// `a → b` with one tableau row per LHS cell text (RHS wildcard), over
+    /// a relation whose `a` column holds `values`.
+    fn routed_pfd(values: &[&str], cells: &[&str]) -> (Relation, Pfd) {
+        let rows = values.iter().map(|v| vec![*v, "-"]).collect();
+        let rel = Relation::from_rows("R", &["a", "b"], rows).unwrap();
+        let tableau = (cells.iter())
+            .map(|c| TableauRow::parse(&[c], &["_"]).unwrap())
+            .collect();
+        let pfd = Pfd::new("R", vec![AttrId(0)], vec![AttrId(1)], tableau).unwrap();
+        (rel, pfd)
+    }
+
+    fn targets(router: &TableauRouter, value: &str) -> Vec<usize> {
+        let mut out = Vec::new();
+        router.tableau_rows(|_| value, &mut out);
+        out
+    }
+
+    #[test]
+    fn a_constant_after_a_fixed_length_prefix_routes_from_the_start() {
+        assert_eq!(
+            anchor(&cell(r"[19]\D{3}")),
+            anchored(Anchor::Start(0), "19")
+        );
+        assert_eq!(
+            anchor(&cell(r"\LU\LL{5}\ [081]")),
+            anchored(Anchor::Start(7), "081")
+        );
+        assert_eq!(
+            anchor(&cell(r"Los\ [Angeles]")),
+            anchored(Anchor::Start(4), "Angeles")
+        );
+    }
+
+    #[test]
+    fn a_constant_before_a_fixed_length_suffix_routes_from_the_end() {
+        assert_eq!(
+            anchor(&cell(r"\LU\LL+\ [01]")),
+            anchored(Anchor::End(0), "01")
+        );
+        assert_eq!(anchor(&cell(r"\A*[1]\D{2}")), anchored(Anchor::End(2), "1"));
+    }
+
+    #[test]
+    fn wildcards_variable_parts_and_interior_constants_are_unroutable() {
+        for src in ["_", r"[\D{3}]\D{2}", r"\A*[\D+]\A*", r"\A*[1]\A*"] {
+            assert_eq!(anchor(&cell(src)), None, "{src}");
+        }
+        let (rel, pfd) = routed_pfd(&["1", "2"], &["_"]);
+        let router = TableauRouter::new(&pfd);
+        assert_eq!(router.route(&rel).candidates(0), None);
+        assert_eq!(targets(&router, "anything"), [0]);
+    }
+
+    #[test]
+    fn a_value_shorter_than_its_window_routes_nowhere() {
+        let (rel, pfd) = routed_pfd(&["1", "19", "190", "x90"], &[r"\D[90]\A*"]);
+        let router = TableauRouter::new(&pfd);
+        assert_eq!(targets(&router, "19"), [0usize; 0]);
+        assert_eq!(targets(&router, "190"), [0]);
+        assert_eq!(router.route(&rel).candidates(0), Some(&[2u32, 3][..]));
+    }
+
+    #[test]
+    fn multi_byte_values_route_by_chars_not_bytes() {
+        let values = ["aé9", "éé", "é", "語9", "x語9", "語"];
+        let (rel, pfd) = routed_pfd(&values, &[r"\A[é]\A*", r"\A*[語]\D"]);
+        let router = TableauRouter::new(&pfd);
+        let routes = router.route(&rel);
+        assert_eq!(routes.candidates(0), Some(&[0u32, 1][..]));
+        assert_eq!(routes.candidates(1), Some(&[3u32, 4][..]));
+        assert_eq!(targets(&router, "x語9"), [1]);
+    }
+
+    #[test]
+    fn tableau_rows_sharing_an_anchor_share_candidates_in_row_order() {
+        let values = ["ab", "b", "a", "ba", "a"];
+        let cells = [r"[a]\A*", "_", r"[a]\A*", r"[b]\A*"];
+        let (rel, pfd) = routed_pfd(&values, &cells);
+        let router = TableauRouter::new(&pfd);
+        let routes = router.route(&rel);
+        assert_eq!(routes.candidates(0), Some(&[0u32, 2, 4][..]));
+        assert_eq!(routes.candidates(1), None);
+        assert_eq!(routes.candidates(2), Some(&[0u32, 2, 4][..]));
+        assert_eq!(routes.candidates(3), Some(&[1u32, 3][..]));
+        assert_eq!(targets(&router, "ab"), [0, 2, 1]);
     }
 }

@@ -35,10 +35,11 @@
 //! canonically (PFD index, tableau row, kind, attribute, rows), so deltas
 //! compare with `==`.
 
-use crate::grouping::TableauScan;
+use crate::grouping::{TableauRouter, TableauScan};
 use crate::pfd::{Pfd, Violation, ViolationKind};
 use crate::reference;
 use pfd_relation::{AttrId, PostingList, Relation, RelationError, RowId, SchemaError};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 /// One relation mutation, the unit of the incremental engines' input.
@@ -96,22 +97,35 @@ impl ViolationDelta {
 /// Canonical delta ordering: PFD index, tableau row, kind, attr, rows, cells.
 pub(crate) type EntryKey = (usize, usize, u8, AttrId, Vec<RowId>, Vec<(RowId, AttrId)>);
 
-/// Canonical sort key so both engines emit deltas in the same order (also
-/// used by the repair engine's live violation map).
+fn kind_rank(kind: ViolationKind) -> u8 {
+    match kind {
+        ViolationKind::SingleTuple => 0,
+        ViolationKind::TuplePair => 1,
+    }
+}
+
+/// Canonical sort key as an owned value, for maps keyed in the canonical
+/// order (the repair engine's live violation map) and the reference
+/// engine's sort.
 pub(crate) fn entry_key(e: &DeltaEntry) -> EntryKey {
     let v = &e.violation;
-    let kind = match v.kind {
-        ViolationKind::SingleTuple => 0u8,
-        ViolationKind::TuplePair => 1,
-    };
     (
         e.pfd_index,
         v.tableau_row,
-        kind,
+        kind_rank(v.kind),
         v.attr,
         v.rows().to_vec(),
         v.cells().to_vec(),
     )
+}
+
+/// The canonical order of [`entry_key`], compared in place.
+fn cmp_entries(a: &DeltaEntry, b: &DeltaEntry) -> Ordering {
+    let (v, w) = (&a.violation, &b.violation);
+    (a.pfd_index, v.tableau_row, kind_rank(v.kind), v.attr)
+        .cmp(&(b.pfd_index, w.tableau_row, kind_rank(w.kind), w.attr))
+        .then_with(|| v.rows().cmp(w.rows()))
+        .then_with(|| v.cells().cmp(w.cells()))
 }
 
 /// Cancel entries that appear in both lists: a violation that "moved" with
@@ -138,8 +152,8 @@ fn finalize_delta(
 ) -> ViolationDelta {
     net_out(&mut introduced, &mut resolved);
     resolved.extend(drained);
-    introduced.sort_by_key(entry_key);
-    resolved.sort_by_key(entry_key);
+    introduced.sort_by(cmp_entries);
+    resolved.sort_by(cmp_entries);
     ViolationDelta {
         version,
         introduced,
@@ -443,7 +457,11 @@ pub(crate) struct GroupSnapshot {
 /// Incremental violation maintenance with per-PFD group indexes.
 ///
 /// Construction groups every relation row by its LHS tableau-match
-/// signature and caches per-group violations. An edit then:
+/// signature and caches per-group violations. Each PFD's
+/// [`TableauRouter`] is built once from its tableau; an edit visits only
+/// the tableau rows the edited row's old or new LHS values route to, plus
+/// the unrouted ones, since it can sit in no other tableau row's groups.
+/// An edit then:
 ///
 /// 1. updates group *membership* for PFDs whose LHS mentions the edited
 ///    attribute: the row's old key is read before the write — from the
@@ -463,6 +481,11 @@ pub struct DeltaEngine {
     pfds: Vec<Pfd>,
     /// `index[pfd][tableau_row]` is that tableau row's group index.
     index: Vec<Vec<Groups>>,
+    /// One router per PFD, derived from its tableau (never persisted).
+    routers: Vec<TableauRouter>,
+    /// Cached violations across every group, kept current wherever a
+    /// group's cache changes.
+    violations: usize,
     /// Reused across group reconciliations (the "shared scratch buffer" of
     /// the batched RHS decision).
     scratch: Vec<Violation>,
@@ -471,20 +494,39 @@ pub struct DeltaEngine {
 impl DeltaEngine {
     /// Build the engine: group every row, compute per-group violations.
     pub fn new(rel: Relation, pfds: Vec<Pfd>) -> DeltaEngine {
-        let index = pfds.iter().map(|p| Self::build_index(&rel, p)).collect();
+        let routers: Vec<TableauRouter> = pfds.iter().map(TableauRouter::new).collect();
+        let index = (pfds.iter().zip(&routers))
+            .map(|(pfd, router)| Self::build_index(&rel, pfd, router))
+            .collect();
+        DeltaEngine::assemble(rel, pfds, index, routers)
+    }
+
+    /// The engine over a built index, with its violation count summed.
+    fn assemble(
+        rel: Relation,
+        pfds: Vec<Pfd>,
+        index: Vec<Vec<Groups>>,
+        routers: Vec<TableauRouter>,
+    ) -> DeltaEngine {
+        let violations = (index.iter().flatten().flat_map(HashMap::values))
+            .map(|g| g.violations.len())
+            .sum();
         DeltaEngine {
             rel,
             pfds,
             index,
+            routers,
+            violations,
             scratch: Vec::new(),
         }
     }
 
-    fn build_index(rel: &Relation, pfd: &Pfd) -> Vec<Groups> {
+    fn build_index(rel: &Relation, pfd: &Pfd, router: &TableauRouter) -> Vec<Groups> {
         let num_rows = rel.num_rows();
+        let routes = router.route(rel);
         (0..pfd.tableau().len())
             .map(|ti| {
-                let mut scan = TableauScan::dense(rel, pfd, ti);
+                let mut scan = TableauScan::routed(rel, pfd, ti, &routes);
                 let key_groups = scan.group_rows();
                 let mut groups = HashMap::with_capacity(key_groups.len());
                 for group in key_groups {
@@ -568,12 +610,8 @@ impl DeltaEngine {
                     .collect()
             })
             .collect();
-        DeltaEngine {
-            rel,
-            pfds,
-            index,
-            scratch: Vec::new(),
-        }
+        let routers = pfds.iter().map(TableauRouter::new).collect();
+        DeltaEngine::assemble(rel, pfds, index, routers)
     }
 
     /// The current relation state.
@@ -599,18 +637,13 @@ impl DeltaEngine {
                 }
             }
         }
-        out.sort_by_key(entry_key);
+        out.sort_by(cmp_entries);
         out
     }
 
     /// Total violation count.
     pub fn violation_count(&self) -> usize {
-        self.index
-            .iter()
-            .flatten()
-            .flat_map(HashMap::values)
-            .map(|g| g.violations.len())
-            .sum()
+        self.violations
     }
 
     /// Distinct suspect cells across all PFDs (for dashboards).
@@ -650,29 +683,49 @@ impl DeltaEngine {
     }
 
     /// Apply an edit script: membership updates happen per edit (one key
-    /// read per tableau row of each touched PFD), but dirty-group
-    /// reconciliation is deferred and coalesced — a group touched by ten
-    /// edits is re-evaluated once.
+    /// read per tableau row that the edited row routes to under each
+    /// touched PFD), but dirty-group reconciliation is deferred and
+    /// coalesced — a group touched by ten edits is re-evaluated once.
     pub fn apply_batch(&mut self, edits: &[Edit]) -> Result<ViolationDelta, RelationError> {
         validate_batch(&self.rel, edits)?;
         // Dirty groups, identified by (pfd, tableau row, LHS key). Keys are
         // value-based, so they survive row renumbering inside the batch.
         let mut dirty: BTreeSet<(usize, usize, Vec<String>)> = BTreeSet::new();
         let mut drained: Vec<DeltaEntry> = Vec::new();
+        // The tableau rows an edited row routes to under one PFD.
+        let mut routed: Vec<usize> = Vec::new();
 
         for edit in edits {
             match edit {
                 Edit::Set { row, attr, value } => {
                     let row = *row;
-                    // The row's key under every tableau row of a PFD that
-                    // mentions `attr`, read before the write.
+                    // The row's key, read before the write, under every
+                    // tableau row of a PFD mentioning `attr` that the row's
+                    // old or new values route to.
                     let mut old_keys = Vec::new();
                     for (pi, pfd) in self.pfds.iter().enumerate() {
-                        if pfd.lhs().contains(attr) || pfd.rhs().contains(attr) {
-                            for (ti, groups) in self.index[pi].iter().enumerate() {
-                                let key = group_key(groups, &self.rel, pfd, ti, row);
-                                old_keys.push((pi, ti, key));
-                            }
+                        let in_lhs = pfd.lhs().contains(attr);
+                        if !in_lhs && !pfd.rhs().contains(attr) {
+                            continue;
+                        }
+                        let router = &self.routers[pi];
+                        routed.clear();
+                        router.tableau_rows(|a| self.rel.cell(row, a), &mut routed);
+                        if in_lhs {
+                            let new = |a: AttrId| {
+                                if a == *attr {
+                                    value.as_str()
+                                } else {
+                                    self.rel.cell(row, a)
+                                }
+                            };
+                            router.tableau_rows(new, &mut routed);
+                            routed.sort_unstable();
+                            routed.dedup();
+                        }
+                        for &ti in &routed {
+                            let key = group_key(&self.index[pi][ti], &self.rel, pfd, ti, row);
+                            old_keys.push((pi, ti, key));
                         }
                     }
                     self.rel
@@ -712,8 +765,10 @@ impl DeltaEngine {
                     let rid = delta.row();
                     let universe = self.rel.num_rows();
                     for (pi, pfd) in self.pfds.iter().enumerate() {
-                        for (ti, trow) in pfd.tableau().iter().enumerate() {
-                            if let Some(key) = pfd.lhs_key(&self.rel, rid, trow) {
+                        routed.clear();
+                        self.routers[pi].tableau_rows(|a| self.rel.cell(rid, a), &mut routed);
+                        for &ti in &routed {
+                            if let Some(key) = pfd.lhs_key(&self.rel, rid, &pfd.tableau()[ti]) {
                                 join_group(&mut self.index[pi][ti], key.clone(), rid, universe);
                                 dirty.insert((pi, ti, key));
                             }
@@ -724,7 +779,10 @@ impl DeltaEngine {
                     let row = *row;
                     // Detach the row from its current group(s).
                     for (pi, pfd) in self.pfds.iter().enumerate() {
-                        for (ti, groups) in self.index[pi].iter_mut().enumerate() {
+                        routed.clear();
+                        self.routers[pi].tableau_rows(|a| self.rel.cell(row, a), &mut routed);
+                        for &ti in &routed {
+                            let groups = &mut self.index[pi][ti];
                             if let Some(key) = group_key(groups, &self.rel, pfd, ti, row) {
                                 if let Some(g) = groups.get_mut(&key) {
                                     g.rows.remove(row);
@@ -739,6 +797,7 @@ impl DeltaEngine {
                     // last synced); drain them as resolved.
                     for (pi, ti, key) in &dirty {
                         if let Some(g) = self.index[*pi][*ti].get_mut(key) {
+                            let cached = g.violations.len();
                             g.violations.retain(|v| {
                                 if v.rows().contains(&row) {
                                     drained.push(DeltaEntry {
@@ -750,6 +809,7 @@ impl DeltaEngine {
                                     true
                                 }
                             });
+                            self.violations -= cached - g.violations.len();
                         }
                     }
                     self.rel.delete_row(row).expect("validated");
@@ -807,6 +867,7 @@ impl DeltaEngine {
                     });
                 }
             }
+            self.violations = self.violations - group.violations.len() + scratch.len();
             if group.rows.is_empty() {
                 groups.remove(key);
             } else {

@@ -1,7 +1,7 @@
 //! Pattern functional dependencies: the `Pfd` type and its satisfaction
 //! semantics (§2.1–2.2).
 
-use crate::grouping::TableauScan;
+use crate::grouping::{TableauRouter, TableauScan};
 use crate::tableau::{TableauCell, TableauRow};
 use pfd_relation::{AttrId, Relation, RowId, Schema, SchemaError};
 use std::collections::BTreeSet;
@@ -509,8 +509,9 @@ impl Pfd {
         let mut paired = vec![false; rel.num_rows()];
         let mut suspects: BTreeSet<RowId> = BTreeSet::new();
         let mut found: Vec<Violation> = Vec::new();
+        let routes = TableauRouter::new(self).route(rel);
         for ti in 0..self.tableau.len() {
-            let mut scan = TableauScan::dense(rel, self, ti);
+            let mut scan = TableauScan::routed(rel, self, ti, &routes);
             for group in scan.group_rows() {
                 let pairs = group.rows.len() >= 2;
                 for &rid in &group.rows {
@@ -544,8 +545,9 @@ impl Pfd {
     ///   quadratic pair count.
     pub fn violations(&self, rel: &Relation) -> Vec<Violation> {
         let mut out = Vec::new();
+        let routes = TableauRouter::new(self).route(rel);
         for ti in 0..self.tableau.len() {
-            let mut scan = TableauScan::dense(rel, self, ti);
+            let mut scan = TableauScan::routed(rel, self, ti, &routes);
             for group in scan.group_rows() {
                 scan.violations(&group.rows, &mut out, None);
             }
@@ -556,8 +558,9 @@ impl Pfd {
     /// Early-exit satisfaction check: `T ⊨ ψ`.
     pub fn satisfies(&self, rel: &Relation) -> bool {
         let mut out = Vec::new();
+        let routes = TableauRouter::new(self).route(rel);
         for ti in 0..self.tableau.len() {
-            let mut scan = TableauScan::dense(rel, self, ti);
+            let mut scan = TableauScan::routed(rel, self, ti, &routes);
             for group in scan.group_rows() {
                 scan.violations(&group.rows, &mut out, Some(1));
                 if !out.is_empty() {

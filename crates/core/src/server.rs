@@ -1522,8 +1522,8 @@ mod tests {
 
     /// The sync twin of [`FlakyAppendIo`]: the chosen `sync` of a WAL file
     /// (counting only `.log` paths) fails, or panics, and every other call
-    /// works. The first sync of a fresh log covers its header, so the
-    /// first run's own sync is call 2.
+    /// works. A fresh log's header is synced by the first run's own sync,
+    /// so that sync is call 1.
     struct FlakySyncIo {
         inner: MemIo,
         fail_on: u64,
@@ -1580,7 +1580,7 @@ mod tests {
     #[test]
     fn failed_run_sync_answers_each_staged_command_once() {
         let disk = MemIo::new();
-        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(disk.clone(), 2, false));
+        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(disk.clone(), 1, false));
         let sink = Arc::new(CollectSink::new());
         let server = Server::durable(
             io,
@@ -1651,7 +1651,7 @@ mod tests {
     /// mid-batch here, so the run commits with commands still claimed.
     #[test]
     fn panicking_run_sync_answers_staged_and_claimed_commands() {
-        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(MemIo::new(), 2, true));
+        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(MemIo::new(), 1, true));
         let sink = Arc::new(CollectSink::new());
         let server = Server::durable(
             io,

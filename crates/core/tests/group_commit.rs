@@ -8,7 +8,9 @@
 //! read the order off it:
 //!
 //! * k commands a drain job claims together are appended k times, synced
-//!   once, and answered only after that sync;
+//!   once, and answered only after that sync — also the first run after an
+//!   open, whose first append creates the log: its header rides on the
+//!   run's sync;
 //! * a lone command costs what it always did: append, sync, emit.
 
 use std::io::BufRead as _;
@@ -147,15 +149,12 @@ fn a_claimed_run_syncs_once_and_answers_after_the_sync() {
         }),
     );
     server.open_with(TENANT, || Ok(engine())).unwrap();
-    // The first append after the open's checkpoint creates the log and
-    // syncs its header; this warm-up edit keeps that sync out of the run.
-    let mut script = vec![set_line(4, "New York")];
-    server.submit(&script[0]);
     server.drain();
-    let warm = tenant_entries(&trace).len();
+    let opened = tenant_entries(&trace).len();
 
     // Park the lone worker behind a tenant whose cold build blocks, so the
-    // k sets and the check queue up and one drain job claims them all.
+    // k sets and the check queue up and one drain job claims them all. The
+    // tenant is fresh: its first append creates the log.
     let (release, parked) = mpsc::channel::<()>();
     server
         .open_with("parker", move || {
@@ -164,18 +163,20 @@ fn a_claimed_run_syncs_once_and_answers_after_the_sync() {
         })
         .unwrap();
     let k = 5;
-    for i in 0..k {
-        script.push(set_line(i, &format!("City {i}")));
-    }
+    let mut script: Vec<String> = (0..k).map(|i| set_line(i, &format!("City {i}"))).collect();
     script.push(format!(r#"{{"tenant":"{TENANT}","op":"check"}}"#));
-    for line in &script[1..] {
+    for line in &script {
         server.submit(line);
     }
     release.send(()).unwrap();
     server.drain();
 
     let entries = tenant_entries(&trace);
-    let run = &entries[warm..];
+    assert!(
+        entries[..opened].iter().all(|e| e.starts_with("emit ")),
+        "the open leaves no log behind: {entries:#?}"
+    );
+    let run = &entries[opened..];
     let appends = run.iter().filter(|e| e.starts_with("append ")).count();
     let syncs: Vec<usize> = (0..run.len())
         .filter(|&i| run[i].starts_with("sync "))
@@ -187,7 +188,11 @@ fn a_claimed_run_syncs_once_and_answers_after_the_sync() {
         appends, k,
         "one append per set, none for the check: {run:#?}"
     );
-    assert_eq!(syncs.len(), 1, "one sync for the whole run: {run:#?}");
+    assert_eq!(
+        syncs.len(),
+        1,
+        "one sync for the whole run, the fresh log's header included: {run:#?}"
+    );
     assert_eq!(emits.len(), k + 1, "one answer per command: {run:#?}");
     assert!(
         emits.iter().all(|&i| i > syncs[0]),
@@ -200,7 +205,7 @@ fn a_claimed_run_syncs_once_and_answers_after_the_sync() {
     server.drain();
     script.push(lone);
     let entries = tenant_entries(&trace);
-    let tail: Vec<&str> = entries[warm + run.len()..]
+    let tail: Vec<&str> = entries[opened + run.len()..]
         .iter()
         .map(|e| e.split_once(' ').unwrap().0)
         .collect();

@@ -10,8 +10,11 @@
 //! collide and groups form), including multi-byte UTF-8 and empty cells,
 //! and then overwrite cells with `set_cell`, which leaves dead entries in
 //! the column vocabularies. PFDs have 1–3 LHS and 1–2 RHS attributes and
-//! 1–3 tableau rows mixing wildcard, constant, variable and ambiguous
-//! `\A*[\D+]\A*` cells.
+//! 1–5 tableau rows mixing wildcard, constant, variable and ambiguous
+//! `\A*[\D+]\A*` cells with cells whose constants the tableau router
+//! anchors from the start or the end, so several tableau rows share an
+//! anchor. The engine case edits with sets, inserts and deletes, so routed
+//! edits are pinned too.
 
 use pfd_core::{reference, DeltaEngine, Edit, IncrementalChecker, Pfd, TableauRow};
 use pfd_relation::{AttrId, Relation, Schema};
@@ -27,7 +30,9 @@ const VALUES: &[&str] = &[
 
 /// Tableau cells: the wildcard, whole-value constants (including the empty
 /// one), constant-prefix cells, variable cells, a non-empty `pre` segment,
-/// and the ambiguous `\A*[\D+]\A*`.
+/// the ambiguous `\A*[\D+]\A*`, and constants the router anchors after a
+/// fixed-length `pre` or before a fixed-length `post`, over ASCII and
+/// multi-byte values.
 const CELLS: &[&str] = &[
     "_",
     "_",
@@ -43,6 +48,11 @@ const CELLS: &[&str] = &[
     r"\A[\A*]",
     r"\A*[\D+]\A*",
     r"\A*[\D+]\A*",
+    r"\A[a]\A*",
+    r"\A*[1]",
+    r"\A*[é]\D",
+    r"\A\A[2]",
+    r"[語]\A*",
 ];
 
 /// SplitMix64: everything a case draws derives from its seed.
@@ -90,7 +100,7 @@ fn relation(rng: &mut Rng) -> Relation {
     rel
 }
 
-/// A PFD with disjoint LHS (1–3) and RHS (1–2) attributes and 1–3 tableau
+/// A PFD with disjoint LHS (1–3) and RHS (1–2) attributes and 1–5 tableau
 /// rows of random [`CELLS`].
 fn pfd(rng: &mut Rng) -> Pfd {
     let mut attrs: Vec<AttrId> = (0..ATTRS.len()).map(AttrId).collect();
@@ -100,7 +110,7 @@ fn pfd(rng: &mut Rng) -> Pfd {
     let (nl, nr) = (rng.range(1, 3), rng.range(1, 2));
     let lhs = attrs[..nl].to_vec();
     let rhs = attrs[nl..nl + nr].to_vec();
-    let tableau = (0..rng.range(1, 3))
+    let tableau = (0..rng.range(1, 5))
         .map(|_| {
             let lhs: Vec<&str> = (0..nl).map(|_| rng.pick(CELLS)).collect();
             let rhs: Vec<&str> = (0..nr).map(|_| rng.pick(CELLS)).collect();
@@ -110,23 +120,45 @@ fn pfd(rng: &mut Rng) -> Pfd {
     Pfd::new("R", lhs, rhs, tableau).unwrap()
 }
 
-/// The case a seed stands for: a relation, 1–3 PFDs, and 0–4 cell edits
-/// for the engine's reconcile.
+/// One edit of a relation with `rows` rows: a set, an insert or a delete
+/// (an insert when there is no row to edit).
+fn edit(rng: &mut Rng, rows: usize) -> Edit {
+    let kind = rng.range(0, 3);
+    if rows == 0 || kind == 0 {
+        Edit::Insert {
+            cells: ATTRS.iter().map(|_| rng.pick(VALUES).to_string()).collect(),
+        }
+    } else if kind == 1 {
+        Edit::Delete {
+            row: rng.range(0, rows - 1),
+        }
+    } else {
+        Edit::Set {
+            row: rng.range(0, rows - 1),
+            attr: AttrId(rng.range(0, ATTRS.len() - 1)),
+            value: rng.pick(VALUES).to_string(),
+        }
+    }
+}
+
+/// The case a seed stands for: a relation, 1–3 PFDs, and 0–4 edits for the
+/// engine's routed membership updates and reconcile.
 fn case(seed: u64) -> (Relation, Vec<Pfd>, Vec<Edit>) {
     let mut rng = Rng(seed);
     let rel = relation(&mut rng);
     let pfds = (0..rng.range(1, 3)).map(|_| pfd(&mut rng)).collect();
-    let edits = if rel.num_rows() == 0 {
-        Vec::new()
-    } else {
-        (0..rng.range(0, 4))
-            .map(|_| Edit::Set {
-                row: rng.range(0, rel.num_rows() - 1),
-                attr: AttrId(rng.range(0, ATTRS.len() - 1)),
-                value: rng.pick(VALUES).to_string(),
-            })
-            .collect()
-    };
+    let mut rows = rel.num_rows();
+    let edits = (0..rng.range(0, 4))
+        .map(|_| {
+            let edit = edit(&mut rng, rows);
+            match edit {
+                Edit::Insert { .. } => rows += 1,
+                Edit::Delete { .. } => rows -= 1,
+                Edit::Set { .. } => {}
+            }
+            edit
+        })
+        .collect();
     (rel, pfds, edits)
 }
 
@@ -167,6 +199,11 @@ proptest! {
             naive.sorted_violations(),
             "build, seed {}", seed
         );
+        prop_assert_eq!(
+            engine.violation_count(),
+            naive.violation_count(),
+            "count after build, seed {}", seed
+        );
         for edit in edits {
             let want = naive.apply(edit.clone());
             let got = engine.apply(edit.clone());
@@ -175,6 +212,11 @@ proptest! {
                 engine.sorted_violations(),
                 naive.sorted_violations(),
                 "state after {:?}, seed {}", edit, seed
+            );
+            prop_assert_eq!(
+                engine.violation_count(),
+                engine.sorted_violations().len(),
+                "running count after {:?}, seed {}", edit, seed
             );
         }
     }

@@ -3,7 +3,8 @@
 //! edit/insert/delete sequences, both engines must yield identical violation
 //! sets, identical [`ViolationDelta`]s, and identical error results at every
 //! step — and both must agree with a from-scratch batch check. A live
-//! engine's group index must also equal a fresh build's, byte for byte.
+//! engine's group index must also equal a fresh build's, byte for byte,
+//! and its running violation count must equal its violation list's length.
 
 use pfd_core::{save_to_bytes, DeltaEngine, Edit, IncrementalChecker, Pfd, TableauRow};
 use pfd_relation::{AttrId, Relation, Schema};
@@ -152,6 +153,11 @@ proptest! {
                 "state mismatch after {:?}", edit
             );
             prop_assert_eq!(naive.relation(), delta.relation());
+            prop_assert_eq!(
+                delta.violation_count(),
+                delta.sorted_violations().len(),
+                "running count after {:?}", edit
+            );
             // Both engines track the from-scratch batch check exactly.
             let truth = batch_truth(delta.relation(), delta.pfds());
             let live: Vec<(usize, String)> = delta
@@ -184,9 +190,15 @@ proptest! {
         let b = batched.apply_batch(&edits);
         prop_assert_eq!(&a, &b, "batch delta mismatch");
         prop_assert_eq!(naive.sorted_violations(), batched.sorted_violations());
+        prop_assert_eq!(batched.violation_count(), batched.sorted_violations().len());
 
         for edit in &edits {
             sequential.apply(edit.clone()).unwrap();
+            prop_assert_eq!(
+                sequential.violation_count(),
+                sequential.sorted_violations().len(),
+                "running count after {:?}", edit
+            );
         }
         prop_assert_eq!(
             batched.sorted_violations(),

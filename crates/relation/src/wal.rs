@@ -323,11 +323,13 @@ impl<'io> WalWriter<'io> {
         let outcome = read_wal_bytes(&data);
         if outcome.valid_len == 0 {
             // Fresh file, or one whose header never made it to disk:
-            // (re)initialize it.
+            // (re)initialize it. The header needs no sync of its own: the
+            // sync that makes the first record durable covers it, and a
+            // header lost before then leaves an empty log that the next
+            // open re-initializes here.
             let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
             encode_header(&mut header);
             io.write(path, &header)?;
-            io.sync(path)?;
         } else if outcome.valid_len < data.len() as u64 {
             io.truncate(path, outcome.valid_len)?;
             io.sync(path)?;
