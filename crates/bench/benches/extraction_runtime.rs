@@ -8,9 +8,11 @@
 //! in the slicing.
 //!
 //! Besides the human-readable criterion output, the run writes
-//! `BENCH_extraction.json` (per-length best ms over a fixed batch of
-//! values, fragments emitted per path) so the extraction trajectory is
-//! tracked across PRs alongside `BENCH_discovery.json`.
+//! `BENCH_extraction.json` (per length and path, the quartiles and median
+//! ms of [`SAMPLES`] timed runs over a fixed batch of values, taken
+//! round-robin across the paths; fragments emitted per path) so the
+//! extraction trajectory is tracked across PRs alongside
+//! `BENCH_discovery.json`.
 //! `PFD_BENCH_SMOKE=1` skips the criterion sampling and emits the JSON
 //! from a tiny pass — the CI smoke-bench mode. `PFD_BENCH_JSON` overrides
 //! the output path.
@@ -135,40 +137,51 @@ fn bench_extraction_scaling(c: &mut Criterion) {
 // Machine-readable results: BENCH_extraction.json
 // ---------------------------------------------------------------------------
 
+/// Timed runs of each path per length: a slow spell of a shared host moves
+/// a few samples, not the median.
+const SAMPLES: usize = 9;
+
+/// `[p25, median, p75]` of a path's samples, in ms.
+type Quartiles = [f64; 3];
+
 struct JsonCase {
     len: usize,
-    naive_ms: f64,
-    affix_ms: f64,
-    sam_ms: f64,
-    naive_interned_ms: f64,
-    sam_interned_ms: f64,
+    naive_ms: Quartiles,
+    affix_ms: Quartiles,
+    sam_ms: Quartiles,
+    naive_interned_ms: Quartiles,
+    sam_interned_ms: Quartiles,
     naive_fragments: usize,
     affix_fragments: usize,
     sam_fragments: usize,
 }
 
-fn best_of<F: FnMut() -> usize>(iters: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+fn quartiles(mut samples: Vec<f64>) -> Quartiles {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: usize| samples[(samples.len() - 1) * q / 4];
+    [at(1), at(2), at(3)]
+}
+
+/// Time `SAMPLES` runs of every path, one run of each path per round, and
+/// return each path's quartiles in order.
+fn sample_round_robin(paths: &mut [&mut dyn FnMut() -> usize]) -> Vec<Quartiles> {
+    let mut samples = vec![Vec::with_capacity(SAMPLES); paths.len()];
+    for _ in 0..SAMPLES {
+        for (path, out) in paths.iter_mut().zip(&mut samples) {
+            let t0 = Instant::now();
+            black_box(path());
+            out.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
-    best
+    samples.into_iter().map(quartiles).collect()
 }
 
 fn write_bench_json(smoke: bool) {
-    let iters = if smoke { 2 } else { 5 };
     let lengths: &[usize] = if smoke { &[64] } else { LENGTHS };
     let per_batch = if smoke { 50 } else { VALUES_PER_BATCH };
     let mut cases = Vec::new();
     for &len in lengths {
         let values = long_values(len, per_batch, 42);
-        let naive_ms = best_of(iters, || {
-            let mut sink = 0usize;
-            naive_all_substrings(&values, |frag| sink += frag.len());
-            sink
-        });
         let mut naive_fragments = 0usize;
         for v in &values {
             naive_fragments += v.len() * (v.len() + 1) / 2;
@@ -177,53 +190,61 @@ fn write_bench_json(smoke: bool) {
             mine_repeats: false,
             ..ExtractOptions::default()
         });
-        let affix_ms = best_of(iters, || {
-            let mut sink = 0usize;
-            run_extractor(&mut affix, &values, |frag| sink += frag.len());
-            sink
-        });
         let mut count_affix = 0usize;
         for v in &values {
             affix.for_each(v, |_, _| count_affix += 1);
         }
         let mut sam = FragmentExtractor::new(ExtractOptions::default());
-        let sam_ms = best_of(iters, || {
-            let mut sink = 0usize;
-            run_extractor(&mut sam, &values, |frag| sink += frag.len());
-            sink
-        });
         let mut count_sam = 0usize;
         for v in &values {
             sam.for_each(v, |_, _| count_sam += 1);
         }
-        let naive_interned_ms = best_of(iters, || {
-            let mut dict = FragmentDict::default();
-            naive_all_substrings(&values, |frag| {
-                dict.intern(frag);
-            });
-            dict.len()
-        });
-        let sam_interned_ms = best_of(iters, || {
-            let mut dict = FragmentDict::default();
-            run_extractor(&mut sam, &values, |frag| {
-                dict.intern(frag);
-            });
-            dict.len()
-        });
+        let mut sam_interned = FragmentExtractor::new(ExtractOptions::default());
+        let timed = sample_round_robin(&mut [
+            &mut || {
+                let mut sink = 0usize;
+                naive_all_substrings(&values, |frag| sink += frag.len());
+                sink
+            },
+            &mut || {
+                let mut sink = 0usize;
+                run_extractor(&mut affix, &values, |frag| sink += frag.len());
+                sink
+            },
+            &mut || {
+                let mut sink = 0usize;
+                run_extractor(&mut sam, &values, |frag| sink += frag.len());
+                sink
+            },
+            &mut || {
+                let mut dict = FragmentDict::default();
+                naive_all_substrings(&values, |frag| {
+                    dict.intern(frag);
+                });
+                dict.len()
+            },
+            &mut || {
+                let mut dict = FragmentDict::default();
+                run_extractor(&mut sam_interned, &values, |frag| {
+                    dict.intern(frag);
+                });
+                dict.len()
+            },
+        ]);
         cases.push(JsonCase {
             len,
-            naive_ms,
-            affix_ms,
-            sam_ms,
-            naive_interned_ms,
-            sam_interned_ms,
+            naive_ms: timed[0],
+            affix_ms: timed[1],
+            sam_ms: timed[2],
+            naive_interned_ms: timed[3],
+            sam_interned_ms: timed[4],
             naive_fragments,
             affix_fragments: count_affix,
             sam_fragments: count_sam,
         });
     }
 
-    let mut json = String::from("{\n  \"schema_version\": 1,\n");
+    let mut json = String::from("{\n  \"schema_version\": 2,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -231,7 +252,8 @@ fn write_bench_json(smoke: bool) {
     );
     let _ = writeln!(
         json,
-        "  \"batch\": {{\"values\": {per_batch}, \"iters\": {iters}}},"
+        "  \"batch\": {{\"values\": {per_batch}, \"samples\": {SAMPLES}, \
+         \"ms\": \"[p25, median, p75] of the samples, one run of each path per round\"}},"
     );
     json.push_str(
         "  \"paths\": {\"naive_full\": \"all substrings, O(len^2)\", \
@@ -241,17 +263,18 @@ fn write_bench_json(smoke: bool) {
     );
     json.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
+        let ms = |q: &Quartiles| format!("[{:.3}, {:.3}, {:.3}]", q[0], q[1], q[2]);
         let _ = write!(
             json,
-            "    {{\"len\": {}, \"naive_ms\": {:.3}, \"affix_ms\": {:.3}, \"sam_ms\": {:.3}, \
-             \"naive_interned_ms\": {:.3}, \"sam_interned_ms\": {:.3}, \
+            "    {{\"len\": {}, \"naive_ms\": {}, \"affix_ms\": {}, \"sam_ms\": {}, \
+             \"naive_interned_ms\": {}, \"sam_interned_ms\": {}, \
              \"fragments\": {{\"naive\": {}, \"affix\": {}, \"sam\": {}}}}}",
             c.len,
-            c.naive_ms,
-            c.affix_ms,
-            c.sam_ms,
-            c.naive_interned_ms,
-            c.sam_interned_ms,
+            ms(&c.naive_ms),
+            ms(&c.affix_ms),
+            ms(&c.sam_ms),
+            ms(&c.naive_interned_ms),
+            ms(&c.sam_interned_ms),
             c.naive_fragments,
             c.affix_fragments,
             c.sam_fragments

@@ -23,17 +23,27 @@
 //!
 //! ## Delta semantics
 //!
+//! In a delta a violation's identity is its *suspect cell*: PFD, tableau
+//! row, kind, attribute and offending row (the single tuple, or the
+//! tuple-pair row outside the majority partition). Its partner (a tuple
+//! pair's first row) and its group statistics (`group_size`,
+//! `majority_size`, the context repair scoring reads) are annotations.
+//!
 //! A delta's `introduced` list uses post-mutation row ids, `resolved` uses
 //! pre-mutation ids *remapped through any deletions where possible*:
 //! a resolved violation that mentions a deleted row keeps its pre-delete
 //! ids (there is no post-state name for a row that no longer exists); every
 //! other resolved violation is renumbered into the post-state. Violations
 //! that merely had their row ids shifted by a deletion are **not** reported
-//! as deltas. A violation whose *group statistics* changed (its LHS group
-//! grew or its majority shifted — the context repair scoring reads) **is**
-//! re-reported as a resolved/introduced pair. Both lists are sorted
-//! canonically (PFD index, tableau row, kind, attribute, rows), so deltas
-//! compare with `==`.
+//! as deltas. A violation whose suspect cell survives the edit while its
+//! partner or group statistics changed (its LHS group grew, or its
+//! majority shifted) is reported once, as a `regrouped` (before, after)
+//! pair in post-mutation ids — not as a resolved/introduced pair. A
+//! resolved violation that mentions a deleted row never pairs. `introduced`
+//! and `resolved` are sorted canonically (PFD index, tableau row, kind,
+//! attribute, rows), `regrouped` by its after entries' PFD index, tableau
+//! row, kind, attribute, partner, group statistics and offending row, so
+//! deltas compare with `==`.
 
 use crate::grouping::{TableauRouter, TableauScan};
 use crate::pfd::{Pfd, Violation, ViolationKind};
@@ -85,12 +95,15 @@ pub struct ViolationDelta {
     /// Violations present before the edit but not after (see the module
     /// docs for row-id semantics across deletions).
     pub resolved: Vec<DeltaEntry>,
+    /// Violations present before and after the edit under the same suspect
+    /// cell whose partner or group statistics changed, as (before, after).
+    pub regrouped: Vec<(DeltaEntry, DeltaEntry)>,
 }
 
 impl ViolationDelta {
     /// Did the edit change anything?
     pub fn is_empty(&self) -> bool {
-        self.introduced.is_empty() && self.resolved.is_empty()
+        self.introduced.is_empty() && self.resolved.is_empty() && self.regrouped.is_empty()
     }
 }
 
@@ -121,44 +134,108 @@ pub(crate) fn entry_key(e: &DeltaEntry) -> EntryKey {
 
 /// The canonical order of [`entry_key`], compared in place.
 fn cmp_entries(a: &DeltaEntry, b: &DeltaEntry) -> Ordering {
-    let (v, w) = (&a.violation, &b.violation);
-    (a.pfd_index, v.tableau_row, kind_rank(v.kind), v.attr)
-        .cmp(&(b.pfd_index, w.tableau_row, kind_rank(w.kind), w.attr))
+    (a.pfd_index.cmp(&b.pfd_index)).then_with(|| cmp_violations(&a.violation, &b.violation))
+}
+
+/// [`cmp_entries`] within one PFD.
+fn cmp_violations(v: &Violation, w: &Violation) -> Ordering {
+    (v.tableau_row, kind_rank(v.kind), v.attr)
+        .cmp(&(w.tableau_row, kind_rank(w.kind), w.attr))
         .then_with(|| v.rows().cmp(w.rows()))
         .then_with(|| v.cells().cmp(w.cells()))
 }
 
-/// Cancel entries that appear in both lists: a violation that "moved" with
-/// its rows (e.g. a whole group re-keyed by a batch) is unchanged, and the
-/// per-group diff must agree with a whole-relation diff that never saw it.
-fn net_out(introduced: &mut Vec<DeltaEntry>, resolved: &mut Vec<DeltaEntry>) {
-    introduced.retain(|e| {
-        if let Some(pos) = resolved.iter().position(|r| r == e) {
-            resolved.swap_remove(pos);
-            false
-        } else {
-            true
-        }
-    });
+/// A violation's identity in deltas, its suspect cell: PFD index, tableau
+/// row, kind, attribute and offending row.
+fn suspect_cell(e: &DeltaEntry) -> (usize, usize, u8, AttrId, RowId) {
+    let v = &e.violation;
+    (
+        e.pfd_index,
+        v.tableau_row,
+        kind_rank(v.kind),
+        v.attr,
+        v.offending_row(),
+    )
 }
 
-/// Assemble a delta: net out moved violations, append the drained
-/// (deleted-row) resolutions, sort canonically.
+/// What the regrouped violations one `delta` event record names share, read
+/// off their after entries: PFD index, tableau row, kind, attribute,
+/// partner and group statistics. `regrouped` is sorted by it, then by
+/// offending row, so each record's violations sit side by side.
+#[allow(clippy::type_complexity)]
+pub(crate) fn regroup_record(
+    after: &DeltaEntry,
+) -> (usize, usize, u8, AttrId, Option<RowId>, usize, usize) {
+    let v = &after.violation;
+    (
+        after.pfd_index,
+        v.tableau_row,
+        kind_rank(v.kind),
+        v.attr,
+        v.partner(),
+        v.group_size(),
+        v.majority_size(),
+    )
+}
+
+/// Walk two lists sorted by `cmp` in step: `f` gets each item of `a` or
+/// `b` together with the item of the other list that compares equal to
+/// it, if there is one.
+fn merge_join<T>(
+    a: Vec<T>,
+    b: Vec<T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+    mut f: impl FnMut(Option<T>, Option<T>),
+) {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => cmp(x, y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        let x = if order.is_le() { a.next() } else { None };
+        let y = if order.is_ge() { b.next() } else { None };
+        f(x, y);
+    }
+}
+
+/// Assemble a delta. One sort-merge pairs the introduced and resolved
+/// entries by suspect cell: an equal pair is a violation that "moved" with
+/// its rows (e.g. a whole group re-keyed by a batch) and cancels, so the
+/// per-group diff agrees with a whole-relation diff that never saw it; any
+/// other pair is regrouped. The drained (deleted-row) resolutions join
+/// `resolved` unpaired, and every list is sorted.
 fn finalize_delta(
     version: u64,
     mut introduced: Vec<DeltaEntry>,
     mut resolved: Vec<DeltaEntry>,
     drained: Vec<DeltaEntry>,
 ) -> ViolationDelta {
-    net_out(&mut introduced, &mut resolved);
-    resolved.extend(drained);
-    introduced.sort_by(cmp_entries);
-    resolved.sort_by(cmp_entries);
-    ViolationDelta {
+    introduced.sort_by_key(suspect_cell);
+    resolved.sort_by_key(suspect_cell);
+    let mut delta = ViolationDelta {
         version,
-        introduced,
-        resolved,
-    }
+        ..ViolationDelta::default()
+    };
+    let by_suspect = |a: &DeltaEntry, b: &DeltaEntry| suspect_cell(a).cmp(&suspect_cell(b));
+    merge_join(introduced, resolved, by_suspect, |after, before| {
+        match (after, before) {
+            (Some(a), Some(b)) if a == b => {}
+            (Some(a), Some(b)) => delta.regrouped.push((b, a)),
+            (a, b) => {
+                delta.introduced.extend(a);
+                delta.resolved.extend(b);
+            }
+        }
+    });
+    delta.resolved.extend(drained);
+    delta.introduced.sort_by(cmp_entries);
+    delta.resolved.sort_by(cmp_entries);
+    (delta.regrouped)
+        .sort_by_key(|(_, after)| (regroup_record(after), after.violation.offending_row()));
+    delta
 }
 
 /// Validate a whole edit script against the relation's evolving shape
@@ -273,10 +350,7 @@ impl IncrementalChecker {
     /// Distinct suspect cells across all PFDs (for dashboards).
     pub fn suspect_cells(&self) -> BTreeSet<(RowId, AttrId)> {
         self.violations()
-            .map(|(_, v)| {
-                let rid = *v.rows().last().expect("violations carry rows");
-                (rid, v.attr)
-            })
+            .map(|(_, v)| (v.offending_row(), v.attr))
             .collect()
     }
 
@@ -428,6 +502,37 @@ fn group_key(
     }
 }
 
+/// Diff a group's cached violations against its fresh ones by one
+/// sort-merge in canonical order: fresh ones not cached are introduced,
+/// cached ones not fresh are resolved. A group holds one violation per
+/// offending row, so two that share a canonical key but not their group
+/// statistics are both changes. Neither list is reordered: the cache keeps
+/// the order the scan produced, which snapshots store.
+fn diff_group(
+    pfd_index: usize,
+    cached: &[Violation],
+    fresh: &[Violation],
+    introduced: &mut Vec<DeltaEntry>,
+    resolved: &mut Vec<DeltaEntry>,
+) {
+    fn sorted(vs: &[Violation]) -> Vec<&Violation> {
+        let mut refs: Vec<&Violation> = vs.iter().collect();
+        refs.sort_by(|v, w| cmp_violations(v, w));
+        refs
+    }
+    let entry = |v: &Violation| DeltaEntry {
+        pfd_index,
+        violation: v.clone(),
+    };
+    let by_canon = |v: &&Violation, w: &&Violation| cmp_violations(v, w);
+    merge_join(sorted(cached), sorted(fresh), by_canon, |old, new| {
+        if old != new {
+            resolved.extend(old.map(entry));
+            introduced.extend(new.map(entry));
+        }
+    });
+}
+
 /// Add `row` to the group under `key`, creating it over `universe` rows.
 fn join_group(groups: &mut Groups, key: Vec<String>, row: RowId, universe: usize) {
     groups
@@ -458,7 +563,7 @@ pub(crate) struct GroupSnapshot {
 ///
 /// Construction groups every relation row by its LHS tableau-match
 /// signature and caches per-group violations. Each PFD's
-/// [`TableauRouter`] is built once from its tableau; an edit visits only
+/// `TableauRouter` is built once from its tableau; an edit visits only
 /// the tableau rows the edited row's old or new LHS values route to, plus
 /// the unrouted ones, since it can sit in no other tableau row's groups.
 /// An edit then:
@@ -650,10 +755,7 @@ impl DeltaEngine {
     pub fn suspect_cells(&self) -> BTreeSet<(RowId, AttrId)> {
         self.sorted_violations()
             .iter()
-            .map(|e| {
-                let rid = *e.violation.rows().last().expect("violations carry rows");
-                (rid, e.violation.attr)
-            })
+            .map(|e| (e.violation.offending_row(), e.violation.attr))
             .collect()
     }
 
@@ -851,22 +953,13 @@ impl DeltaEngine {
                     None,
                 );
             }
-            for v in &scratch {
-                if !group.violations.contains(v) {
-                    introduced.push(DeltaEntry {
-                        pfd_index: *pi,
-                        violation: v.clone(),
-                    });
-                }
-            }
-            for v in &group.violations {
-                if !scratch.contains(v) {
-                    resolved.push(DeltaEntry {
-                        pfd_index: *pi,
-                        violation: v.clone(),
-                    });
-                }
-            }
+            diff_group(
+                *pi,
+                &group.violations,
+                &scratch,
+                &mut introduced,
+                &mut resolved,
+            );
             self.violations = self.violations - group.violations.len() + scratch.len();
             if group.rows.is_empty() {
                 groups.remove(key);
@@ -1019,9 +1112,9 @@ mod tests {
         let name = naive.relation().schema().attr("name").unwrap();
         // r1 becomes a Susan with gender M: the John group loses a clean
         // member, the Susan group gains a violating one. The pre-existing
-        // r4 violation is re-reported as resolved+introduced because its
-        // group statistics changed (the Susan group grew from 2 to 3 rows
-        // — violations carry their repair-scoring context).
+        // r3 violation keeps its suspect cell, but its group statistics
+        // changed (the Susan group grew from 2 to 3 rows — violations carry
+        // their repair-scoring context), so it is regrouped, not restated.
         let d = apply_both(
             &mut naive,
             &mut delta,
@@ -1031,8 +1124,16 @@ mod tests {
                 value: "Susan Bosco".into(),
             },
         );
-        assert_eq!(d.introduced.len(), 2, "r2's new violation + r4 restated");
-        assert_eq!(d.resolved.len(), 1, "r4's old group statistics retired");
+        assert_eq!(d.introduced.len(), 1, "r1's new violation");
+        assert!(d.resolved.is_empty());
+        assert_eq!(d.regrouped.len(), 1, "r3's group statistics changed");
+        let (before, after) = &d.regrouped[0];
+        assert_eq!(before.violation.rows(), &[3]);
+        assert_eq!(after.violation.rows(), &[3]);
+        assert_eq!(
+            (before.violation.group_size(), after.violation.group_size()),
+            (2, 3)
+        );
         assert_eq!(delta.violation_count(), 2);
     }
 

@@ -111,6 +111,22 @@ impl Violation {
         &self.rows
     }
 
+    /// The row whose RHS cell the violation flags: the single tuple, or
+    /// the tuple-pair row outside its group's majority partition.
+    pub fn offending_row(&self) -> RowId {
+        self.rows[self.rows.len() - 1]
+    }
+
+    /// The row a tuple-pair violation pairs the offending row with — the
+    /// first row of its group's majority partition; `None` for a
+    /// single-tuple violation.
+    pub fn partner(&self) -> Option<RowId> {
+        match self.kind {
+            ViolationKind::SingleTuple => None,
+            ViolationKind::TuplePair => Some(self.rows[0]),
+        }
+    }
+
     /// Size of the LHS-key group the violation fired in.
     pub fn group_size(&self) -> usize {
         self.group_size as usize

@@ -525,13 +525,16 @@ impl RepairEngine {
                 .apply_batch(&edits)
                 .expect("fix coordinates are in range");
             // Cell edits never renumber rows, so resolved entries key
-            // directly into the live map.
-            for e in delta.resolved {
+            // directly into the live map. A regrouped pair is its before
+            // entry resolved and its after entry introduced.
+            let (regrouped_before, regrouped_after): (Vec<_>, Vec<_>) =
+                delta.regrouped.into_iter().unzip();
+            for e in delta.resolved.into_iter().chain(regrouped_before) {
                 let k = entry_key(&e);
                 live.remove(&k);
                 flags.remove(&k);
             }
-            for e in delta.introduced {
+            for e in delta.introduced.into_iter().chain(regrouped_after) {
                 let k = entry_key(&e);
                 dirty.insert(k.clone());
                 live.insert(k, e);

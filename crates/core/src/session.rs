@@ -23,9 +23,12 @@
 //! `unrepaired` event per suggestion-less flag and a closing `repaired`
 //! summary. Other events: one `ready` on startup (initial violation
 //! state), then per command either `delta` or `error` (malformed input
-//! never kills the session). The same serializers back the `--json` flags
-//! of `pfd check` and `pfd repair`, so batch reports and the interactive
-//! stream speak one format.
+//! never kills the session). A `delta` lists the violations the edit
+//! `introduced` and `resolved` and, when there are any, those it
+//! `regrouped`: same suspect cell, new partner or group statistics (see
+//! the `incremental` module's delta semantics). The same serializers back
+//! the `--json` flags of `pfd check` and `pfd repair`, so batch reports
+//! and the interactive stream speak one format.
 //!
 //! The module hand-rolls a minimal JSON reader/writer ([`json`]) because
 //! the build environment vendors no serde; it covers the full value grammar
@@ -36,7 +39,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::detect::DetectionReport;
-use crate::incremental::{DeltaEngine, DeltaEntry, Edit, ViolationDelta};
+use crate::incremental::{regroup_record, DeltaEngine, DeltaEntry, Edit, ViolationDelta};
 use crate::pfd::{Pfd, Violation, ViolationKind};
 use crate::repair::{CellFix, FixCandidate, RepairEngine, RepairOptions, RepairOutcome};
 use crate::snapshot::{
@@ -120,184 +123,227 @@ pub mod json {
 
     /// Parse one JSON document (trailing non-whitespace is an error).
     /// Nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
+    /// Any Unicode whitespace may separate tokens, and error offsets count
+    /// chars.
     pub fn parse(src: &str) -> Result<Value, String> {
-        let bytes: Vec<char> = src.chars().collect();
-        let mut pos = 0usize;
-        let value = parse_value(&bytes, &mut pos, 0)?;
-        skip_ws(&bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at offset {pos}"));
+        let mut p = Parser { src, pos: 0 };
+        let value = p.value(0)?;
+        p.skip_ws();
+        if p.pos != src.len() {
+            return Err(format!("trailing input at offset {}", p.offset(p.pos)));
         }
         Ok(value)
     }
 
-    fn skip_ws(s: &[char], pos: &mut usize) {
-        while *pos < s.len() && s[*pos].is_whitespace() {
-            *pos += 1;
-        }
+    /// A cursor over the bytes of one document. `pos` always sits on a
+    /// char boundary: it moves over ASCII bytes one at a time and over
+    /// anything else a whole char or a whole run of string content at once.
+    struct Parser<'a> {
+        src: &'a str,
+        pos: usize,
     }
 
-    fn expect(s: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-        if s.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at offset {pos}", pos = *pos))
+    impl Parser<'_> {
+        fn peek(&self) -> Option<u8> {
+            self.src.as_bytes().get(self.pos).copied()
         }
-    }
 
-    /// Parse the value at `pos`, which sits inside `depth` open arrays and
-    /// objects.
-    fn parse_value(s: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        skip_ws(s, pos);
-        if matches!(s.get(*pos), Some('{' | '[')) && depth == MAX_DEPTH {
-            return Err(format!(
-                "JSON nested deeper than {MAX_DEPTH} levels at offset {}",
-                *pos
-            ));
+        /// The char offset of byte `at`, for error messages.
+        fn offset(&self, at: usize) -> usize {
+            let head = &self.src.as_bytes()[..at];
+            head.iter().filter(|&&b| (b as i8) >= -0x40).count()
         }
-        match s.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some('{') => {
-                *pos += 1;
-                let mut members = Vec::new();
-                skip_ws(s, pos);
-                if s.get(*pos) == Some(&'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(members));
-                }
-                loop {
-                    skip_ws(s, pos);
-                    let key = match parse_value(s, pos, depth + 1)? {
-                        Value::Str(k) => k,
-                        other => return Err(format!("object key must be a string, got {other:?}")),
-                    };
-                    skip_ws(s, pos);
-                    expect(s, pos, ':')?;
-                    let value = parse_value(s, pos, depth + 1)?;
-                    members.push((key, value));
-                    skip_ws(s, pos);
-                    match s.get(*pos) {
-                        Some(',') => *pos += 1,
-                        Some('}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(members));
+
+        /// The char at the cursor.
+        fn char(&self) -> Option<char> {
+            self.src
+                .get(self.pos..)
+                .and_then(|rest| rest.chars().next())
+        }
+
+        fn skip_ws(&mut self) {
+            while let Some(c) = self.char().filter(|c| c.is_whitespace()) {
+                self.pos += c.len_utf8();
+            }
+        }
+
+        fn expect(&mut self, c: u8) -> Result<(), String> {
+            if self.peek() == Some(c) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                let at = self.offset(self.pos);
+                Err(format!("expected {:?} at offset {at}", char::from(c)))
+            }
+        }
+
+        /// Parse the value at the cursor, which sits inside `depth` open
+        /// arrays and objects.
+        fn value(&mut self, depth: usize) -> Result<Value, String> {
+            self.skip_ws();
+            if matches!(self.peek(), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+                return Err(format!(
+                    "JSON nested deeper than {MAX_DEPTH} levels at offset {}",
+                    self.offset(self.pos)
+                ));
+            }
+            match self.peek() {
+                None => Err("unexpected end of input".into()),
+                Some(b'{') => {
+                    self.pos += 1;
+                    let mut members = Vec::new();
+                    self.skip_ws();
+                    if self.peek() == Some(b'}') {
+                        self.pos += 1;
+                        return Ok(Value::Obj(members));
+                    }
+                    loop {
+                        self.skip_ws();
+                        let key = match self.value(depth + 1)? {
+                            Value::Str(k) => k,
+                            other => {
+                                return Err(format!("object key must be a string, got {other:?}"))
+                            }
+                        };
+                        self.skip_ws();
+                        self.expect(b':')?;
+                        let value = self.value(depth + 1)?;
+                        members.push((key, value));
+                        self.skip_ws();
+                        match self.peek() {
+                            Some(b',') => self.pos += 1,
+                            Some(b'}') => {
+                                self.pos += 1;
+                                return Ok(Value::Obj(members));
+                            }
+                            _ => {
+                                let at = self.offset(self.pos);
+                                return Err(format!("expected ',' or '}}' at offset {at}"));
+                            }
                         }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
                     }
                 }
-            }
-            Some('[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(s, pos);
-                if s.get(*pos) == Some(&']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(s, pos, depth + 1)?);
-                    skip_ws(s, pos);
-                    match s.get(*pos) {
-                        Some(',') => *pos += 1,
-                        Some(']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
+                Some(b'[') => {
+                    self.pos += 1;
+                    let mut items = Vec::new();
+                    self.skip_ws();
+                    if self.peek() == Some(b']') {
+                        self.pos += 1;
+                        return Ok(Value::Arr(items));
+                    }
+                    loop {
+                        items.push(self.value(depth + 1)?);
+                        self.skip_ws();
+                        match self.peek() {
+                            Some(b',') => self.pos += 1,
+                            Some(b']') => {
+                                self.pos += 1;
+                                return Ok(Value::Arr(items));
+                            }
+                            _ => {
+                                let at = self.offset(self.pos);
+                                return Err(format!("expected ',' or ']' at offset {at}"));
+                            }
                         }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
                     }
                 }
+                Some(b'"') => self.string().map(Value::Str),
+                Some(b't') => self.keyword("true", Value::Bool(true)),
+                Some(b'f') => self.keyword("false", Value::Bool(false)),
+                Some(b'n') => self.keyword("null", Value::Null),
+                Some(_) => self.number(),
             }
-            Some('"') => parse_string(s, pos).map(Value::Str),
-            Some('t') => parse_keyword(s, pos, "true", Value::Bool(true)),
-            Some('f') => parse_keyword(s, pos, "false", Value::Bool(false)),
-            Some('n') => parse_keyword(s, pos, "null", Value::Null),
-            Some(_) => parse_number(s, pos),
         }
-    }
 
-    fn parse_keyword(s: &[char], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        for c in word.chars() {
-            expect(s, pos, c)?;
+        fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
+            for c in word.bytes() {
+                self.expect(c)?;
+            }
+            Ok(v)
         }
-        Ok(v)
-    }
 
-    fn parse_number(s: &[char], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < s.len() && matches!(s[*pos], '0'..='9' | '-' | '+' | '.' | 'e' | 'E') {
-            *pos += 1;
+        fn number(&mut self) -> Result<Value, String> {
+            let start = self.pos;
+            while matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            ) {
+                self.pos += 1;
+            }
+            let text = &self.src[start..self.pos];
+            text.parse::<f64>().map(Value::Num).map_err(|_| {
+                let at = self.offset(start);
+                format!("invalid number {text:?} at offset {at}")
+            })
         }
-        let text: String = s[start..*pos].iter().collect();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("invalid number {text:?} at offset {start}"))
-    }
 
-    fn parse_string(s: &[char], pos: &mut usize) -> Result<String, String> {
-        expect(s, pos, '"')?;
-        let mut out = String::new();
-        loop {
-            match s.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some('"') => {
-                    *pos += 1;
+        fn string(&mut self) -> Result<String, String> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                // Copy the run up to the next quote or backslash at once.
+                let rest = &self.src.as_bytes()[self.pos..];
+                let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                    return Err("unterminated string".into());
+                };
+                out.push_str(&self.src[self.pos..self.pos + run]);
+                self.pos += run;
+                if self.peek() == Some(b'"') {
+                    self.pos += 1;
                     return Ok(out);
                 }
-                Some('\\') => {
-                    *pos += 1;
-                    match s.get(*pos) {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('/') => out.push('/'),
-                        Some('b') => out.push('\u{8}'),
-                        Some('f') => out.push('\u{c}'),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('u') => {
-                            let hi = parse_hex4(s, pos)?;
-                            let ch = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                *pos += 1;
-                                if s.get(*pos) != Some(&'\\') || s.get(*pos + 1) != Some(&'u') {
-                                    return Err("lone high surrogate".into());
-                                }
-                                *pos += 1;
-                                let lo = parse_hex4(s, pos)?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("invalid low surrogate".into());
-                                }
-                                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("invalid \\u escape")?
-                            };
-                            out.push(ch);
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
+                self.pos += 1;
+                match self.peek() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hi = self.hex4()?;
+                        let ch = if (0xD800..0xDC00).contains(&hi) {
+                            // Surrogate pair: require \uXXXX low half.
+                            self.pos += 1;
+                            let bytes = self.src.as_bytes();
+                            if bytes.get(self.pos) != Some(&b'\\')
+                                || bytes.get(self.pos + 1) != Some(&b'u')
+                            {
+                                return Err("lone high surrogate".into());
+                            }
+                            self.pos += 1;
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err("invalid low surrogate".into());
+                            }
+                            let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                            char::from_u32(c).ok_or("invalid surrogate pair")?
+                        } else {
+                            char::from_u32(hi).ok_or("invalid \\u escape")?
+                        };
+                        out.push(ch);
                     }
-                    *pos += 1;
+                    _ => return Err(format!("bad escape {:?}", self.char())),
                 }
-                Some(c) => {
-                    out.push(*c);
-                    *pos += 1;
-                }
+                self.pos += 1;
             }
         }
-    }
 
-    fn parse_hex4(s: &[char], pos: &mut usize) -> Result<u32, String> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            *pos += 1;
-            let d = s
-                .get(*pos)
-                .and_then(|c| c.to_digit(16))
-                .ok_or("bad \\u escape")?;
-            v = v * 16 + d;
+        /// The four hex digits after the `u` at the cursor, leaving the
+        /// cursor on the last.
+        fn hex4(&mut self) -> Result<u32, String> {
+            let mut v = 0u32;
+            for _ in 0..4 {
+                self.pos += 1;
+                let d = (self.peek())
+                    .and_then(|b| char::from(b).to_digit(16))
+                    .ok_or("bad \\u escape")?;
+                v = v * 16 + d;
+            }
+            Ok(v)
         }
-        Ok(v)
     }
 
     /// Append `s` as a JSON string literal (with quotes) to `out`.
@@ -325,6 +371,201 @@ pub mod json {
         write_escaped(&mut out, s);
         out
     }
+
+    /// The char-by-char parser [`parse`] replaced, kept as the oracle its
+    /// tests compare against.
+    #[cfg(test)]
+    pub(crate) mod chars {
+        use super::{Value, MAX_DEPTH};
+
+        /// Parse one JSON document the way the old parser did.
+        pub(crate) fn parse(src: &str) -> Result<Value, String> {
+            let bytes: Vec<char> = src.chars().collect();
+            let mut pos = 0usize;
+            let value = parse_value(&bytes, &mut pos, 0)?;
+            skip_ws(&bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(format!("trailing input at offset {pos}"));
+            }
+            Ok(value)
+        }
+
+        fn skip_ws(s: &[char], pos: &mut usize) {
+            while *pos < s.len() && s[*pos].is_whitespace() {
+                *pos += 1;
+            }
+        }
+
+        fn expect(s: &[char], pos: &mut usize, c: char) -> Result<(), String> {
+            if s.get(*pos) == Some(&c) {
+                *pos += 1;
+                Ok(())
+            } else {
+                Err(format!("expected {c:?} at offset {pos}", pos = *pos))
+            }
+        }
+
+        /// Parse the value at `pos`, which sits inside `depth` open arrays and
+        /// objects.
+        fn parse_value(s: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
+            skip_ws(s, pos);
+            if matches!(s.get(*pos), Some('{' | '[')) && depth == MAX_DEPTH {
+                return Err(format!(
+                    "JSON nested deeper than {MAX_DEPTH} levels at offset {}",
+                    *pos
+                ));
+            }
+            match s.get(*pos) {
+                None => Err("unexpected end of input".into()),
+                Some('{') => {
+                    *pos += 1;
+                    let mut members = Vec::new();
+                    skip_ws(s, pos);
+                    if s.get(*pos) == Some(&'}') {
+                        *pos += 1;
+                        return Ok(Value::Obj(members));
+                    }
+                    loop {
+                        skip_ws(s, pos);
+                        let key = match parse_value(s, pos, depth + 1)? {
+                            Value::Str(k) => k,
+                            other => {
+                                return Err(format!("object key must be a string, got {other:?}"))
+                            }
+                        };
+                        skip_ws(s, pos);
+                        expect(s, pos, ':')?;
+                        let value = parse_value(s, pos, depth + 1)?;
+                        members.push((key, value));
+                        skip_ws(s, pos);
+                        match s.get(*pos) {
+                            Some(',') => *pos += 1,
+                            Some('}') => {
+                                *pos += 1;
+                                return Ok(Value::Obj(members));
+                            }
+                            _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
+                        }
+                    }
+                }
+                Some('[') => {
+                    *pos += 1;
+                    let mut items = Vec::new();
+                    skip_ws(s, pos);
+                    if s.get(*pos) == Some(&']') {
+                        *pos += 1;
+                        return Ok(Value::Arr(items));
+                    }
+                    loop {
+                        items.push(parse_value(s, pos, depth + 1)?);
+                        skip_ws(s, pos);
+                        match s.get(*pos) {
+                            Some(',') => *pos += 1,
+                            Some(']') => {
+                                *pos += 1;
+                                return Ok(Value::Arr(items));
+                            }
+                            _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
+                        }
+                    }
+                }
+                Some('"') => parse_string(s, pos).map(Value::Str),
+                Some('t') => parse_keyword(s, pos, "true", Value::Bool(true)),
+                Some('f') => parse_keyword(s, pos, "false", Value::Bool(false)),
+                Some('n') => parse_keyword(s, pos, "null", Value::Null),
+                Some(_) => parse_number(s, pos),
+            }
+        }
+
+        fn parse_keyword(
+            s: &[char],
+            pos: &mut usize,
+            word: &str,
+            v: Value,
+        ) -> Result<Value, String> {
+            for c in word.chars() {
+                expect(s, pos, c)?;
+            }
+            Ok(v)
+        }
+
+        fn parse_number(s: &[char], pos: &mut usize) -> Result<Value, String> {
+            let start = *pos;
+            while *pos < s.len() && matches!(s[*pos], '0'..='9' | '-' | '+' | '.' | 'e' | 'E') {
+                *pos += 1;
+            }
+            let text: String = s[start..*pos].iter().collect();
+            text.parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| format!("invalid number {text:?} at offset {start}"))
+        }
+
+        fn parse_string(s: &[char], pos: &mut usize) -> Result<String, String> {
+            expect(s, pos, '"')?;
+            let mut out = String::new();
+            loop {
+                match s.get(*pos) {
+                    None => return Err("unterminated string".into()),
+                    Some('"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some('\\') => {
+                        *pos += 1;
+                        match s.get(*pos) {
+                            Some('"') => out.push('"'),
+                            Some('\\') => out.push('\\'),
+                            Some('/') => out.push('/'),
+                            Some('b') => out.push('\u{8}'),
+                            Some('f') => out.push('\u{c}'),
+                            Some('n') => out.push('\n'),
+                            Some('r') => out.push('\r'),
+                            Some('t') => out.push('\t'),
+                            Some('u') => {
+                                let hi = parse_hex4(s, pos)?;
+                                let ch = if (0xD800..0xDC00).contains(&hi) {
+                                    // Surrogate pair: require \uXXXX low half.
+                                    *pos += 1;
+                                    if s.get(*pos) != Some(&'\\') || s.get(*pos + 1) != Some(&'u') {
+                                        return Err("lone high surrogate".into());
+                                    }
+                                    *pos += 1;
+                                    let lo = parse_hex4(s, pos)?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("invalid low surrogate".into());
+                                    }
+                                    let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                    char::from_u32(c).ok_or("invalid surrogate pair")?
+                                } else {
+                                    char::from_u32(hi).ok_or("invalid \\u escape")?
+                                };
+                                out.push(ch);
+                            }
+                            other => return Err(format!("bad escape {other:?}")),
+                        }
+                        *pos += 1;
+                    }
+                    Some(c) => {
+                        out.push(*c);
+                        *pos += 1;
+                    }
+                }
+            }
+        }
+
+        fn parse_hex4(s: &[char], pos: &mut usize) -> Result<u32, String> {
+            let mut v = 0u32;
+            for _ in 0..4 {
+                *pos += 1;
+                let d = s
+                    .get(*pos)
+                    .and_then(|c| c.to_digit(16))
+                    .ok_or("bad \\u escape")?;
+                v = v * 16 + d;
+            }
+            Ok(v)
+        }
+    }
 }
 
 use json::Value;
@@ -338,14 +579,11 @@ pub fn violation_json(pfd_index: usize, v: &Violation, schema: &Schema) -> Strin
 
 /// Append [`violation_json`]'s object to `out`.
 fn write_violation(out: &mut String, pfd_index: usize, v: &Violation, schema: &Schema) {
-    let kind = match v.kind {
-        ViolationKind::SingleTuple => "single_tuple",
-        ViolationKind::TuplePair => "tuple_pair",
-    };
     let _ = write!(
         out,
-        "{{\"pfd\":{pfd_index},\"tableau_row\":{},\"kind\":\"{kind}\",\"attr\":",
-        v.tableau_row
+        "{{\"pfd\":{pfd_index},\"tableau_row\":{},\"kind\":\"{}\",\"attr\":",
+        v.tableau_row,
+        kind_name(v.kind)
     );
     json::write_escaped(out, schema.name_of(v.attr).unwrap_or("?"));
     let _ = write!(
@@ -372,6 +610,14 @@ fn write_violation(out: &mut String, pfd_index: usize, v: &Violation, schema: &S
     out.push_str("]}");
 }
 
+/// A violation kind as the protocol spells it.
+fn kind_name(kind: ViolationKind) -> &'static str {
+    match kind {
+        ViolationKind::SingleTuple => "single_tuple",
+        ViolationKind::TuplePair => "tuple_pair",
+    }
+}
+
 /// Append a JSON array of delta entries to `out`.
 fn write_entries(out: &mut String, entries: &[DeltaEntry], schema: &Schema) {
     out.push('[');
@@ -380,6 +626,49 @@ fn write_entries(out: &mut String, entries: &[DeltaEntry], schema: &Schema) {
             out.push(',');
         }
         write_violation(out, e.pfd_index, &e.violation, schema);
+    }
+    out.push(']');
+}
+
+/// Append a delta's `regrouped` member: one record per run of pairs whose
+/// after entries share PFD, tableau row, kind, attribute, partner and
+/// group statistics, naming the run's offending rows in ascending order. A
+/// client holding the before entries by suspect cell rebuilds each after
+/// entry from its record: the partner replaces the old partner in `rows`
+/// and `cells`, and the statistics replace the old ones.
+fn write_regrouped(out: &mut String, regrouped: &[(DeltaEntry, DeltaEntry)], schema: &Schema) {
+    out.push_str(",\"regrouped\":[");
+    let records = regrouped.chunk_by(|(_, a), (_, b)| regroup_record(a) == regroup_record(b));
+    for (i, run) in records.enumerate() {
+        let (_, first) = &run[0];
+        let v = &first.violation;
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"pfd\":{},\"tableau_row\":{},\"kind\":\"{}\",\"attr\":",
+            first.pfd_index,
+            v.tableau_row,
+            kind_name(v.kind)
+        );
+        json::write_escaped(out, schema.name_of(v.attr).unwrap_or("?"));
+        if let Some(partner) = v.partner() {
+            let _ = write!(out, ",\"partner\":{partner}");
+        }
+        let _ = write!(
+            out,
+            ",\"group_size\":{},\"majority_size\":{},\"rows\":[",
+            v.group_size(),
+            v.majority_size()
+        );
+        for (j, (_, e)) in run.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}", e.violation.offending_row());
+        }
+        out.push_str("]}");
     }
     out.push(']');
 }
@@ -408,6 +697,9 @@ fn write_delta(
     write_entries(out, &delta.introduced, schema);
     out.push_str(",\"resolved\":");
     write_entries(out, &delta.resolved, schema);
+    if !delta.regrouped.is_empty() {
+        write_regrouped(out, &delta.regrouped, schema);
+    }
     out.push('}');
 }
 
@@ -426,15 +718,12 @@ pub fn check_report_json(report: &DetectionReport, rel: &Relation) -> String {
         if i > 0 {
             out.push(',');
         }
-        let kind = match flag.kind {
-            ViolationKind::SingleTuple => "single_tuple",
-            ViolationKind::TuplePair => "tuple_pair",
-        };
         out.push_str(&format!(
-            "{{\"row\":{},\"attr\":{},\"pfd\":{},\"kind\":\"{kind}\",\"current\":{},\"suggestion\":{}}}",
+            "{{\"row\":{},\"attr\":{},\"pfd\":{},\"kind\":\"{}\",\"current\":{},\"suggestion\":{}}}",
             flag.row,
             json::escaped(schema.name_of(flag.attr).unwrap_or("?")),
             flag.pfd_index,
+            kind_name(flag.kind),
             json::escaped(&flag.current),
             match &flag.suggestion {
                 Some(s) => json::escaped(s),
@@ -1313,6 +1602,113 @@ mod tests {
         assert_eq!((summary.applied, summary.rejected), (1, 5));
     }
 
+    /// Fragments of command lines: structure, escapes (good and bad, halves
+    /// of surrogate pairs), number and keyword pieces, multi-byte chars,
+    /// control chars, and whitespace that `char::is_whitespace` accepts —
+    /// or, for U+FEFF, does not.
+    const PIECES: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "D83D", "DE00", "DC00", "00e9", "\\n",
+        "\\\"", "\\/", "\\x", "u", "0", "7", "-", "+", ".", "e", "E", "true", "false", "null",
+        "nul", "\"op\"", "\"set\"", "a", "é", "😀", "\u{301}", "\u{0}", "\u{1f}", " ", "\t",
+        "\r\n", "\u{b}", "\u{a0}", "\u{85}", "\u{2028}", "\u{3000}", "\u{feff}",
+    ];
+
+    /// Valid documents as token lists, to be spaced and truncated.
+    const DOCS: &[&[&str]] = &[
+        &[
+            "{",
+            "\"op\"",
+            ":",
+            "\"set\"",
+            ",",
+            "\"row\"",
+            ":",
+            "3",
+            ",",
+            "\"attr\"",
+            ":",
+            "\"gender\"",
+            ",",
+            "\"value\"",
+            ":",
+            r#""F \"q\" \u00e9\uD83D\uDE00\n é""#,
+            "}",
+        ],
+        &[
+            "[", "1", ",", "-2.5e3", ",", "true", ",", "null", ",", "{", "}", ",", "[", "]", "]",
+        ],
+        &[
+            "{",
+            "\"op\"",
+            ":",
+            "\"batch\"",
+            ",",
+            "\"edits\"",
+            ":",
+            "[",
+            "{",
+            "\"op\"",
+            ":",
+            "\"insert\"",
+            ",",
+            "\"cells\"",
+            ":",
+            "[",
+            "\"😀\"",
+            ",",
+            r#""\t\/\b""#,
+            "]",
+            "}",
+            "]",
+            "}",
+        ],
+    ];
+
+    /// Whitespace between tokens (index 0: none).
+    const GAPS: &[&str] = &[
+        "", " ", "\t", "\u{a0}", "\u{3000}", "\u{85}", "\u{b}", "\u{feff}",
+    ];
+
+    fn oracle_agrees(line: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+        proptest::prop_assert_eq!(json::parse(line), json::chars::parse(line), "{:?}", line);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The byte parser accepts what the char parser did, with equal
+        /// values and byte-identical errors: random fragment soup, spaced
+        /// and truncated valid documents, and deep nesting around the cap.
+        #[test]
+        fn byte_parser_matches_char_oracle(
+            soup in proptest::collection::vec(0..PIECES.len(), 0..40),
+            doc in 0..DOCS.len(),
+            gaps in proptest::collection::vec(0..GAPS.len(), 24),
+            cut in 0usize..200,
+            depth in (0usize..70, 0usize..70, 0usize..3),
+        ) {
+            let soup: String = soup.iter().map(|&i| PIECES[i]).collect();
+            oracle_agrees(&soup)?;
+
+            let mut spaced = String::new();
+            for (token, &gap) in DOCS[doc].iter().zip(gaps.iter().cycle()) {
+                spaced.push_str(token);
+                spaced.push_str(GAPS[gap]);
+            }
+            oracle_agrees(&spaced)?;
+            let truncated: String = spaced.chars().take(cut).collect();
+            oracle_agrees(&truncated)?;
+
+            let (open, close, filler) = depth;
+            let nested = format!(
+                "{}{}{}",
+                "[".repeat(open),
+                ["", "1", "{\"k\":[]}"][filler],
+                "]".repeat(close)
+            );
+            oracle_agrees(&nested)?;
+        }
+    }
+
     #[test]
     fn line_reader_bounds_each_line() {
         let cap = json::MAX_LINE_BYTES;
@@ -1578,6 +1974,43 @@ mod tests {
             SessionCommand::Batch(parsed) => assert_eq!(parsed, edits),
             other => panic!("expected batch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn regrouped_violations_render_one_record_per_partner() {
+        // Rows 1–3 hold the majority "B", paired with row 0's "A" through
+        // row 1. Moving row 1 to "C" makes row 2 the partner and shrinks
+        // the majority: row 0's violation keeps its suspect cell and is
+        // regrouped; row 1's is new.
+        let rel = Relation::from_rows(
+            "Zip",
+            &["zip", "city"],
+            vec![
+                vec!["1", "A"],
+                vec!["1", "B"],
+                vec!["1", "B"],
+                vec!["1", "B"],
+            ],
+        )
+        .unwrap();
+        let pfds = vec![Pfd::fd("Zip", rel.schema(), &["zip"], &["city"]).unwrap()];
+        let script = "{\"op\":\"set\",\"row\":1,\"attr\":\"city\",\"value\":\"C\"}\n";
+        let mut out = Vec::new();
+        run_session(rel, pfds, Cursor::new(script), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[1],
+            concat!(
+                r#"{"event":"delta","version":5,"violations":2,"introduced":[{"pfd":0,"#,
+                r#""tableau_row":0,"kind":"tuple_pair","attr":"city","group_size":4,"#,
+                r#""majority_size":2,"rows":[2,1],"cells":[{"row":2,"attr":"zip"},"#,
+                r#"{"row":2,"attr":"city"},{"row":1,"attr":"zip"},{"row":1,"attr":"city"}]}],"#,
+                r#""resolved":[],"regrouped":[{"pfd":0,"tableau_row":0,"kind":"tuple_pair","#,
+                r#""attr":"city","partner":2,"group_size":4,"majority_size":2,"rows":[0]}]}"#
+            )
+        );
+        json::parse(lines[1]).unwrap();
     }
 
     #[test]

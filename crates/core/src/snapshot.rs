@@ -508,6 +508,13 @@ fn decode_violation(cur: &mut SectionCursor<'_>) -> Result<Violation, SnapshotEr
     };
     let attr = AttrId(cur.get_index()?);
     let nrows = cur.get_len()?;
+    let want = match kind {
+        ViolationKind::SingleTuple => 1,
+        ViolationKind::TuplePair => 2,
+    };
+    if nrows != want {
+        return Err(cur.fail(format!("{kind:?} violation names {nrows} rows")));
+    }
     let mut rows: Vec<RowId> = Vec::with_capacity(nrows);
     for _ in 0..nrows {
         rows.push(cur.get_index()?);
@@ -1116,6 +1123,31 @@ mod tests {
         let bytes = save_to_bytes(&engine);
         let loaded = load_from_bytes(&bytes).unwrap();
         assert_engines_equal(&engine, &loaded);
+    }
+
+    #[test]
+    fn a_violation_names_as_many_rows_as_its_kind() {
+        let engine = sample_engine();
+        let pair = &engine.sorted_violations()[0].violation;
+        let mut bytes = Vec::new();
+        encode_violation(&mut bytes, pair);
+        let decoded = decode_violation(&mut SectionCursor::new(&bytes, "groups"));
+        assert_eq!(decoded.ok().as_ref(), Some(pair));
+        // A single tuple with two rows, a pair with one, either with none.
+        for (kind, rows) in [(0, 2), (1, 1), (0, 0), (1, 0)] {
+            let mut bytes = Vec::new();
+            for v in [0, kind, 0, rows] {
+                put_varint(&mut bytes, v);
+            }
+            for r in 0..rows {
+                put_varint(&mut bytes, r);
+            }
+            for v in [0, 1, 1] {
+                put_varint(&mut bytes, v); // no cells, group statistics
+            }
+            let decoded = decode_violation(&mut SectionCursor::new(&bytes, "groups"));
+            assert!(decoded.is_err(), "kind {kind} with {rows} rows");
+        }
     }
 
     #[test]

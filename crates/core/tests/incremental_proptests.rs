@@ -2,12 +2,17 @@
 //! [`IncrementalChecker`] semantics: over random relations and random
 //! edit/insert/delete sequences, both engines must yield identical violation
 //! sets, identical [`ViolationDelta`]s, and identical error results at every
-//! step — and both must agree with a from-scratch batch check. A live
-//! engine's group index must also equal a fresh build's, byte for byte,
-//! and its running violation count must equal its violation list's length.
+//! step — and both must agree with a from-scratch batch check. Both must
+//! fold the same pairs into `regrouped`, each pair keeping its suspect cell.
+//! A live engine's group index must also equal a fresh build's, byte for
+//! byte, and its running violation count must equal its violation list's
+//! length.
 
-use pfd_core::{save_to_bytes, DeltaEngine, Edit, IncrementalChecker, Pfd, TableauRow};
-use pfd_relation::{AttrId, Relation, Schema};
+use pfd_core::{
+    save_to_bytes, DeltaEngine, DeltaEntry, Edit, IncrementalChecker, Pfd, TableauRow,
+    ViolationDelta,
+};
+use pfd_relation::{AttrId, Relation, RelationError, Schema};
 use proptest::prelude::*;
 
 /// Small random relations over a 3-attribute schema with tiny domains so
@@ -131,6 +136,34 @@ fn batch_truth(rel: &Relation, pfds: &[Pfd]) -> Vec<(usize, String)> {
     out
 }
 
+/// The regrouped pairs of both engines' deltas agree, and each pair keeps
+/// its suspect cell (PFD, tableau row, kind, attribute, offending row)
+/// while its partner or group statistics change.
+fn check_regrouped(
+    naive: &Result<ViolationDelta, RelationError>,
+    delta: &Result<ViolationDelta, RelationError>,
+) -> Result<(), TestCaseError> {
+    let (Ok(naive), Ok(delta)) = (naive, delta) else {
+        return Ok(());
+    };
+    prop_assert_eq!(&naive.regrouped, &delta.regrouped);
+    let suspect = |e: &DeltaEntry| {
+        let v = &e.violation;
+        (
+            e.pfd_index,
+            v.tableau_row,
+            v.kind,
+            v.attr,
+            v.offending_row(),
+        )
+    };
+    for (before, after) in &delta.regrouped {
+        prop_assert_eq!(suspect(before), suspect(after));
+        prop_assert_ne!(before, after);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn delta_engine_matches_naive_checker_stepwise(
@@ -146,6 +179,7 @@ proptest! {
             let edit = materialize(raw, naive.relation().num_rows());
             let a = naive.apply(edit.clone());
             let b = delta.apply(edit.clone());
+            check_regrouped(&a, &b)?;
             prop_assert_eq!(&a, &b, "delta mismatch on {:?}", edit);
             prop_assert_eq!(
                 naive.sorted_violations(),
@@ -188,6 +222,7 @@ proptest! {
 
         let a = naive.apply_batch(&edits);
         let b = batched.apply_batch(&edits);
+        check_regrouped(&a, &b)?;
         prop_assert_eq!(&a, &b, "batch delta mismatch");
         prop_assert_eq!(naive.sorted_violations(), batched.sorted_violations());
         prop_assert_eq!(batched.violation_count(), batched.sorted_violations().len());

@@ -30,6 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The JSONL protocol, exactly as `pfd session` speaks it on stdin.
     // -------------------------------------------------------------------
     let script = concat!(
+        // Another Susan arrives. r4's violation stays, but its group grew:
+        // the delta lists it under `regrouped` with the new statistics.
+        "{\"op\":\"insert\",\"cells\":[\"Susan Miller\",\"F\"]}\n",
         // The steward fixes r4 — its violation resolves.
         "{\"op\":\"set\",\"row\":3,\"attr\":\"gender\",\"value\":\"F\"}\n",
         // A new record arrives with a typo — a violation appears live.
@@ -37,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // One batch: fix the typo and retire an old record. The engine
         // coalesces the invalidations and reconciles each group once.
         "{\"op\":\"batch\",\"edits\":[",
-        "{\"op\":\"set\",\"row\":4,\"attr\":\"gender\",\"value\":\"M\"},",
+        "{\"op\":\"set\",\"row\":5,\"attr\":\"gender\",\"value\":\"M\"},",
         "{\"op\":\"delete\",\"row\":1}]}\n",
     );
     println!("== steward session (JSONL in → JSONL out) ==");
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for line in String::from_utf8(transcript)?.lines() {
         println!("← {line}");
     }
-    assert_eq!(summary.applied, 3);
+    assert_eq!(summary.applied, 4);
     assert_eq!(summary.violations, 0, "the session ends clean");
     assert!(psi1.satisfies(&cleaned));
 
@@ -75,9 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         value: "F".into(),
     })?;
     println!(
-        "after breaking r1[gender]: +{} / -{} (version {})",
+        "after breaking r1[gender]: +{} / -{} / {} regrouped (version {})",
         delta.introduced.len(),
         delta.resolved.len(),
+        delta.regrouped.len(),
         delta.version
     );
     assert_eq!(engine.violation_count(), 2);
