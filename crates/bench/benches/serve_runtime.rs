@@ -62,7 +62,7 @@ fn pfds_for(rel: &Relation) -> Vec<Pfd> {
 struct NullSink;
 
 impl EventSink for NullSink {
-    fn emit(&self, _line: &str) {}
+    fn emit(&self, _line: String) {}
 }
 
 /// Pre-rendered tagged edit lines: per tenant, `edits` set commands

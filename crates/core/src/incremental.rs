@@ -398,7 +398,7 @@ impl IncrementalChecker {
                     }
                 }
                 Edit::Insert { cells } => {
-                    self.rel.insert_row(cells.clone()).expect("validated");
+                    self.rel.push_row(cells.clone()).expect("validated");
                     touched.iter_mut().for_each(|t| *t = true);
                 }
                 Edit::Delete { row } => {
@@ -863,8 +863,7 @@ impl DeltaEngine {
                     }
                 }
                 Edit::Insert { cells } => {
-                    let delta = self.rel.insert_row(cells.clone()).expect("validated");
-                    let rid = delta.row();
+                    let rid = self.rel.push_row(cells.clone()).expect("validated");
                     let universe = self.rel.num_rows();
                     for (pi, pfd) in self.pfds.iter().enumerate() {
                         routed.clear();

@@ -54,14 +54,15 @@
 //!
 //! ## Eviction
 //!
-//! In durable mode with [`ServerOptions::max_resident`] set, a hand-rolled
-//! LRU ([`pfd_runtime::LruTracker`]) picks cold idle tenants once the
-//! resident count exceeds the cap: eviction checkpoints the tenant's
-//! session (retiring its WAL) and drops it; the next command reopens the
-//! session from the snapshot family. A crash mid-eviction is the same
-//! crash the snapshot layer already survives — acknowledged edits are in
-//! the WAL until the checkpoint supersedes them, and the recovery ladder
-//! replays them.
+//! In durable mode with [`ServerOptions::max_resident`] set, once the
+//! resident count exceeds the cap the server evicts the least recently
+//! used idle tenant: each tenant carries a `last_used` stamp from one
+//! server-wide counter, set when it is opened and on every command routed
+//! to it. Eviction checkpoints the tenant's session (retiring its WAL) and
+//! drops it; the next command reopens the session from the snapshot
+//! family. A crash mid-eviction is the same crash the snapshot layer
+//! already survives — acknowledged edits are in the WAL until the
+//! checkpoint supersedes them, and the recovery ladder replays them.
 
 // A panic in a drain job silences a tenant and one in `submit` the whole
 // server, so unwrapping is denied outright (tests opt back in).
@@ -75,9 +76,10 @@ use crate::session::{
 use crate::snapshot::{RecoveryPolicy, SnapshotError};
 use pfd_relation::io::Io;
 use pfd_relation::Relation;
-use pfd_runtime::{Executor, LruTracker};
+use pfd_runtime::Executor;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
+use std::fmt::Write as _;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -97,7 +99,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (events for one tenant are emitted under that tenant's state lock).
 pub trait EventSink: Send + Sync {
     /// Deliver one complete event line (no trailing newline).
-    fn emit(&self, line: &str);
+    fn emit(&self, line: String);
 }
 
 /// An [`EventSink`] that collects lines in memory — tests and benches.
@@ -119,28 +121,28 @@ impl CollectSink {
 }
 
 impl EventSink for CollectSink {
-    fn emit(&self, line: &str) {
-        lock(&self.lines).push(line.to_string());
+    fn emit(&self, line: String) {
+        lock(&self.lines).push(line);
     }
 }
 
 /// An [`EventSink`] that forwards lines over an `mpsc` channel — the CLI
 /// uses this to stream events to its output writer while reading input.
 pub struct ChannelSink {
-    tx: Mutex<std::sync::mpsc::Sender<String>>,
+    tx: std::sync::mpsc::Sender<String>,
 }
 
 impl ChannelSink {
     /// Wrap a channel sender.
     pub fn new(tx: std::sync::mpsc::Sender<String>) -> Self {
-        ChannelSink { tx: Mutex::new(tx) }
+        ChannelSink { tx }
     }
 }
 
 impl EventSink for ChannelSink {
-    fn emit(&self, line: &str) {
+    fn emit(&self, line: String) {
         // A dropped receiver just means nobody is listening anymore.
-        let _ = lock(&self.tx).send(line.to_string());
+        let _ = self.tx.send(line);
     }
 }
 
@@ -257,16 +259,22 @@ impl TenantState {
 
 struct Tenant {
     name: String,
+    /// `{"tenant":"<name>","seq":`, the start of every line tagged for it.
+    tag: String,
     queue: Mutex<TenantQueue>,
     state: Mutex<TenantState>,
     /// Events emitted for this tenant so far; the injected `"seq"`.
     seq: AtomicU64,
+    /// The server clock when the tenant was last opened or routed a
+    /// command; eviction picks the idle tenant with the oldest stamp.
+    last_used: AtomicU64,
 }
 
 impl Tenant {
     fn new(name: &str) -> Self {
         Tenant {
             name: name.to_string(),
+            tag: format!("{{\"tenant\":{},\"seq\":", json::escaped(name)),
             queue: Mutex::new(TenantQueue {
                 pending: VecDeque::new(),
                 running: false,
@@ -277,6 +285,7 @@ impl Tenant {
                 parked: SessionSummary::default(),
             }),
             seq: AtomicU64::new(0),
+            last_used: AtomicU64::new(0),
         }
     }
 }
@@ -288,7 +297,9 @@ struct Shared {
     sink: Arc<dyn EventSink>,
     executor: Executor,
     tenants: RwLock<BTreeMap<String, Arc<Tenant>>>,
-    lru: Mutex<LruTracker<String>>,
+    /// Ticks once per tenant open or routed command; the stamps tenants'
+    /// `last_used` take.
+    clock: AtomicU64,
     /// Tenants with an engine in memory (drives eviction).
     resident: AtomicUsize,
 }
@@ -314,36 +325,28 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// Prefix a solo-session event line with the tenant/seq tags.
-fn tag_line(tenant: &str, seq: u64, line: &str) -> String {
-    debug_assert!(line.starts_with('{'), "event lines are JSON objects");
-    format!(
-        "{{\"tenant\":{},\"seq\":{seq},{}",
-        json::escaped(tenant),
-        &line[1..]
-    )
-}
-
-/// An `io::Write` that turns each `\n`-terminated line into one tagged,
-/// sequence-stamped sink emission for a tenant.
+/// Emits a tenant's solo-session event lines to the sink, each tagged with
+/// the tenant's name and its next seq.
 struct TenantEmitter<'a> {
     tenant: &'a Tenant,
     sink: &'a dyn EventSink,
-    buf: Vec<u8>,
 }
 
 impl<'a> TenantEmitter<'a> {
     fn new(tenant: &'a Tenant, sink: &'a dyn EventSink) -> Self {
-        TenantEmitter {
-            tenant,
-            sink,
-            buf: Vec::new(),
-        }
+        TenantEmitter { tenant, sink }
     }
 
     fn emit_line(&self, line: &str) {
+        debug_assert!(line.starts_with('{'), "event lines are JSON objects");
         let seq = self.tenant.seq.fetch_add(1, Ordering::Relaxed);
-        self.sink.emit(&tag_line(&self.tenant.name, seq, line));
+        let tag = &self.tenant.tag;
+        // 21: the seq's at most 20 digits and its comma.
+        let mut tagged = String::with_capacity(tag.len() + 21 + line.len());
+        tagged.push_str(tag);
+        let _ = write!(tagged, "{seq},");
+        tagged.push_str(&line[1..]);
+        self.sink.emit(tagged);
     }
 
     fn emit_error(&self, message: &str) {
@@ -351,39 +354,6 @@ impl<'a> TenantEmitter<'a> {
             "{{\"event\":\"error\",\"message\":{}}}",
             json::escaped(message)
         ));
-    }
-}
-
-impl Write for TenantEmitter<'_> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut rest = data;
-        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
-            let line = if self.buf.is_empty() {
-                &rest[..end]
-            } else {
-                self.buf.extend_from_slice(&rest[..end]);
-                &self.buf[..]
-            };
-            let emitted = match std::str::from_utf8(line) {
-                Ok(line) => {
-                    self.emit_line(line);
-                    Ok(())
-                }
-                Err(_) => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "non-UTF-8 event line",
-                )),
-            };
-            self.buf.clear();
-            emitted?;
-            rest = &rest[end + 1..];
-        }
-        self.buf.extend_from_slice(rest);
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -453,7 +423,7 @@ impl Server {
                 sink,
                 executor: Executor::new(workers),
                 tenants: RwLock::new(BTreeMap::new()),
-                lru: Mutex::new(LruTracker::new()),
+                clock: AtomicU64::new(0),
                 resident: AtomicUsize::new(0),
             }),
         }
@@ -647,7 +617,6 @@ impl Server {
                 // order with the tenant's other commands.
                 .or_insert_with(|| Arc::new(Tenant::new(name))),
         );
-        self.touch_lru(name);
         self.enqueue_on(&tenant, QueuedItem::Open(cold));
     }
 
@@ -661,15 +630,12 @@ impl Server {
             line.push_str(&json::escaped(name));
         }
         line.push_str("]}");
-        self.shared.sink.emit(&line);
+        self.shared.sink.emit(line);
     }
 
     fn enqueue(&self, name: &str, item: QueuedItem) {
         match self.shared.tenant(name) {
-            Some(tenant) => {
-                self.touch_lru(name);
-                self.enqueue_on(&tenant, item);
-            }
+            Some(tenant) => self.enqueue_on(&tenant, item),
             None => emit_global_error(
                 &self.shared,
                 Some(name),
@@ -678,7 +644,11 @@ impl Server {
         }
     }
 
+    /// Queue `item` for the tenant, stamping it used, and spawn its drain
+    /// job unless one is in flight.
     fn enqueue_on(&self, tenant: &Arc<Tenant>, item: QueuedItem) {
+        let now = self.shared.clock.fetch_add(1, Ordering::Relaxed);
+        tenant.last_used.store(now, Ordering::Relaxed);
         let spawn = {
             let mut queue = lock(&tenant.queue);
             queue.pending.push_back(item);
@@ -691,10 +661,6 @@ impl Server {
                 .executor
                 .spawn(move || drain_tenant(&shared, &tenant));
         }
-    }
-
-    fn touch_lru(&self, name: &str) {
-        lock(&self.shared.lru).touch(name.to_string());
     }
 }
 
@@ -710,7 +676,7 @@ fn emit_global_error(shared: &Shared, tenant: Option<&str>, message: &str) {
             json::escaped(message)
         ),
     };
-    shared.sink.emit(&line);
+    shared.sink.emit(line);
 }
 
 /// The most answer bytes a tenant's session holds before its drain job
@@ -796,27 +762,27 @@ impl DrainJob<'_> {
     /// once the held answers reach [`MAX_HELD_BYTES`].
     fn process_batch(&mut self, state: &mut TenantState) {
         let (shared, tenant) = (self.shared, self.tenant);
-        let mut emitter = TenantEmitter::new(tenant, &*shared.sink);
+        let emitter = TenantEmitter::new(tenant, &*shared.sink);
         // Pending coalesced edit run: merged edits + source command count.
         let mut run: (Vec<Edit>, usize) = (Vec::new(), 0);
         while let Some(item) = self.claimed.pop_front() {
             let line = match item {
                 QueuedItem::Command(line) => line,
                 QueuedItem::Open(cold) => {
-                    self.flush_run(state, &mut emitter, &mut run);
-                    self.commit(state, &mut emitter);
-                    handle_open_item(shared, tenant, state, &mut emitter, cold);
+                    self.flush_run(state, &emitter, &mut run);
+                    self.commit(state, &emitter);
+                    handle_open_item(shared, tenant, state, &emitter, cold);
                     continue;
                 }
                 QueuedItem::Close => {
-                    self.flush_run(state, &mut emitter, &mut run);
-                    self.commit(state, &mut emitter);
-                    handle_close_item(shared, tenant, state, &mut emitter);
+                    self.flush_run(state, &emitter, &mut run);
+                    self.commit(state, &emitter);
+                    handle_close_item(shared, tenant, state, &emitter);
                     continue;
                 }
             };
             if shared.options.coalesce {
-                let Some(session) = resident_session(shared, tenant, state, &mut emitter) else {
+                let Some(session) = resident_session(shared, tenant, state, &emitter) else {
                     continue;
                 };
                 match parse_command(&line, session.repairer().relation().schema()) {
@@ -832,16 +798,16 @@ impl DrainJob<'_> {
                     }
                     // Repair/check/parse errors flush the run and take the
                     // ordinary per-line path below.
-                    _ => self.flush_run(state, &mut emitter, &mut run),
+                    _ => self.flush_run(state, &emitter, &mut run),
                 }
             }
-            if let Some(session) = resident_session(shared, tenant, state, &mut emitter) {
+            if let Some(session) = resident_session(shared, tenant, state, &emitter) {
                 let staged = session.stage_line(&line);
-                self.after_stage(state, &mut emitter, staged);
+                self.after_stage(state, &emitter, staged);
             }
         }
-        self.flush_run(state, &mut emitter, &mut run);
-        self.commit(state, &mut emitter);
+        self.flush_run(state, &emitter, &mut run);
+        self.commit(state, &emitter);
     }
 
     /// Stage a coalesced run of edits as one `apply_batch`, answered by one
@@ -849,7 +815,7 @@ impl DrainJob<'_> {
     fn flush_run(
         &mut self,
         state: &mut TenantState,
-        emitter: &mut TenantEmitter<'_>,
+        emitter: &TenantEmitter<'_>,
         run: &mut (Vec<Edit>, usize),
     ) {
         if run.1 == 0 {
@@ -868,7 +834,7 @@ impl DrainJob<'_> {
     fn after_stage(
         &mut self,
         state: &mut TenantState,
-        emitter: &mut TenantEmitter<'_>,
+        emitter: &TenantEmitter<'_>,
         staged: io::Result<()>,
     ) {
         match staged {
@@ -886,12 +852,14 @@ impl DrainJob<'_> {
         }
     }
 
-    /// Commit the session's staged run. A failed sync acknowledged none of
-    /// it: each held answer becomes one `error`, and the session is dropped.
-    fn commit(&mut self, state: &mut TenantState, emitter: &mut TenantEmitter<'_>) {
+    /// Commit the session's staged run and emit its answers. A failed sync
+    /// acknowledged none of it: each held answer becomes one `error`, and
+    /// the session is dropped.
+    fn commit(&mut self, state: &mut TenantState, emitter: &TenantEmitter<'_>) {
         if let Some(session) = state.session.as_mut() {
-            if let Err(e) = session.commit(emitter) {
-                fail_tenant_io(self.shared, self.tenant, state, emitter, &e, self.held);
+            match session.commit() {
+                Ok(answers) => (answers.split_terminator('\n')).for_each(|l| emitter.emit_line(l)),
+                Err(e) => fail_tenant_io(self.shared, self.tenant, state, emitter, &e, self.held),
             }
         }
         self.held = 0;
@@ -924,18 +892,25 @@ fn fail_tenant_io(
 
 /// Open a tenant's session: recover its snapshot family in durable mode
 /// (cold-building through `cold` when there is none), `cold` otherwise.
+/// A `recovered` event is emitted at once, ahead of every other event of
+/// the session.
 fn open_session(
     shared: &Shared,
     tenant: &Tenant,
-    emitter: &mut TenantEmitter<'_>,
-    cold: impl FnOnce() -> Result<DeltaEngine, io::Error>,
+    emitter: &TenantEmitter<'_>,
+    cold: impl FnOnce() -> Result<DeltaEngine, String>,
 ) -> Result<Session, String> {
     let store = shared.durable.as_ref().map(|durable| SessionStore {
         io: Arc::clone(&durable.io),
         path: durable.root.join(&tenant.name).join("state.pfds"),
         policy: shared.options.recovery,
     });
-    Session::open(store, shared.options.repair, cold, emitter).map_err(|e| e.to_string())
+    let (session, recovered) =
+        Session::open(store, shared.options.repair, cold).map_err(|e| e.to_string())?;
+    if let Some(line) = recovered {
+        emitter.emit_line(&line);
+    }
+    Ok(session)
 }
 
 /// The tenant's session, reopened from its snapshot family when evicted;
@@ -945,7 +920,7 @@ fn resident_session<'s>(
     shared: &Shared,
     tenant: &Tenant,
     state: &'s mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
+    emitter: &TenantEmitter<'_>,
 ) -> Option<&'s mut Session> {
     if !state.opened {
         emitter.emit_error(&format!(
@@ -955,7 +930,7 @@ fn resident_session<'s>(
         return None;
     }
     if state.session.is_none() {
-        let evicted = || Err(io::Error::other("evicted tenant has no snapshot family"));
+        let evicted = || Err("evicted tenant has no snapshot family".to_string());
         match open_session(shared, tenant, emitter, evicted) {
             Ok(mut session) => {
                 session.resume_counts(&state.parked);
@@ -976,7 +951,7 @@ fn handle_open_item(
     shared: &Shared,
     tenant: &Tenant,
     state: &mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
+    emitter: &TenantEmitter<'_>,
     cold: ColdBuild,
 ) {
     if state.opened {
@@ -992,7 +967,6 @@ fn handle_open_item(
             .create_dir_all(&durable.root.join(&tenant.name))
             .map_err(|e| format!("create tenant dir: {e}"))
     });
-    let cold = || cold().map_err(io::Error::other);
     match dir
         .unwrap_or(Ok(()))
         .and_then(|()| open_session(shared, tenant, emitter, cold))
@@ -1015,7 +989,7 @@ fn handle_close_item(
     shared: &Shared,
     tenant: &Tenant,
     state: &mut TenantState,
-    emitter: &mut TenantEmitter<'_>,
+    emitter: &TenantEmitter<'_>,
 ) {
     if !state.opened {
         emitter.emit_error(&format!(
@@ -1042,37 +1016,37 @@ fn handle_close_item(
     forget_tenant(shared, tenant);
 }
 
-/// Remove a tenant from the registry and the LRU (failed open, close).
+/// Remove a tenant from the registry (failed open, close).
 fn forget_tenant(shared: &Shared, tenant: &Tenant) {
     shared.tenants_mut().remove(&tenant.name);
-    lock(&shared.lru).remove(&tenant.name);
 }
 
-/// While the resident count exceeds the cap, checkpoint-and-drop the
-/// coldest idle tenant. No-op without a durable root or with the cap off.
+/// Whether a tenant can be evicted now: no drain job scheduled, nothing
+/// queued, and an engine resident. `try_lock`, so a busy tenant is just
+/// skipped.
+fn idle_and_resident(tenant: &Tenant) -> bool {
+    let Ok(queue) = tenant.queue.try_lock() else {
+        return false;
+    };
+    if queue.running || !queue.pending.is_empty() {
+        return false;
+    }
+    (tenant.state.try_lock()).is_ok_and(|state| state.session.is_some())
+}
+
+/// While the resident count exceeds the cap, checkpoint-and-drop the idle
+/// tenant used least recently. No-op without a durable root or with the
+/// cap off.
 fn maybe_evict(shared: &Shared) {
     let max = shared.options.max_resident;
     if shared.durable.is_none() || max == 0 {
         return;
     }
     while shared.resident.load(Ordering::Relaxed) > max {
-        let candidate = {
-            let map = shared.tenants();
-            let lru = lock(&shared.lru);
-            let picked = lru.coldest_first().find_map(|name| {
-                let tenant = map.get(name)?;
-                // Only idle tenants (no drain scheduled, nothing
-                // queued): try_lock so a busy tenant is just skipped.
-                let queue = tenant.queue.try_lock().ok()?;
-                if queue.running || !queue.pending.is_empty() {
-                    return None;
-                }
-                let state = tenant.state.try_lock().ok()?;
-                state.session.as_ref()?;
-                Some(Arc::clone(tenant))
-            });
-            picked
-        };
+        let candidate = (shared.tenants().values())
+            .filter(|tenant| idle_and_resident(tenant))
+            .min_by_key(|tenant| tenant.last_used.load(Ordering::Relaxed))
+            .cloned();
         let Some(tenant) = candidate else { return };
         match evict_tenant(shared, &tenant) {
             Ok(true) => {}
@@ -1520,19 +1494,19 @@ mod tests {
         assert_eq!(exits[0].summary.applied, 0, "unacked run is not applied");
     }
 
-    /// The sync twin of [`FlakyAppendIo`]: the chosen `sync` of a WAL file
-    /// (counting only `.log` paths) fails, or panics, and every other call
-    /// works. A fresh log's header is synced by the first run's own sync,
-    /// so that sync is call 1.
+    /// The sync twin of [`FlakyAppendIo`]: the chosen `sync` calls of a WAL
+    /// file (counting only `.log` paths) fail, or panic, and every other
+    /// call works. A fresh log's header is synced by the first run's own
+    /// sync, so that sync is call 1.
     struct FlakySyncIo {
         inner: MemIo,
-        fail_on: u64,
+        fail_on: &'static [u64],
         panics: bool,
         calls: AtomicU64,
     }
 
     impl FlakySyncIo {
-        fn new(inner: MemIo, fail_on: u64, panics: bool) -> Self {
+        fn new(inner: MemIo, fail_on: &'static [u64], panics: bool) -> Self {
             FlakySyncIo {
                 inner,
                 fail_on,
@@ -1557,7 +1531,8 @@ mod tests {
         }
         fn sync(&self, path: &std::path::Path) -> std::io::Result<()> {
             let log = path.extension().is_some_and(|ext| ext == "log");
-            if log && self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_on {
+            let call = || self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            if log && self.fail_on.contains(&call()) {
                 assert!(!self.panics, "injected WAL sync panic");
                 return Err(std::io::Error::other("injected WAL sync failure"));
             }
@@ -1580,7 +1555,7 @@ mod tests {
     #[test]
     fn failed_run_sync_answers_each_staged_command_once() {
         let disk = MemIo::new();
-        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(disk.clone(), 1, false));
+        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(disk.clone(), &[1], false));
         let sink = Arc::new(CollectSink::new());
         let server = Server::durable(
             io,
@@ -1645,13 +1620,66 @@ mod tests {
         );
     }
 
+    /// A rebuild's `recovered` event is emitted as soon as the tenant
+    /// reopens, ahead of the run that follows: when that run's sync fails
+    /// as well, the stream still reads `recovered`, then one `error` per
+    /// staged command.
+    #[test]
+    fn recovered_precedes_a_failed_run_after_a_rebuild() {
+        let io: Arc<dyn Io + Send + Sync> =
+            Arc::new(FlakySyncIo::new(MemIo::new(), &[1, 2], false));
+        let sink = Arc::new(CollectSink::new());
+        let server = Server::durable(
+            io,
+            "/srv",
+            ServerOptions {
+                workers: 1,
+                recovery: RecoveryPolicy::Salvage,
+                ..ServerOptions::default()
+            },
+            Arc::new(NoProtocolOpens),
+            sink.clone(),
+        );
+        server.open_with("t", || Ok(engine())).unwrap();
+        server.drain();
+        // Two runs of two commands each, the lone worker parked so each
+        // pair shares one run. The first run's records reach the log
+        // unsynced, so the second run's rebuild replays them.
+        for rows in [[3, 2], [1, 0]] {
+            let (release, parked) = std::sync::mpsc::channel::<()>();
+            server.shared.executor.spawn(move || parked.recv().unwrap());
+            for row in rows {
+                server.submit(&format!(
+                    r#"{{"op":"set","row":{row},"attr":"gender","value":"F","tenant":"t"}}"#
+                ));
+            }
+            release.send(()).unwrap();
+            server.drain();
+        }
+        let events = untag(&sink.take(), "t");
+        let kinds: Vec<&str> = (events.iter())
+            .map(|e| e.split('"').nth(3).unwrap())
+            .collect();
+        assert_eq!(
+            kinds,
+            ["ready", "error", "error", "recovered", "error", "error"],
+            "{events:?}"
+        );
+        assert!(
+            events[3].contains(r#""log_records_applied":2"#),
+            "{}",
+            events[3]
+        );
+        assert_eq!(server.shutdown()[0].summary.applied, 0);
+    }
+
     /// A sync that panics leaves every staged command unacknowledged: the
     /// dying drain job answers them, and the claimed commands it had not
     /// reached, with one `error` each. The held answers pass the bound
     /// mid-batch here, so the run commits with commands still claimed.
     #[test]
     fn panicking_run_sync_answers_staged_and_claimed_commands() {
-        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(MemIo::new(), 1, true));
+        let io: Arc<dyn Io + Send + Sync> = Arc::new(FlakySyncIo::new(MemIo::new(), &[1], true));
         let sink = Arc::new(CollectSink::new());
         let server = Server::durable(
             io,
@@ -1827,6 +1855,48 @@ mod tests {
         );
         let exits = server.shutdown();
         assert!(exits[0].failed);
+    }
+
+    /// Eviction picks the least recently touched idle tenant: a rebuild
+    /// evicts the tenant opened before the one a command touched since.
+    #[test]
+    fn eviction_picks_the_least_recently_touched_tenant() {
+        let io: Arc<dyn Io + Send + Sync> = Arc::new(MemIo::new());
+        let sink = Arc::new(CollectSink::new());
+        let server = Server::durable(
+            io,
+            "/srv",
+            ServerOptions {
+                workers: 1,
+                max_resident: 2,
+                ..ServerOptions::default()
+            },
+            Arc::new(NoProtocolOpens),
+            sink.clone(),
+        );
+        let resident = |server: &Server| -> Vec<&str> {
+            (["a", "b", "c"].into_iter())
+                .filter(|name| server.relation_of(name).is_some())
+                .collect()
+        };
+        for name in ["a", "b", "c"] {
+            server.open_with(name, || Ok(engine())).unwrap();
+            server.drain();
+        }
+        assert_eq!(resident(&server), ["b", "c"], "opening c evicts a");
+        for name in ["b", "a"] {
+            server.submit(&format!(r#"{{"op":"check","tenant":"{name}"}}"#));
+            server.drain();
+        }
+        assert_eq!(
+            resident(&server),
+            ["a", "b"],
+            "rebuilding a evicts c, touched before b"
+        );
+        let states = (sink.take().iter())
+            .filter(|l| l.contains(r#""event":"state""#))
+            .count();
+        assert_eq!(states, 2);
     }
 
     #[test]

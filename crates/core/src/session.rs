@@ -1112,16 +1112,17 @@ impl Durable {
 /// [`Server`](crate::server::Server) holds one, so recovery, append-then-ack
 /// and checkpointing exist once:
 ///
-/// 1. [`Session::open`] recovers the snapshot family (or cold-builds), emits
-///    a `recovered` event when recovery was degraded or replayed records,
-///    and checkpoints when recovery says so;
+/// 1. [`Session::open`] recovers the snapshot family (or cold-builds),
+///    checkpoints when recovery says so, and returns a `recovered` event
+///    when recovery was degraded or replayed records;
 /// 2. `Session::stage_line` parses and applies a command, appends it to
 ///    the WAL without a sync, and holds its answer; `Session::commit`
 ///    then fsyncs the log once for every command staged since the last
-///    commit, and only after that writes their answers in order — an
-///    acknowledged command survives any crash. [`Session::handle_line`] is
-///    one stage and one commit; a server drain job stages each command it
-///    claimed and commits the run;
+///    commit, and only after that returns their answers, one line each —
+///    an acknowledged command survives any crash. [`Session::handle_line`]
+///    is one stage and one commit, writing the answers out; a server drain
+///    job stages each command it claimed, commits the run and emits each
+///    line to its sink;
 /// 3. [`Session::checkpoint`] writes the next snapshot generation, covering
 ///    every appended record, and retires the log.
 pub struct Session {
@@ -1151,26 +1152,27 @@ impl Session {
     /// Open a session. Without a `store` this is `cold` in memory. With
     /// one, [`SnapshotStore::recover`] walks the degradation ladder under
     /// the store's policy (calling `cold` only when no snapshot is usable),
-    /// a `recovered` event goes to `out` when recovery was degraded or
-    /// replayed log records — so a clean resume stays byte-identical to a
-    /// fresh session — and salvaged or rebuilt state is checkpointed before
-    /// the first command. A failed write to `out` is returned as
-    /// [`RecoverFailure::ColdBuild`] holding the I/O error as an `E`.
-    pub fn open<E: From<io::Error>>(
+    /// and salvaged or rebuilt state is checkpointed before the first
+    /// command. Returns the session and, when recovery was degraded or
+    /// replayed log records, its `recovered` event line, which the caller
+    /// writes before any other event of the session. A clean resume has
+    /// none, so it stays byte-identical to a fresh session.
+    pub fn open<E>(
         store: Option<SessionStore>,
         options: RepairOptions,
         cold: impl FnOnce() -> Result<DeltaEngine, E>,
-        out: &mut dyn Write,
-    ) -> Result<Self, RecoverFailure<E>> {
+    ) -> Result<(Self, Option<String>), RecoverFailure<E>> {
         let Some(store) = store else {
             let engine = cold().map_err(RecoverFailure::ColdBuild)?;
-            return Ok(Session::new(RepairEngine::from_engine(engine, options)));
+            return Ok((
+                Session::new(RepairEngine::from_engine(engine, options)),
+                None,
+            ));
         };
         let recovered = SnapshotStore::new(&*store.io, &store.path).recover(store.policy, cold)?;
-        if recovered.report.degraded() || recovered.report.log_records_applied > 0 {
-            writeln!(out, "{}", recovery_report_json(&recovered.report))
-                .map_err(|e| RecoverFailure::ColdBuild(e.into()))?;
-        }
+        let report = &recovered.report;
+        let event = (report.degraded() || report.log_records_applied > 0)
+            .then(|| recovery_report_json(report));
         let mut session = Session::new(RepairEngine::from_engine(recovered.engine, options));
         session.durable = Some(Durable {
             store,
@@ -1184,7 +1186,7 @@ impl Session {
         if recovered.needs_checkpoint {
             session.checkpoint().map_err(RecoverFailure::Snapshot)?;
         }
-        Ok(session)
+        Ok((session, event))
     }
 
     /// Serve `input` to EOF: the `ready` event, then one answer per
@@ -1199,7 +1201,7 @@ impl Session {
                 Ok(line) => self.handle_line(line, out)?,
                 Err(unreadable) => {
                     self.reject(&unreadable);
-                    self.commit(out)?;
+                    out.write_all(self.commit()?.as_bytes())?;
                 }
             }
         }
@@ -1207,13 +1209,13 @@ impl Session {
     }
 
     /// Answer one command line: `Session::stage_line`, then
-    /// `Session::commit` — one WAL append, one sync, then its events. An
-    /// `Err` means the WAL or `out` failed: the engine may then hold an
-    /// edit that was never acknowledged, so the caller must drop the
-    /// session (a durable one reopens from its snapshot family).
+    /// `Session::commit` — one WAL append, one sync — then write its events
+    /// to `out`. An `Err` means the WAL or `out` failed: the engine may
+    /// then hold an edit that was never acknowledged, so the caller must
+    /// drop the session (a durable one reopens from its snapshot family).
     pub fn handle_line(&mut self, line: &str, out: &mut dyn Write) -> io::Result<()> {
         self.stage_line(line)?;
-        self.commit(out)
+        out.write_all(self.commit()?.as_bytes())
     }
 
     /// Stage one command line: parse it, apply it, append its record to
@@ -1333,19 +1335,20 @@ impl Session {
     }
 
     /// Commit the run staged since the last commit: sync the WAL once if
-    /// anything was appended, then write every held answer to `out` in
-    /// order and count the run's commands applied. When the sync fails,
-    /// nothing is written and no staged command was acknowledged or counts
-    /// as applied: the caller answers each with an `error` and drops the
-    /// session. A commit with nothing staged does nothing.
-    pub(crate) fn commit(&mut self, out: &mut dyn Write) -> io::Result<()> {
+    /// anything was appended, count the run's commands applied, and return
+    /// every held answer in order, each line ending in `\n`. When the sync
+    /// fails, the answers are dropped and no staged command was
+    /// acknowledged or counts as applied: the caller answers each with an
+    /// `error` and drops the session. A commit with nothing staged returns
+    /// no lines.
+    pub(crate) fn commit(&mut self) -> io::Result<String> {
         let held = std::mem::take(&mut self.held);
         let applied = std::mem::take(&mut self.staged_applied);
         if let Some(durable) = self.durable.as_mut() {
             durable.sync()?;
         }
         self.summary.applied += applied;
-        out.write_all(held.as_bytes())
+        Ok(held)
     }
 
     /// Bytes of answers held for the commands staged since the last commit.

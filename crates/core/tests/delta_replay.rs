@@ -106,7 +106,7 @@ fn apply(rel: &mut Relation, edit: &Edit) {
             rel.set_cell(*row, *attr, value.clone()).unwrap();
         }
         Edit::Insert { cells } => {
-            rel.insert_row(cells.clone()).unwrap();
+            rel.push_row(cells.clone()).unwrap();
         }
         Edit::Delete { row } => {
             rel.delete_row(*row).unwrap();

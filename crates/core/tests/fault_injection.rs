@@ -117,7 +117,7 @@ fn scripted_run(io: Arc<FailpointIo<MemIo>>, base: &DeltaEngine, lines: &[String
     };
     let mut out = Vec::new();
     let cold = || Ok::<_, std::io::Error>(base.clone());
-    if let Ok(mut session) = Session::open(Some(store), RepairOptions::default(), cold, &mut out) {
+    if let Ok((mut session, _)) = Session::open(Some(store), RepairOptions::default(), cold) {
         let survived = lines
             .iter()
             .all(|line| session.handle_line(line, &mut out).is_ok());

@@ -101,7 +101,7 @@ struct TracingSink {
 }
 
 impl EventSink for TracingSink {
-    fn emit(&self, line: &str) {
+    fn emit(&self, line: String) {
         self.trace.lock().unwrap().push(format!("emit {line}"));
     }
 }

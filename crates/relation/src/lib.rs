@@ -40,6 +40,6 @@ pub use fxhash::{fx_hash_str, FxBuildHasher, FxHashMap, FxHasher};
 pub use io::{FailpointIo, Io, MemIo, SharedBytes, StdIo};
 pub use postings::{PostingList, RowSetAccumulator};
 pub use profile::{profile_column, profile_relation, ColumnKind, ColumnProfile, Extraction};
-pub use relation::{Relation, RelationError, RowDelta, RowId, RowView};
+pub use relation::{Relation, RelationError, RowId, RowView};
 pub use schema::{AttrId, Schema, SchemaError};
 pub use wal::{read_wal_bytes, SyncPolicy, WalReadOutcome, WalRecord, WalTail, WalWriter};

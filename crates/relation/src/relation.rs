@@ -77,10 +77,9 @@ impl Column {
 /// column-wise with per-column value interning (each column keeps a
 /// vocabulary of distinct strings and one `u32` index per row).
 ///
-/// Every mutation bumps a monotonic [`version`](Relation::version) counter
-/// and is describable as a [`RowDelta`], so downstream structures (violation
-/// caches, group indexes) can subscribe to the edit stream instead of
-/// diffing whole relations.
+/// Every mutation bumps a monotonic [`version`](Relation::version) counter.
+/// Mutations report nothing else: the incremental engine that owns a
+/// relation knows what it changed, and maintains its group indexes itself.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
@@ -166,60 +165,6 @@ impl<'a> RowView<'a> {
     /// Materialize the row as a vector of borrowed cells.
     pub fn to_vec(&self) -> Vec<&'a str> {
         self.iter().collect()
-    }
-}
-
-/// One applied mutation, in the order it happened. `version` is the
-/// relation's counter *after* the mutation, so a consumer replaying deltas
-/// can detect gaps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RowDelta {
-    /// A single cell was overwritten.
-    CellSet {
-        /// Relation version after the write.
-        version: u64,
-        /// The written row.
-        row: RowId,
-        /// The written attribute.
-        attr: AttrId,
-        /// The value that was replaced.
-        old: String,
-    },
-    /// A row was appended at id `row` (always the current tail).
-    RowInserted {
-        /// Relation version after the insert.
-        version: u64,
-        /// Id of the new row (`num_rows() - 1` after the insert).
-        row: RowId,
-    },
-    /// Row `row` was removed; every row id above it shifted down by one.
-    RowDeleted {
-        /// Relation version after the delete.
-        version: u64,
-        /// The removed row's pre-delete id.
-        row: RowId,
-        /// The removed row's cells.
-        cells: Vec<String>,
-    },
-}
-
-impl RowDelta {
-    /// The relation version after this mutation.
-    pub fn version(&self) -> u64 {
-        match self {
-            RowDelta::CellSet { version, .. }
-            | RowDelta::RowInserted { version, .. }
-            | RowDelta::RowDeleted { version, .. } => *version,
-        }
-    }
-
-    /// The row the mutation targeted (pre-delete id for deletions).
-    pub fn row(&self) -> RowId {
-        match self {
-            RowDelta::CellSet { row, .. }
-            | RowDelta::RowInserted { row, .. }
-            | RowDelta::RowDeleted { row, .. } => *row,
-        }
     }
 }
 
@@ -375,8 +320,8 @@ impl Relation {
 
     /// The monotonic mutation counter: 0 for a freshly built empty relation,
     /// bumped by every [`push_row`](Relation::push_row),
-    /// [`set_cell`](Relation::set_cell), [`insert_row`](Relation::insert_row)
-    /// and [`delete_row`](Relation::delete_row).
+    /// [`set_cell`](Relation::set_cell) and
+    /// [`delete_row`](Relation::delete_row).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -391,7 +336,9 @@ impl Relation {
         self.num_rows == 0
     }
 
-    /// Append a row, validating arity.
+    /// Append a row, validating arity, and return its id. Rows are only
+    /// ever appended (the new id is `num_rows() - 1`), so existing row ids
+    /// stay stable across inserts.
     pub fn push_row(&mut self, row: Vec<String>) -> Result<RowId, RelationError> {
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -409,39 +356,18 @@ impl Relation {
         Ok(self.num_rows - 1)
     }
 
-    /// Append a row, returning the [`RowDelta`] event. Rows are only ever
-    /// appended (the new id is `num_rows() - 1`), so existing row ids stay
-    /// stable across inserts.
-    pub fn insert_row(&mut self, row: Vec<String>) -> Result<RowDelta, RelationError> {
-        let row = self.push_row(row)?;
-        Ok(RowDelta::RowInserted {
-            version: self.version,
-            row,
-        })
-    }
-
     /// Remove a row, shifting every higher row id down by one (the same
-    /// renumbering [`filter_rows`](Relation::filter_rows) applies). Returns
-    /// the [`RowDelta`] carrying the removed cells.
-    pub fn delete_row(&mut self, row: RowId) -> Result<RowDelta, RelationError> {
+    /// renumbering [`filter_rows`](Relation::filter_rows) applies).
+    pub fn delete_row(&mut self, row: RowId) -> Result<(), RelationError> {
         if row >= self.num_rows {
             return Err(RelationError::RowOutOfRange(row));
         }
-        let cells = self
-            .columns
-            .iter()
-            .map(|col| col.value(row).to_string())
-            .collect();
         for col in &mut self.columns {
             col.cells.remove(row);
         }
         self.num_rows -= 1;
         self.version += 1;
-        Ok(RowDelta::RowDeleted {
-            version: self.version,
-            row,
-            cells,
-        })
+        Ok(())
     }
 
     /// The cell at `(row, attr)`.
@@ -450,14 +376,13 @@ impl Relation {
     }
 
     /// Overwrite a single cell (used by error injection, repair and the
-    /// incremental cleaning engines), returning the [`RowDelta`] event that
-    /// carries the replaced value.
+    /// incremental cleaning engines).
     pub fn set_cell(
         &mut self,
         row: RowId,
         attr: AttrId,
         value: String,
-    ) -> Result<RowDelta, RelationError> {
+    ) -> Result<(), RelationError> {
         if row >= self.num_rows {
             return Err(RelationError::RowOutOfRange(row));
         }
@@ -465,16 +390,10 @@ impl Relation {
             .columns
             .get_mut(attr.index())
             .ok_or(RelationError::Schema(SchemaError::AttrIdOutOfRange(attr)))?;
-        let old = col.value(row).to_string();
         let idx = col.intern(value);
         col.cells[row] = idx;
         self.version += 1;
-        Ok(RowDelta::CellSet {
-            version: self.version,
-            row,
-            attr,
-            old,
-        })
+        Ok(())
     }
 
     /// Borrow a full row as a lazy [`RowView`] (no allocation).
@@ -578,58 +497,37 @@ mod tests {
     }
 
     #[test]
-    fn set_cell_returns_old_value() {
+    fn set_cell_overwrites_and_bumps_version() {
         let mut r = name_table();
         let gender = r.schema().attr("gender").unwrap();
         let v0 = r.version();
-        let delta = r.set_cell(3, gender, "F".into()).unwrap();
-        assert_eq!(
-            delta,
-            RowDelta::CellSet {
-                version: v0 + 1,
-                row: 3,
-                attr: gender,
-                old: "M".into()
-            }
-        );
+        r.set_cell(3, gender, "F".into()).unwrap();
         assert_eq!(r.cell(3, gender), "F");
+        assert_eq!(r.cell(2, gender), "F", "other cells keep their values");
         assert_eq!(r.version(), v0 + 1);
     }
 
     #[test]
-    fn insert_and_delete_emit_deltas_and_renumber() {
+    fn push_and_delete_bump_version_and_renumber() {
         let mut r = name_table();
         let v0 = r.version();
-        let delta = r
-            .insert_row(vec!["Ada Lovelace".into(), "F".into()])
-            .unwrap();
-        assert_eq!(
-            delta,
-            RowDelta::RowInserted {
-                version: v0 + 1,
-                row: 4
-            }
-        );
+        let row = r.push_row(vec!["Ada Lovelace".into(), "F".into()]).unwrap();
+        assert_eq!(row, 4, "rows are appended at the tail");
         assert_eq!(r.num_rows(), 5);
+        assert_eq!(r.version(), v0 + 1);
 
-        let delta = r.delete_row(1).unwrap();
-        assert_eq!(
-            delta,
-            RowDelta::RowDeleted {
-                version: v0 + 2,
-                row: 1,
-                cells: vec!["John Bosco".into(), "M".into()]
-            }
-        );
+        r.delete_row(1).unwrap();
+        assert_eq!(r.num_rows(), 4);
+        assert_eq!(r.version(), v0 + 2);
         let name = r.schema().attr("name").unwrap();
+        assert_eq!(r.cell(0, name), "John Charles", "lower ids stay put");
         assert_eq!(r.cell(1, name), "Susan Orlean", "higher ids shift down");
+        assert_eq!(r.cell(3, name), "Ada Lovelace");
         assert!(matches!(
             r.delete_row(99),
             Err(RelationError::RowOutOfRange(99))
         ));
-        assert!(r
-            .insert_row(vec!["only one".into()])
-            .is_err_and(|e| matches!(e, RelationError::ArityMismatch { .. })));
+        assert_eq!(r.version(), v0 + 2, "a failed delete changes nothing");
     }
 
     #[test]

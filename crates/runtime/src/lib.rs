@@ -9,8 +9,6 @@
 //!   `'static` jobs on one FIFO queue, condvar parking, panic capture,
 //!   and `wait_idle` barriers. Tenant drain jobs in `pfd_core::server`
 //!   ride this.
-//! - [`lru`] — a small hand-rolled [`LruTracker`] (no registry route for
-//!   an lru crate) used to pick cold tenants for eviction.
 //!
 //! The crate is dependency-free and sits below `relation`/`core`/
 //! `discovery` in the workspace graph.
@@ -23,11 +21,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod executor;
-pub mod lru;
 pub mod pool;
 
 pub use executor::Executor;
-pub use lru::LruTracker;
 pub use pool::parallel_map;
 
 /// Default worker count for schedulers in this crate: the machine's

@@ -158,8 +158,8 @@ OPTIONS:
     --root DIR        serve: durable root; each tenant persists a snapshot
                       family under DIR/<tenant>/ and survives restarts.
                       Without it the server is in-memory only
-    --workers N       serve: executor worker threads (default: the
-                      machine's parallelism)
+    --workers N       serve: executor worker threads, at most 1024
+                      (default: the machine's parallelism)
     --max-resident N  serve: with --root, keep at most N tenant engines in
                       memory; cold tenants are checkpointed and evicted,
                       then rebuilt from their snapshots on the next command
@@ -173,6 +173,10 @@ without a tenant field route to the tenant named \"default\", which is
 auto-opened when <data.csv> is given. Every event line is tagged with
 \"tenant\" and a per-tenant \"seq\". open takes \"csv\" and \"rules\" fields
 (--rules is the default rule file)";
+
+/// The most executor threads `pfd serve --workers` starts. A larger value
+/// is a usage error, so a typo cannot spawn tens of thousands of threads.
+const MAX_WORKERS: usize = 1024;
 
 /// The flags each command accepts, each marked with whether it takes a
 /// value. Any other flag is a usage error naming it.
@@ -418,7 +422,14 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             script: flag("script").map(str::to_string),
             workers: match flag("workers") {
                 None => 0,
-                Some(v) => parse_usize("workers", v)?,
+                Some(v) => match parse_usize("workers", v)? {
+                    n if n > MAX_WORKERS => {
+                        return Err(CliError::Usage(format!(
+                            "--workers must be at most {MAX_WORKERS}, got {n}"
+                        )))
+                    }
+                    n => n,
+                },
             },
             max_resident: match flag("max-resident") {
                 None => 0,
@@ -856,12 +867,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                 path: path.into(),
                 policy: recover,
             });
-            let mut session = Session::open(
-                store,
-                RepairOptions::default(),
-                || cold_build(&data, rules.as_deref(), "session"),
-                out,
-            )?;
+            let (mut session, recovered) = Session::open(store, RepairOptions::default(), || {
+                cold_build(&data, rules.as_deref(), "session")
+            })?;
+            if let Some(line) = recovered {
+                writeln!(out, "{line}")?;
+            }
             session.serve(input, out)?;
             session.checkpoint()?;
             // Dirty end state → exit code 1, matching `check`.
@@ -1214,7 +1225,7 @@ mod tests {
         let city = rel.schema().attr("city").unwrap();
         rel.set_cell(9, city, "Chicago".into()).unwrap();
         rel.set_cell(0, city, "San Diego".into()).unwrap();
-        rel.insert_row(vec!["60606".into(), "Chicago".into()])
+        rel.push_row(vec!["60606".into(), "Chicago".into()])
             .unwrap();
         rel.delete_row(0).unwrap();
         let pfds = parse_rules(rules_text, rel.schema()).unwrap();
@@ -1699,6 +1710,27 @@ mod tests {
             assert_eq!(err.exit_code(), 2);
         }
         assert!(buf.is_empty());
+    }
+
+    /// `--workers` is bounded: 1,024 parses, 1,025 is a usage error. Only
+    /// the parser runs; no server starts.
+    #[test]
+    fn serve_workers_are_bounded() {
+        let args = |n: usize| -> Vec<String> {
+            ["serve", "--workers", &n.to_string()]
+                .map(String::from)
+                .to_vec()
+        };
+        assert!(matches!(
+            parse_args(&args(MAX_WORKERS)),
+            Ok(Command::Serve { workers: 1024, .. })
+        ));
+        let err = parse_args(&args(MAX_WORKERS + 1)).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m == "--workers must be at most 1024, got 1025"),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 2);
     }
 
     /// Strip the `{"tenant":...,"seq":N,` prefix a serve event carries,
