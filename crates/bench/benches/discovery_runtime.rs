@@ -4,15 +4,21 @@
 //! quadratic pair scan dominates as rows grow.
 //!
 //! Besides the human-readable criterion output, the run writes
-//! `BENCH_discovery.json` (rows/sec, per-phase ms, dependency counts) so the
-//! perf trajectory is tracked across PRs. `PFD_BENCH_SMOKE=1` skips the
-//! criterion sampling and emits the JSON from a tiny-scale pass — the CI
-//! smoke-bench mode. `PFD_BENCH_JSON` overrides the output path.
+//! `BENCH_discovery.json` (rows/sec, per-phase ms with the check phase's
+//! split, dependency counts) so the perf trajectory is tracked across PRs.
+//! Full mode adds the geo cascade table with correlated errors at 10k, 50k
+//! and 200k rows, where discovery finds its rules at the scale the
+//! end-to-end benchmark runs them. `PFD_BENCH_SMOKE=1` skips the criterion
+//! sampling and emits the JSON from a tiny-scale pass — the CI smoke-bench
+//! mode. `PFD_BENCH_JSON` overrides the output path.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use pfd_baselines::{fdep_single_lhs, FdepConfig};
-use pfd_datagen::{standard_suite, zip_state_table, Scale};
-use pfd_discovery::{discover, DiscoveryConfig, DiscoveryResult};
+use pfd_datagen::{
+    dirty_clean_pair, geo_cascade_table, standard_suite, zip_state_table, ErrorProfile, Scale,
+};
+use pfd_discovery::{discover, DiscoveryConfig, DiscoveryResult, DiscoveryStats};
+use pfd_relation::Relation;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -67,16 +73,32 @@ fn bench_fdep_baseline(c: &mut Criterion) {
 // Machine-readable results: BENCH_discovery.json
 // ---------------------------------------------------------------------------
 
+/// Rate of correlated errors in city/county/state/region of the geo cases
+/// (as `snapshot_runtime`'s discovery table and `cleanbench` inject them).
+const GEO_ERROR_RATE: f64 = 0.005;
+
+/// The dirty geo cascade table.
+fn geo_relation(rows: usize) -> Relation {
+    let clean = geo_cascade_table(rows, 7);
+    let attr = |name: &str| clean.schema().attr(name).unwrap();
+    let dirty_attrs = [attr("city"), attr("county"), attr("state"), attr("region")];
+    let profile = ErrorProfile::correlated(&dirty_attrs, GEO_ERROR_RATE);
+    dirty_clean_pair(&clean, &profile, 13).0
+}
+
 struct JsonCase {
     name: String,
     rows: usize,
     iters: usize,
     best_ms: f64,
     rows_per_sec: f64,
-    profile_ms: f64,
-    index_ms: f64,
-    check_ms: f64,
+    /// The fastest pass's statistics.
+    stats: DiscoveryStats,
     dependencies: usize,
+}
+
+fn ms(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Run `discover` `iters` times on `rel`, keeping the fastest pass.
@@ -97,10 +119,8 @@ fn measure(name: &str, rel: &pfd_relation::Relation, iters: usize) -> JsonCase {
         iters,
         best_ms,
         rows_per_sec: rel.num_rows() as f64 / (best_ms / 1e3),
-        profile_ms: result.stats.profile_time.as_secs_f64() * 1e3,
-        index_ms: result.stats.index_time.as_secs_f64() * 1e3,
-        check_ms: result.stats.check_time.as_secs_f64() * 1e3,
         dependencies: result.dependencies.len(),
+        stats: result.stats,
     }
 }
 
@@ -119,9 +139,12 @@ fn write_bench_json(smoke: bool) {
     if !smoke {
         let suite = standard_suite(Scale::Small, 0.01, 42);
         cases.push(measure("t1_gov_contacts", &suite[0].dirty, iters));
+        for (rows, iters) in [(10_000, 5), (50_000, 3), (200_000, 2)] {
+            cases.push(measure("geo_cascade", &geo_relation(rows), iters));
+        }
     }
 
-    let mut json = String::from("{\n  \"schema_version\": 1,\n");
+    let mut json = String::from("{\n  \"schema_version\": 2,\n");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -137,19 +160,29 @@ fn write_bench_json(smoke: bool) {
     );
     json.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
+        let st = &c.stats;
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"rows\": {}, \"iters\": {}, \"best_ms\": {:.3}, \
              \"rows_per_sec\": {:.0}, \"phases_ms\": {{\"profile\": {:.3}, \"index\": {:.3}, \
-             \"check\": {:.3}}}, \"dependencies\": {}}}",
+             \"check\": {:.3}}}, \"check_split_ms\": {{\"expand\": {:.3}, \"subsume\": {:.3}, \
+             \"tableau\": {:.3}, \"infer\": {:.3}, \"audit\": {:.3}}}, \"audits\": {}, \
+             \"audits_rejected\": {}, \"dependencies\": {}}}",
             c.name,
             c.rows,
             c.iters,
             c.best_ms,
             c.rows_per_sec,
-            c.profile_ms,
-            c.index_ms,
-            c.check_ms,
+            ms(st.profile_time),
+            ms(st.index_time),
+            ms(st.check_time),
+            ms(st.expand_time),
+            ms(st.subsume_time),
+            ms(st.tableau_time),
+            ms(st.infer_time),
+            ms(st.audit_time),
+            st.audits,
+            st.audits_rejected,
             c.dependencies
         );
         json.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });

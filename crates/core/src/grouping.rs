@@ -29,9 +29,10 @@
 use crate::pfd::{Pfd, Violation};
 use crate::tableau::TableauCell;
 use pfd_pattern::Pattern;
-use pfd_relation::{AttrId, FxHashMap, Relation, RowId};
+use pfd_relation::{AttrId, FxHashMap, Relation, RowId, RowSetAccumulator};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Where an anchored constant sits, in chars, in every value its cell
 /// matches.
@@ -425,6 +426,14 @@ impl<'r> TableauScan<'r> {
     /// tuple. Groups come back in key-text order, rows ascending within
     /// each.
     pub(crate) fn group_rows(&mut self) -> Vec<KeyGroup> {
+        let mut groups = self.groups();
+        groups.sort_unstable_by(|a, b| cmp_keys(&self.lhs, &a.key, &b.key));
+        groups
+    }
+
+    /// [`group_rows`](TableauScan::group_rows) in first-seen order, for
+    /// callers whose answer does not depend on the order of groups.
+    pub(crate) fn groups(&mut self) -> Vec<KeyGroup> {
         let mut groups: Vec<KeyGroup> = Vec::new();
         let mut group_of: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
         let mut key: Vec<u32> = Vec::with_capacity(self.lhs.len());
@@ -454,7 +463,6 @@ impl<'r> TableauScan<'r> {
             Some(rows) => rows.iter().for_each(|&rid| visit(rid as RowId)),
             None => (0..self.num_rows).for_each(visit),
         }
-        groups.sort_unstable_by(|a, b| cmp_keys(&self.lhs, &a.key, &b.key));
         groups
     }
 
@@ -466,6 +474,71 @@ impl<'r> TableauScan<'r> {
             .zip(key)
             .map(|(memo, id)| memo.text(*id).to_string())
             .collect()
+    }
+
+    /// Evaluate the RHS cells on one group's rows: a row failing one goes
+    /// to `fail` with that cell's attribute, and the rest are pushed to
+    /// `ok_rows` with their RHS key-id tuples appended to `ok_keys`. Stops
+    /// as soon as `fail` breaks.
+    fn rhs_keys(
+        &mut self,
+        rows: &[RowId],
+        ok_rows: &mut Vec<RowId>,
+        ok_keys: &mut Vec<u32>,
+        mut fail: impl FnMut(RowId, AttrId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        'rows: for &rid in rows {
+            let start = ok_keys.len();
+            for (memo, b) in self.rhs.iter_mut().zip(self.pfd.rhs()) {
+                match memo.key(rid) {
+                    Some(id) => ok_keys.push(id),
+                    None => {
+                        ok_keys.truncate(start);
+                        fail(rid, *b)?;
+                        continue 'rows;
+                    }
+                }
+            }
+            ok_rows.push(rid);
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The conforming rows of one group partitioned by RHS key, in key-text
+    /// order, with the index of the majority partition: the largest, ties
+    /// going to the smallest key. `None` when the pair semantics cannot
+    /// fire — fewer than two rows, or one partition. Most groups are clean
+    /// and need no map at all.
+    fn partitions<'k>(
+        &self,
+        ok_rows: &[RowId],
+        ok_keys: &'k [u32],
+    ) -> Option<(Vec<Partition<'k>>, usize)> {
+        let width = self.rhs.len();
+        if ok_rows.len() < 2 {
+            return None;
+        }
+        let first = &ok_keys[..width];
+        if ok_keys.chunks_exact(width).all(|k| k == first) {
+            return None;
+        }
+        let mut index: FxHashMap<&[u32], usize> = FxHashMap::default();
+        let mut parts: Vec<Partition<'k>> = Vec::new();
+        for (&rid, key) in ok_rows.iter().zip(ok_keys.chunks_exact(width)) {
+            let p = *index.entry(key).or_insert_with(|| {
+                parts.push((key, Vec::new()));
+                parts.len() - 1
+            });
+            parts[p].1.push(rid);
+        }
+        parts.sort_unstable_by(|a, b| cmp_keys(&self.rhs, a.0, b.0));
+        let mut majority = 0;
+        for (p, (_, prows)) in parts.iter().enumerate() {
+            if prows.len() > parts[majority].1.len() {
+                majority = p;
+            }
+        }
+        Some((parts, majority))
     }
 
     /// The violations of one LHS-key group (`rows` ascending), appended to
@@ -487,30 +560,22 @@ impl<'r> TableauScan<'r> {
         let at_limit = |out: &Vec<Violation>| limit.is_some_and(|l| out.len() >= l);
         let (pfd, ti) = (self.pfd, self.ti);
         let group_size = rows.len() as u32;
-        let width = self.rhs.len();
         let mut ok_rows: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut ok_keys: Vec<u32> = Vec::with_capacity(rows.len() * width);
+        let mut ok_keys: Vec<u32> = Vec::with_capacity(rows.len() * self.rhs.len());
         let mut failures: Vec<(RowId, AttrId)> = Vec::new();
-        'rows: for &rid in rows {
-            let start = ok_keys.len();
-            for (memo, b) in self.rhs.iter_mut().zip(pfd.rhs()) {
-                match memo.key(rid) {
-                    Some(id) => ok_keys.push(id),
-                    None => {
-                        ok_keys.truncate(start);
-                        if limit.is_some() {
-                            out.push(Violation::single_tuple(pfd, ti, rid, *b, group_size, 0));
-                            if at_limit(out) {
-                                return;
-                            }
-                        } else {
-                            failures.push((rid, *b));
-                        }
-                        continue 'rows;
-                    }
+        let scanned = self.rhs_keys(rows, &mut ok_rows, &mut ok_keys, |rid, b| {
+            if limit.is_some() {
+                out.push(Violation::single_tuple(pfd, ti, rid, b, group_size, 0));
+                if at_limit(out) {
+                    return ControlFlow::Break(());
                 }
+            } else {
+                failures.push((rid, b));
             }
-            ok_rows.push(rid);
+            ControlFlow::Continue(())
+        });
+        if scanned.is_break() {
+            return;
         }
         let ok_count = ok_rows.len() as u32;
         for (rid, b) in failures {
@@ -519,31 +584,10 @@ impl<'r> TableauScan<'r> {
             ));
         }
 
-        // Pair semantics: partition the conforming rows by RHS key. Most
-        // groups are clean — one partition — and need no map at all.
-        if ok_rows.len() < 2 {
+        // Pair semantics.
+        let Some((parts, majority)) = self.partitions(&ok_rows, &ok_keys) else {
             return;
-        }
-        let first = &ok_keys[..width];
-        if ok_keys.chunks_exact(width).all(|k| k == first) {
-            return;
-        }
-        let mut index: FxHashMap<&[u32], usize> = FxHashMap::default();
-        let mut parts: Vec<(&[u32], Vec<RowId>)> = Vec::new();
-        for (&rid, key) in ok_rows.iter().zip(ok_keys.chunks_exact(width)) {
-            let p = *index.entry(key).or_insert_with(|| {
-                parts.push((key, Vec::new()));
-                parts.len() - 1
-            });
-            parts[p].1.push(rid);
-        }
-        parts.sort_unstable_by(|a, b| cmp_keys(&self.rhs, a.0, b.0));
-        let mut majority = 0;
-        for (p, (_, prows)) in parts.iter().enumerate() {
-            if prows.len() > parts[majority].1.len() {
-                majority = p;
-            }
-        }
+        };
         let (majority_key, majority_rows) = &parts[majority];
         let rep = majority_rows[0];
         let majority_size = majority_rows.len() as u32;
@@ -574,7 +618,44 @@ impl<'r> TableauScan<'r> {
             }
         }
     }
+
+    /// Mark in `suspects` the offending row of every violation
+    /// [`violations`](TableauScan::violations) reports for one group —
+    /// rows failing an RHS pattern and every row outside the majority
+    /// partition — without building the violations. Breaks as soon as
+    /// `suspects` holds more than `allowed` rows.
+    pub(crate) fn mark_suspects(
+        &mut self,
+        rows: &[RowId],
+        suspects: &mut RowSetAccumulator,
+        allowed: usize,
+    ) -> ControlFlow<()> {
+        let mut mark = |rid: RowId| {
+            suspects.insert(rid);
+            if suspects.len() > allowed {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let mut ok_rows: Vec<RowId> = Vec::with_capacity(rows.len());
+        let mut ok_keys: Vec<u32> = Vec::with_capacity(rows.len() * self.rhs.len());
+        self.rhs_keys(rows, &mut ok_rows, &mut ok_keys, |rid, _| mark(rid))?;
+        let Some((parts, majority)) = self.partitions(&ok_rows, &ok_keys) else {
+            return ControlFlow::Continue(());
+        };
+        for (p, (_, prows)) in parts.iter().enumerate() {
+            if p != majority {
+                prows.iter().try_for_each(|&rid| mark(rid))?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
 }
+
+/// One RHS partition of a group: the key-id tuple its rows share and the
+/// rows, ascending.
+type Partition<'k> = (&'k [u32], Vec<RowId>);
 
 #[cfg(test)]
 mod tests {

@@ -55,7 +55,9 @@ pub use detect::{
     DetectionReport,
 };
 pub use incremental::{DeltaEngine, DeltaEntry, Edit, IncrementalChecker, ViolationDelta};
-pub use pfd::{display_with_schema, Pfd, PfdError, TableauAudit, Violation, ViolationKind};
+pub use pfd::{
+    display_with_schema, BoundedAudit, Pfd, PfdError, TableauAudit, Violation, ViolationKind,
+};
 pub use repair::{
     evaluate_repairs, repair, repair_to_fixpoint, repair_to_fixpoint_with, repair_with, CellFix,
     FixCandidate, FixScore, RepairEngine, RepairEval, RepairOptions, RepairOutcome,

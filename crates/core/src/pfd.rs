@@ -3,7 +3,7 @@
 
 use crate::grouping::{TableauRouter, TableauScan};
 use crate::tableau::{TableauCell, TableauRow};
-use pfd_relation::{AttrId, Relation, RowId, Schema, SchemaError};
+use pfd_relation::{AttrId, Relation, RowId, RowSetAccumulator, Schema, SchemaError};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -19,6 +19,20 @@ pub struct TableauAudit {
     /// report: single-tuple RHS mismatches and non-majority partition
     /// members.
     pub suspect_rows: BTreeSet<RowId>,
+}
+
+/// Result of a [`Pfd::audit_bounded`] pass: [`TableauAudit`]'s counts, with
+/// the suspects counted only up to the allowance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundedAudit {
+    /// Rows matching some tableau row's LHS, as in [`TableauAudit`].
+    pub coverage: usize,
+    /// Rows sharing their LHS key with another row, as in [`TableauAudit`].
+    pub paired_rows: usize,
+    /// Distinct suspect rows, counted until they pass the allowance:
+    /// `min(|suspect_rows|, allowance + 1)`. `None` when the allowance
+    /// skipped the walk.
+    pub suspects: Option<usize>,
 }
 
 /// Errors from PFD construction.
@@ -508,10 +522,9 @@ impl Pfd {
     /// pairing, and the suspect rows that `violations` would report —
     /// without scanning the relation once per question.
     ///
-    /// Discovery's constant → variable generalization (§4.3) needs all
-    /// three on every candidate; computing them from a single LHS-key
-    /// grouping pass is equivalent to (and replaces) separate
-    /// [`Pfd::coverage`], key-count, and [`Pfd::violations`] scans:
+    /// Computing all three from a single LHS-key grouping pass is
+    /// equivalent to (and replaces) separate [`Pfd::coverage`], key-count,
+    /// and [`Pfd::violations`] scans:
     ///
     /// - `coverage` — rows matching some tableau row's LHS (a value matches
     ///   `pre·Q·post` iff a decomposition exists, so "matches" and "has an
@@ -520,31 +533,88 @@ impl Pfd {
     ///   row under some tableau row (the pair semantics can fire);
     /// - `suspect_rows` — the offending row of each violation: single-tuple
     ///   RHS mismatches plus every member of a non-majority RHS partition.
+    ///
+    /// [`Pfd::audit_bounded`] answers the same questions but stops counting
+    /// suspects past an allowance.
     pub fn audit(&self, rel: &Relation) -> TableauAudit {
-        let mut covered = vec![false; rel.num_rows()];
-        let mut paired = vec![false; rel.num_rows()];
-        let mut suspects: BTreeSet<RowId> = BTreeSet::new();
-        let mut found: Vec<Violation> = Vec::new();
+        let mut suspects = RowSetAccumulator::new(rel.num_rows());
+        let (coverage, paired_rows, _) =
+            self.audit_into(rel, |_, _| Some(usize::MAX), &mut suspects);
+        TableauAudit {
+            coverage,
+            paired_rows,
+            suspect_rows: suspects
+                .into_posting_list()
+                .iter()
+                .map(|rid| rid as RowId)
+                .collect(),
+        }
+    }
+
+    /// [`Pfd::audit`] for a caller that only compares the suspect count
+    /// with an allowance — discovery's constant → variable generalization
+    /// (§4.3), which accepts a variable PFD with few enough suspects.
+    ///
+    /// The rows are grouped first, which yields `coverage` and
+    /// `paired_rows`; `allowance(coverage, paired_rows)` then says how many
+    /// suspects the caller tolerates. The suspect walk stops as soon as the
+    /// count passes it, so [`BoundedAudit::suspects`] is `min(true count,
+    /// allowance + 1)`; an allowance of `None` skips the walk.
+    pub fn audit_bounded(
+        &self,
+        rel: &Relation,
+        allowance: impl FnOnce(usize, usize) -> Option<usize>,
+    ) -> BoundedAudit {
+        let mut suspects = RowSetAccumulator::new(rel.num_rows());
+        let (coverage, paired_rows, walked) = self.audit_into(rel, allowance, &mut suspects);
+        BoundedAudit {
+            coverage,
+            paired_rows,
+            suspects: walked.then(|| suspects.len()),
+        }
+    }
+
+    /// The audits' shared pass: group every tableau row, count coverage and
+    /// paired rows, then mark suspects until they pass the allowance.
+    /// Returns the two counts and whether the suspect walk ran.
+    fn audit_into(
+        &self,
+        rel: &Relation,
+        allowance: impl FnOnce(usize, usize) -> Option<usize>,
+        suspects: &mut RowSetAccumulator,
+    ) -> (usize, usize, bool) {
+        let mut covered = RowSetAccumulator::new(rel.num_rows());
+        let mut paired = RowSetAccumulator::new(rel.num_rows());
         let routes = TableauRouter::new(self).route(rel);
+        let mut scans = Vec::with_capacity(self.tableau.len());
         for ti in 0..self.tableau.len() {
             let mut scan = TableauScan::routed(rel, self, ti, &routes);
-            for group in scan.group_rows() {
-                let pairs = group.rows.len() >= 2;
+            let groups = scan.groups();
+            for group in &groups {
                 for &rid in &group.rows {
-                    covered[rid] = true;
-                    paired[rid] |= pairs;
+                    covered.insert(rid);
+                    if group.rows.len() >= 2 {
+                        paired.insert(rid);
+                    }
                 }
-                // Every violation's last row is its offending one.
-                found.clear();
-                scan.violations(&group.rows, &mut found, None);
-                suspects.extend(found.iter().filter_map(|v| v.rows.last().copied()));
+            }
+            scans.push((scan, groups));
+        }
+        let (coverage, paired_rows) = (covered.len(), paired.len());
+        let Some(allowed) = allowance(coverage, paired_rows) else {
+            return (coverage, paired_rows, false);
+        };
+        'walk: for (scan, groups) in &mut scans {
+            for group in groups.iter() {
+                if scan
+                    .mark_suspects(&group.rows, suspects, allowed)
+                    .is_break()
+                {
+                    break 'walk;
+                }
             }
         }
-        TableauAudit {
-            coverage: covered.iter().filter(|c| **c).count(),
-            paired_rows: paired.iter().filter(|c| **c).count(),
-            suspect_rows: suspects,
-        }
+        (coverage, paired_rows, true)
     }
 
     /// All violations of this PFD on `rel` (§2.2 semantics).

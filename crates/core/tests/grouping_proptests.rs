@@ -1,7 +1,8 @@
 //! Property tests pinning the interned grouping kernel — behind
 //! [`Pfd::violations`], [`Pfd::satisfies`], [`Pfd::audit`] and the
 //! [`DeltaEngine`] build and reconcile — to the string-keyed
-//! [`reference`] implementations.
+//! [`reference`] implementations, and [`Pfd::audit_bounded`] to the full
+//! audit.
 //!
 //! Each case is generated from one `u64` seed, logged before the case runs
 //! and repeated in every assertion message; the vendored proptest does not
@@ -183,6 +184,37 @@ proptest! {
                 (got.coverage, got.paired_rows, got.suspect_rows),
                 (want.coverage, want.paired_rows, want.suspect_rows),
                 "audit, seed {} pfd {}", seed, pi
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_audit_stops_one_past_the_allowance(seed in any::<u64>()) {
+        eprintln!("grouping case seed {seed}");
+        let (rel, pfds, _) = case(seed);
+        for (pi, pfd) in pfds.iter().enumerate() {
+            let full = pfd.audit(&rel);
+            let count = full.suspect_rows.len();
+            let bounds = [0, count.saturating_sub(1), count, count + 1, usize::MAX];
+            for bound in bounds {
+                let mut seen = None;
+                let got = pfd.audit_bounded(&rel, |coverage, paired_rows| {
+                    seen = Some((coverage, paired_rows));
+                    Some(bound)
+                });
+                let counts = Some((full.coverage, full.paired_rows));
+                prop_assert_eq!(seen, counts, "allowance inputs, seed {} pfd {}", seed, pi);
+                prop_assert_eq!(
+                    (got.coverage, got.paired_rows, got.suspects),
+                    (full.coverage, full.paired_rows, Some(count.min(bound.saturating_add(1)))),
+                    "bound {}, seed {} pfd {}", bound, seed, pi
+                );
+            }
+            let skipped = pfd.audit_bounded(&rel, |_, _| None);
+            prop_assert_eq!(
+                (skipped.coverage, skipped.paired_rows, skipped.suspects),
+                (full.coverage, full.paired_rows, None),
+                "skipped walk, seed {} pfd {}", seed, pi
             );
         }
     }

@@ -102,6 +102,25 @@ pub struct DiscoveryStats {
     pub index_time: Duration,
     /// Phase breakdown: candidate checking, generalization and assembly.
     pub check_time: Duration,
+    /// Check-phase split: anchor dedup, LHS expansion and the RHS
+    /// decisions (Fig. 4 line 20). The five splits are summed over
+    /// candidates, so with [`DiscoveryConfig::parallel`] they add up thread
+    /// time and may exceed [`DiscoveryStats::check_time`].
+    pub expand_time: Duration,
+    /// Check-phase split: dropping accepted row sets subsumed by a larger
+    /// one.
+    pub subsume_time: Duration,
+    /// Check-phase split: coverage and constant tableau assembly (one cell
+    /// per kept row, its contexts inferred).
+    pub tableau_time: Duration,
+    /// Check-phase split: generalized-cell inference (§4.3).
+    pub infer_time: Duration,
+    /// Check-phase split: the generalization audits on the whole relation.
+    pub audit_time: Duration,
+    /// Generalization audits run.
+    pub audits: usize,
+    /// Generalization audits that rejected the variable PFD.
+    pub audits_rejected: usize,
     /// Did this run adopt preloaded indexes ([`discover_warm`]) instead of
     /// building them? `false` also when preloaded indexes were offered but
     /// rejected as mismatched.
@@ -147,6 +166,29 @@ struct CheckCounters {
     entries_tested: usize,
     rhs_decisions: usize,
     rhs_cache_hits: usize,
+    expand_time: Duration,
+    subsume_time: Duration,
+    tableau_time: Duration,
+    infer_time: Duration,
+    audit_time: Duration,
+    audits: usize,
+    audits_rejected: usize,
+}
+
+impl DiscoveryStats {
+    /// Fold one candidate's counters in.
+    fn add(&mut self, c: &CheckCounters) {
+        self.entries_tested += c.entries_tested;
+        self.rhs_decisions += c.rhs_decisions;
+        self.rhs_cache_hits += c.rhs_cache_hits;
+        self.expand_time += c.expand_time;
+        self.subsume_time += c.subsume_time;
+        self.tableau_time += c.tableau_time;
+        self.infer_time += c.infer_time;
+        self.audit_time += c.audit_time;
+        self.audits += c.audits;
+        self.audits_rejected += c.audits_rejected;
+    }
 }
 
 /// Mutable per-candidate state for the batched RHS decision: one counting
@@ -168,6 +210,48 @@ struct CheckScratch {
     /// worst-case-capacity vector (and, for dense operands, its
     /// intermediate word array) with one pooled scratch per candidate.
     isect: Vec<u32>,
+    /// Row → kept row sets holding it, for subsumption.
+    owners: OwnerIndex,
+}
+
+/// Relation row → the kept row sets holding it, as flat linked lists:
+/// `head[row]` is the row's latest link, and each link names a kept set
+/// and the row's previous link.
+#[derive(Default)]
+struct OwnerIndex {
+    head: Vec<u32>,
+    links: Vec<(u32, u32)>,
+}
+
+/// End of a row's owner list.
+const NO_LINK: u32 = u32::MAX;
+
+impl OwnerIndex {
+    /// Empty the index for a relation of `rows` rows.
+    fn reset(&mut self, rows: usize) {
+        self.head.clear();
+        self.head.resize(rows, NO_LINK);
+        self.links.clear();
+    }
+
+    /// Record kept set `owner` under each of its rows.
+    fn add(&mut self, owner: usize, rows: &PostingList) {
+        for rid in rows.iter() {
+            let head = &mut self.head[rid as usize];
+            self.links.push((owner as u32, *head));
+            *head = (self.links.len() - 1) as u32;
+        }
+    }
+
+    /// The kept sets holding `row`, latest first.
+    fn owners(&self, row: u32) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.head[row as usize];
+        std::iter::from_fn(move || {
+            let (owner, next) = *self.links.get(at as usize)?;
+            at = next;
+            Some(owner as usize)
+        })
+    }
 }
 
 impl CheckScratch {
@@ -178,6 +262,7 @@ impl CheckScratch {
             decisions: FxHashMap::default(),
             levels: Vec::new(),
             isect: Vec::new(),
+            owners: OwnerIndex::default(),
         }
     }
 }
@@ -351,9 +436,7 @@ fn discover_impl(
     // (Fig. 4 lines 23–25 prune children only after generalization).
     let mut generalized_lhs: BTreeMap<AttrId, Vec<BTreeSet<AttrId>>> = BTreeMap::new();
     for (found, counters) in level1 {
-        stats.entries_tested += counters.entries_tested;
-        stats.rhs_decisions += counters.rhs_decisions;
-        stats.rhs_cache_hits += counters.rhs_cache_hits;
+        stats.add(&counters);
         if let Some(dep) = found {
             if dep.kind == DependencyKind::Variable {
                 generalized_lhs
@@ -393,9 +476,7 @@ fn discover_impl(
             level_candidates.iter().map(run_multi).collect()
         };
         for (found, counters) in results {
-            stats.entries_tested += counters.entries_tested;
-            stats.rhs_decisions += counters.rhs_decisions;
-            stats.rhs_cache_hits += counters.rhs_cache_hits;
+            stats.add(&counters);
             if let Some(dep) = found {
                 if dep.kind == DependencyKind::Variable {
                     generalized_lhs
@@ -493,6 +574,7 @@ fn check_dependency(
     // One scratch for the whole candidate: every anchor entry's RHS
     // decision (and every multi-LHS expansion) counts through the same
     // buffers instead of allocating per probe.
+    let expand_start = Instant::now();
     let mut scratch = CheckScratch::new();
     let mut accepted: Vec<AcceptedRow> = Vec::new();
 
@@ -535,6 +617,7 @@ fn check_dependency(
     }
 
     if accepted.is_empty() {
+        counters.expand_time += expand_start.elapsed();
         return (None, counters);
     }
 
@@ -553,23 +636,20 @@ fn check_dependency(
         }
     }
 
-    // Drop accepted rows whose row set is subsumed by an earlier accepted
-    // row (nested n-gram chains like 900 ⊃ 9000 ⊃ 90001).
-    accepted.sort_by_key(|r| std::cmp::Reverse(r.rows.len()));
-    let mut kept: Vec<AcceptedRow> = Vec::new();
-    for row in accepted {
-        if !kept.iter().any(|k| row.rows.is_subset(&k.rows)) {
-            kept.push(row);
-        }
-    }
-    let accepted = kept;
+    counters.expand_time += expand_start.elapsed();
+
+    let subsume_start = Instant::now();
+    let accepted = subsume(accepted, n_total, &mut scratch.owners);
+    counters.subsume_time += subsume_start.elapsed();
 
     // Coverage (restriction ii).
+    let tableau_start = Instant::now();
     let mut covered = RowSetAccumulator::new(n_total);
     for r in &accepted {
         covered.insert_all(&r.rows);
     }
     if covered.len() < config.required_coverage(n_total) {
+        counters.tableau_time += tableau_start.elapsed();
         return (None, counters);
     }
 
@@ -613,6 +693,7 @@ fn check_dependency(
         };
         tableau.push(TableauRow::new(lhs_cells, vec![rhs_cell]));
     }
+    counters.tableau_time += tableau_start.elapsed();
     if tableau.is_empty() {
         return (None, counters);
     }
@@ -625,7 +706,9 @@ fn check_dependency(
     // §4.3 Generalize: replace the constants with a variable PFD when the
     // general form holds with few violations.
     if config.generalize {
-        if let Some((variable, coverage)) = try_generalize(ctx, x, b, &accepted, &x_sorted) {
+        if let Some((variable, coverage)) =
+            try_generalize(ctx, x, b, &accepted, &x_sorted, &mut counters)
+        {
             return (
                 Some(DiscoveredDependency {
                     lhs: x.to_vec(),
@@ -651,6 +734,35 @@ fn check_dependency(
         }),
         counters,
     )
+}
+
+/// Drop accepted rows whose row set is subsumed by an earlier accepted row
+/// (nested n-gram chains like 900 ⊃ 9000 ⊃ 90001), largest sets first.
+///
+/// A superset of a set holds the set's first row, so a new set is tested
+/// only against the kept sets `owners` lists under that row — the same
+/// verdict as testing it against every kept set.
+fn subsume(
+    mut accepted: Vec<AcceptedRow>,
+    rows: usize,
+    owners: &mut OwnerIndex,
+) -> Vec<AcceptedRow> {
+    accepted.sort_by_key(|r| std::cmp::Reverse(r.rows.len()));
+    owners.reset(rows);
+    let mut kept: Vec<AcceptedRow> = Vec::new();
+    for row in accepted {
+        let subsumed = match row.rows.min() {
+            Some(first) => owners
+                .owners(first)
+                .any(|k| row.rows.is_subset(&kept[k].rows)),
+            None => !kept.is_empty(),
+        };
+        if !subsumed {
+            owners.add(kept.len(), &row.rows);
+            kept.push(row);
+        }
+    }
+    kept
 }
 
 /// Recursive combination expansion over the non-anchor LHS attributes
@@ -773,13 +885,51 @@ fn try_generalize(
     b: AttrId,
     accepted: &[AcceptedRow],
     x_sorted: &[AttrId],
+    counters: &mut CheckCounters,
 ) -> Option<(Pfd, usize)> {
-    let Ctx {
-        rel,
-        indexes,
-        config,
-        ..
-    } = *ctx;
+    let infer_start = Instant::now();
+    let pfd = generalized_pfd(ctx, x, b, accepted, x_sorted);
+    counters.infer_time += infer_start.elapsed();
+    let pfd = pfd?;
+
+    // Verify on the whole relation ("applied on all the values of the
+    // attribute even those in which the pattern frequency is less than the
+    // minimum support"). One grouping pass yields the coverage and the
+    // pairing count; the suspect walk runs only when both pass, and stops
+    // once the suspects exceed the allowance.
+    let Ctx { rel, config, .. } = *ctx;
+    let required = config.required_coverage(rel.num_rows());
+    // Count only the *suspect* rows (the offending side of each violation),
+    // not the majority representatives they are paired with.
+    let allowed = |coverage: usize| ((coverage as f64) * config.noise_ratio).floor() as usize;
+    let audit_start = Instant::now();
+    let audit = pfd.audit_bounded(rel, |coverage, paired_rows| {
+        // Non-vacuity: the variable PFD must actually *relate* tuples — if
+        // the generalized LHS keys are (nearly) unique, the pair semantics
+        // never fires and the constants are strictly more useful. Require
+        // at least `min_support` rows to share their key with another row.
+        (coverage >= required && paired_rows >= config.min_support).then(|| allowed(coverage))
+    });
+    counters.audit_time += audit_start.elapsed();
+    counters.audits += 1;
+    if audit.suspects.is_some_and(|n| n <= allowed(audit.coverage)) {
+        Some((pfd, audit.coverage))
+    } else {
+        counters.audits_rejected += 1;
+        None
+    }
+}
+
+/// The variable PFD the accepted constant rows generalize to: one tableau
+/// row of generalized LHS cells and an RHS wildcard.
+fn generalized_pfd(
+    ctx: &Ctx<'_>,
+    x: &[AttrId],
+    b: AttrId,
+    accepted: &[AcceptedRow],
+    x_sorted: &[AttrId],
+) -> Option<Pfd> {
+    let Ctx { rel, indexes, .. } = *ctx;
     // Per LHS attribute, the accepted entries.
     let mut lhs_cells: Vec<TableauCell> = Vec::with_capacity(x.len());
     for a in x {
@@ -814,33 +964,7 @@ fn try_generalize(
         )?);
     }
     let row = TableauRow::new(lhs_cells, vec![TableauCell::Wildcard]);
-    let pfd = Pfd::new(rel.schema().relation(), x.to_vec(), vec![b], vec![row]).ok()?;
-
-    // Verify on the whole relation ("applied on all the values of the
-    // attribute even those in which the pattern frequency is less than the
-    // minimum support"). One audit pass yields the coverage, the pairing
-    // count and the suspect rows that previously took three scans.
-    let audit = pfd.audit(rel);
-    if audit.coverage < config.required_coverage(rel.num_rows()) {
-        return None;
-    }
-
-    // Non-vacuity: the variable PFD must actually *relate* tuples — if the
-    // generalized LHS keys are (nearly) unique, the pair semantics never
-    // fires and the constants are strictly more useful. Require at least
-    // `min_support` rows to share their key with another row.
-    if audit.paired_rows < config.min_support {
-        return None;
-    }
-
-    // Count only the *suspect* rows (the offending side of each violation),
-    // not the majority representatives they are paired with.
-    let allowed = ((audit.coverage as f64) * config.noise_ratio).floor() as usize;
-    if audit.suspect_rows.len() <= allowed {
-        Some((pfd, audit.coverage))
-    } else {
-        None
-    }
+    Pfd::new(rel.schema().relation(), x.to_vec(), vec![b], vec![row]).ok()
 }
 
 #[cfg(test)]
@@ -1157,15 +1281,87 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let rel = example8_table();
-        let result = discover(&rel, &config());
+        // Two-attribute LHS sets generalize (λ of §4.3), so audits run.
+        let result = discover(
+            &rel,
+            &DiscoveryConfig {
+                max_lhs: 2,
+                ..config()
+            },
+        );
         assert_eq!(result.stats.rows, 10);
         assert!(result.stats.candidate_attrs >= 3);
         assert!(result.stats.index_entries > 0);
         assert!(result.stats.candidates_checked > 0);
-        // The phase breakdown nests inside the total.
-        let phases = result.stats.profile_time + result.stats.index_time + result.stats.check_time;
-        assert!(phases <= result.stats.elapsed);
-        assert!(result.stats.check_time > Duration::ZERO);
+        // The phase breakdown nests inside the total, and the check split
+        // inside the check phase.
+        let stats = &result.stats;
+        let phases = stats.profile_time + stats.index_time + stats.check_time;
+        assert!(phases <= stats.elapsed);
+        assert!(stats.check_time > Duration::ZERO);
+        let split = stats.expand_time
+            + stats.subsume_time
+            + stats.tableau_time
+            + stats.infer_time
+            + stats.audit_time;
+        assert!(split <= stats.check_time, "{stats:?}");
+        assert!(stats.expand_time > Duration::ZERO);
+        assert!(
+            stats.audits > 0 && stats.audit_time > Duration::ZERO,
+            "{stats:?}"
+        );
+        assert!(stats.audits_rejected <= stats.audits);
+    }
+
+    /// Ten 3-digit zip prefixes of twenty rows each, every prefix with its
+    /// own city; row 7 of every prefix, and row 8 of the first when
+    /// `extra_dirty`, carries a wrong city.
+    fn zip_city_with_dirty_rows(extra_dirty: bool) -> Relation {
+        let prefixes = [
+            "105", "216", "327", "438", "549", "650", "761", "872", "983", "094",
+        ];
+        let cities = [
+            "Aspen", "Boston", "Camden", "Dover", "Eugene", "Fresno", "Gary", "Helena", "Irvine",
+            "Joliet",
+        ];
+        let mut rel = Relation::empty(pfd_relation::Schema::new("Zip", ["zip", "city"]).unwrap());
+        for (g, (prefix, city)) in prefixes.iter().zip(cities).enumerate() {
+            for i in 0..20 {
+                let dirty = i == 7 || (extra_dirty && g == 0 && i == 8);
+                let city = if dirty { "Xanadu" } else { city };
+                rel.push_row(vec![format!("{prefix}{i:02}"), city.to_string()])
+                    .unwrap();
+            }
+        }
+        rel
+    }
+
+    #[test]
+    fn generalization_accepts_exactly_the_allowed_suspects() {
+        // δ = 5% of 200 covered rows allows 10 suspect rows.
+        let config = DiscoveryConfig {
+            min_support: 2,
+            noise_ratio: 0.05,
+            ..DiscoveryConfig::default()
+        };
+        let kind = |extra_dirty: bool| {
+            let rel = zip_city_with_dirty_rows(extra_dirty);
+            let (zip, city) = (
+                rel.schema().attr("zip").unwrap(),
+                rel.schema().attr("city").unwrap(),
+            );
+            let result = discover(&rel, &config);
+            let dep = result
+                .dependencies
+                .iter()
+                .find(|d| d.lhs == vec![zip] && d.rhs == city)
+                .expect("zip → city discovered");
+            (dep.kind, dep.coverage)
+        };
+        // Ten suspects: the variable PFD [\D{3}]\D{2} → ⊥ holds.
+        assert_eq!(kind(false), (DependencyKind::Variable, 200));
+        // Eleven: its audit rejects it and the constant rows stay.
+        assert_eq!(kind(true).0, DependencyKind::Constant);
     }
 
     #[test]

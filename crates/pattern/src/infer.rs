@@ -48,7 +48,14 @@ impl ShapeRun {
 
 /// Compute the shape of a string. Empty strings have an empty shape.
 pub fn shape_of(s: &str) -> Vec<ShapeRun> {
-    let mut runs: Vec<ShapeRun> = Vec::new();
+    let mut runs = Vec::new();
+    shape_into(s, &mut runs);
+    runs
+}
+
+/// [`shape_of`] into a reused buffer (cleared first).
+fn shape_into(s: &str, runs: &mut Vec<ShapeRun>) {
+    runs.clear();
     for c in s.chars() {
         let class = CharClass::of_char(c);
         let next = if class == CharClass::Symbol {
@@ -62,7 +69,6 @@ pub fn shape_of(s: &str) -> Vec<ShapeRun> {
             (_, next) => runs.push(next),
         }
     }
-    runs
 }
 
 /// A generalized run: a class plus a length range (max `None` = unbounded —
@@ -199,29 +205,65 @@ fn merge_runs(a: &[GenRun], b: &[GenRun]) -> Vec<GenRun> {
     out
 }
 
+/// The accumulator of [`infer_pattern`]'s fold: shapes merged one at a
+/// time, in order, each generalizing the runs merged before it. The first
+/// shape seeds the accumulator.
+///
+/// The fold depends on the order of its shapes and on repeats that are not
+/// adjacent (`[" ax.a", " Z9.9", "_yaa"]` infers `\S\A+`, and a second
+/// `" Z9.9"` at the end widens it to `\A+`), but merging the same shape
+/// twice in a row changes nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShapeFold {
+    /// `None` until the first shape is merged.
+    runs: Option<Vec<GenRun>>,
+}
+
+impl ShapeFold {
+    /// Merge one shape into the accumulator.
+    pub fn merge(&mut self, shape: &[ShapeRun]) {
+        let runs: Vec<GenRun> = shape.iter().map(GenRun::from_shape).collect();
+        self.runs = Some(match &self.runs {
+            None => runs,
+            Some(acc) => merge_runs(acc, &runs),
+        });
+    }
+
+    /// The pattern of the shapes merged so far; `None` before the first.
+    pub fn pattern(&self) -> Option<Pattern> {
+        let runs = self.runs.as_ref()?;
+        let elements = runs.iter().map(GenRun::to_element).collect();
+        Some(Pattern::from_elements_unchecked(elements))
+    }
+}
+
 /// Infer the least-general pattern (within this module's shape language)
-/// matching every value in `values`.
+/// matching every value in `values`: a [`ShapeFold`] over their shapes, in
+/// order.
+///
+/// A value whose shape equals the previous value's is skipped, because
+/// merging a shape twice in a row is a no-op: `shape_of` never yields an
+/// `\A` run and the class order is flat, so the second merge leaves every
+/// atom, bound and wildcarded middle as the first left them. Only adjacent
+/// repeats may be skipped — the fold depends on order and on repeats
+/// further apart (see [`ShapeFold`]).
 ///
 /// Returns `None` for an empty input. Examples:
 /// - `{John, Susan}` ⇒ `\LU\LL+`
 /// - `{90001, 90002}` ⇒ `\D{5}`
 /// - `{F-9-107, F-9-2}` ⇒ `\LU-\D-\D+`
 pub fn infer_pattern<S: AsRef<str>>(values: &[S]) -> Option<Pattern> {
-    let mut iter = values.iter();
-    let first = iter.next()?;
-    let mut acc: Vec<GenRun> = shape_of(first.as_ref())
-        .iter()
-        .map(GenRun::from_shape)
-        .collect();
-    for v in iter {
-        let runs: Vec<GenRun> = shape_of(v.as_ref())
-            .iter()
-            .map(GenRun::from_shape)
-            .collect();
-        acc = merge_runs(&acc, &runs);
+    let mut fold = ShapeFold::default();
+    let (mut shape, mut prev) = (Vec::new(), Vec::new());
+    for (i, v) in values.iter().enumerate() {
+        shape_into(v.as_ref(), &mut shape);
+        if i > 0 && shape == prev {
+            continue;
+        }
+        fold.merge(&shape);
+        std::mem::swap(&mut shape, &mut prev);
     }
-    let elements = acc.iter().map(GenRun::to_element).collect();
-    Some(Pattern::from_elements_unchecked(elements))
+    fold.pattern()
 }
 
 /// Infer a pattern and verify it against every input value (the inference is
@@ -337,6 +379,17 @@ mod tests {
     fn infer_includes_empty_string() {
         let p = infer_pattern(&["abc", ""]).unwrap();
         assert_matches_all(&p, &["abc", ""]);
+    }
+
+    #[test]
+    fn infer_depends_on_order_and_on_repeats_that_are_not_adjacent() {
+        let infer = |values: &[&str]| infer_pattern(values).unwrap().to_string();
+        assert_eq!(infer(&[" ax.a", " Z9.9", "_yaa"]), r"\S\A+");
+        // A repeat further back, or another order, widens the pattern.
+        assert_eq!(infer(&[" ax.a", " Z9.9", "_yaa", " Z9.9"]), r"\A+");
+        assert_eq!(infer(&["_yaa", " ax.a", " Z9.9"]), r"\A+");
+        // An adjacent repeat changes nothing.
+        assert_eq!(infer(&[" ax.a", " Z9.9", " Z9.9", "_yaa"]), r"\S\A+");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use contains::{
     difference_witness, equivalent, intersection_witness, language_is_empty, member_witness,
     satisfiable_signatures, subset_of,
 };
-pub use infer::{infer_pattern, infer_verified, shape_of, ShapeRun};
+pub use infer::{infer_pattern, infer_verified, shape_of, ShapeFold, ShapeRun};
 pub use nfa::Nfa;
 pub use normalize::normalize;
 pub use parse::{parse_constrained, parse_pattern, ParseError};

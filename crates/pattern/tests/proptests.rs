@@ -1,8 +1,8 @@
 //! Property-based tests for the pattern algebra.
 
 use pfd_pattern::{
-    difference_witness, infer_pattern, parse_pattern, subset_of, Atom, CharClass,
-    ConstrainedPattern, Element, Nfa, Pattern, Quant,
+    difference_witness, infer_pattern, parse_pattern, shape_of, subset_of, Atom, CharClass,
+    ConstrainedPattern, Element, Nfa, Pattern, Quant, ShapeFold,
 };
 use proptest::prelude::*;
 
@@ -199,6 +199,86 @@ proptest! {
                 prop_assert!(b.equivalent(&v1, &v2));
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Inference fold properties: `infer_pattern` skips a value whose shape equals
+// the previous value's, and must still equal the plain fold that merges
+// every value in order.
+// ---------------------------------------------------------------------------
+
+/// The plain fold: merge every value's shape, in order, repeats included.
+fn plain_fold(values: &[String]) -> Option<Pattern> {
+    let mut fold = ShapeFold::default();
+    for v in values {
+        fold.merge(&shape_of(v));
+    }
+    fold.pattern()
+}
+
+/// `value` with every letter and digit replaced by another of its class
+/// (drawn from `seed`), symbols kept: a value of the same shape.
+fn same_shape(value: &str, seed: u64) -> String {
+    let mut h = seed;
+    value
+        .chars()
+        .map(|c| {
+            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            let pick = |base: u8, n: u64| char::from(base + ((h >> 33) % n) as u8);
+            match c {
+                '0'..='9' => pick(b'0', 10),
+                'a'..='z' => pick(b'a', 26),
+                'A'..='Z' => pick(b'A', 26),
+                other => other,
+            }
+        })
+        .collect()
+}
+
+/// Value lists built from a few base strings: runs of values sharing a
+/// base's shape, repeats of values further back, and empty strings.
+fn fold_values() -> impl Strategy<Value = Vec<String>> {
+    let base = proptest::collection::vec(prop_oneof![data_char(), Just('_')], 0..6)
+        .prop_map(|cs| cs.into_iter().collect::<String>());
+    let steps = proptest::collection::vec((0u64..4, any::<u64>(), 1usize..4), 1..10);
+    (proptest::collection::vec(base, 1..4), steps).prop_map(|(bases, steps)| {
+        let mut values: Vec<String> = Vec::new();
+        for (kind, seed, run) in steps {
+            for i in 0..run {
+                let seed = seed.wrapping_add(i as u64);
+                let value = match kind {
+                    0 if !values.is_empty() => values[seed as usize % values.len()].clone(),
+                    1 => String::new(),
+                    _ => same_shape(&bases[seed as usize % bases.len()], seed),
+                };
+                values.push(value);
+            }
+        }
+        values
+    })
+}
+
+proptest! {
+    #[test]
+    fn inference_equals_the_plain_fold(values in fold_values()) {
+        prop_assert_eq!(infer_pattern(&values), plain_fold(&values), "{:?}", values);
+    }
+
+    #[test]
+    fn merging_a_shape_twice_in_a_row_is_a_no_op(
+        before in fold_values(),
+        value in prop_oneof![data_string(), Just(String::new())],
+    ) {
+        let mut fold = ShapeFold::default();
+        for v in &before {
+            fold.merge(&shape_of(v));
+        }
+        let shape = shape_of(&value);
+        fold.merge(&shape);
+        let once = fold.clone();
+        fold.merge(&shape);
+        prop_assert_eq!(fold, once, "{:?} then {:?} twice", before, value);
     }
 }
 

@@ -682,13 +682,23 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                 result.stats.candidates_checked,
                 result.stats.entries_tested
             )?;
+            let stats = &result.stats;
             writeln!(
                 out,
-                "phases: profile {:?}, index {:?} ({} entries), check {:?}",
-                result.stats.profile_time,
-                result.stats.index_time,
-                result.stats.index_entries,
-                result.stats.check_time
+                "phases: profile {:?}, index {:?} ({} entries), check {:?} \
+                 (expand {:?}, subsume {:?}, tableau {:?}, infer {:?}, \
+                 audit {:?}: {} audits, {} rejected)",
+                stats.profile_time,
+                stats.index_time,
+                stats.index_entries,
+                stats.check_time,
+                stats.expand_time,
+                stats.subsume_time,
+                stats.tableau_time,
+                stats.infer_time,
+                stats.audit_time,
+                stats.audits,
+                stats.audits_rejected
             )?;
             writeln!(
                 out,
